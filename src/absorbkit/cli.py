@@ -58,7 +58,11 @@ def _emit(data: dict, as_json: bool):
 
 def cmd_divide_check(args) -> int:
     if args.params:
-        n, q, r, lam = (int(t) for t in args.params.split(","))
+        try:
+            n, q, r, lam = (int(t) for t in args.params.split(","))
+        except ValueError:
+            raise ParameterError(
+                f"--params expects four integers n,q,r,lam, got {args.params!r}") from None
         p = DesignParams(n, q, r, lam)
         rows = admissibility_report(p)
         for row in rows:
@@ -348,10 +352,12 @@ def cmd_nibble(args) -> int:
 def _load_config(path: str) -> dict:
     out: dict = {}
     with open(path) as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
+            if "=" not in line:
+                raise ParseError(line_no, f"expected key=value, got {line!r}")
             k, v = line.split("=", 1)
             out[k.strip()] = v.strip()
     return out
@@ -361,14 +367,16 @@ def cmd_pipeline(args) -> int:
     kwargs: dict = {}
     if args.config:
         raw = _load_config(args.config)
-        casts = {"n": int, "q": int, "r": int, "lam": int, "p": float,
-                 "seed": int, "bite": float, "lp_clique_budget": int,
-                 "max_reserve_triangles": int, "hill_climb_rounds": int,
-                 "residual_cover_budget": int, "out_dir": str}
+        casts = {"n": int, "q": int, "r": int, "lam": int, "seed": int,
+                 "hill_climb_rounds": int, "residual_cover_budget": int,
+                 "out_dir": str}
         for k, v in raw.items():
             if k not in casts:
                 raise ParameterError(f"unknown config key {k!r}")
-            kwargs[k] = casts[k](v)
+            try:
+                kwargs[k] = casts[k](v)
+            except ValueError:
+                raise ParameterError(f"config key {k!r}: bad value {v!r}") from None
     if args.n is not None:
         kwargs["n"] = args.n
     if args.seed is not None:
@@ -382,7 +390,7 @@ def cmd_pipeline(args) -> int:
         print(json.dumps(res.report, sort_keys=True, default=str))
     else:
         print(f"n={res.report['n']} triples={res.report['triples']} "
-              f"fallback={res.report['fallback_used']} verified=True")
+              f"route={res.report['route']} verified=True")
     return EXIT_OK
 
 

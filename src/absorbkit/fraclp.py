@@ -1,11 +1,12 @@
 """Exact rational linear programming for fractional clique decompositions.
 
 Feasibility of {sum of weights through each edge = 1, weights >= 0 (<= cap)}
-is decided by a phase-1 simplex over Fractions with Bland's rule, so
-verdicts are exact: feasibility comes with the weighting itself, and
-infeasibility comes with a Farkas certificate that is re-verified before
-being returned.  A Fourier-Motzkin eliminator doubles as an independent
-oracle for small instances.
+is decided by a phase-1 simplex over Fractions (Dantzig pricing with a
+Bland anti-cycling switch), so verdicts are exact: feasibility comes with
+the weighting itself, and infeasibility comes with a Farkas certificate
+that is re-verified before being returned.  An exhaustive vertex
+enumeration (`fm_feasible`: every linearly independent column subset,
+solved exactly) doubles as an independent oracle for small instances.
 """
 from __future__ import annotations
 

@@ -399,6 +399,9 @@ def read_graph(path: str) -> AnyGraph:
         if verts in mult:
             raise ParseError(ln, f"duplicate edge {verts!r}")
         mult[verts] = k
+    for i in range(m + 1, len(raw)):
+        if raw[i].strip():
+            raise ParseError(i + 1, f"unexpected line after the {m} declared edges")
     if any_multi:
         return MultiHypergraph(n, r, mult)
     return Hypergraph(n, r, mult.keys())
@@ -445,6 +448,9 @@ def read_packing(path: str, as_decomposition: bool = False):
         cliques.append(verts)
     if m + 1 >= len(raw) or not raw[m + 1].startswith("host "):
         raise ParseError(m + 2, "missing trailing 'host <path>' line")
+    for i in range(m + 2, len(raw)):
+        if raw[i].strip():
+            raise ParseError(i + 1, "unexpected line after the 'host <path>' line")
     host_path = raw[m + 1][5:].strip()
     if not os.path.isabs(host_path):
         host_path = os.path.join(os.path.dirname(os.path.abspath(path)), host_path)

@@ -96,7 +96,6 @@ def _triangularization(n: int, q: int, r: int):
     pivots: list = []
     for i in range(nrows):
         # gcd-reduce row i across columns piv_col..ncols-1
-        j = piv_col
         while True:
             nz = [k for k in range(piv_col, ncols) if H[i][k] != 0]
             if not nz:
@@ -115,7 +114,6 @@ def _triangularization(n: int, q: int, r: int):
             small, big = nz[0], nz[1]
             fq = H[i][big] // H[i][small]
             col_addmul(big, small, -fq)
-        _ = j
     return M, H, U, pivots
 
 

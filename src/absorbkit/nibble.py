@@ -24,20 +24,14 @@ from .hypercore import (Hypergraph, Packing, clique_edges, enumerate_cliques,
 
 @dataclass
 class NibbleParams:
-    """Engine knobs; the analysis-style constants are experiment inputs,
-    never hard-coded."""
+    """Engine knobs: the bite fraction (1 is plain random greedy), the RNG
+    seed, a cap on bite rounds, and an optional clique pool that replaces
+    the host's own clique enumeration."""
 
     bite: float = 1.0
     seed: int = 0
     max_rounds: int = 10 ** 6
     clique_source: Optional[List[tuple]] = None
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    gamma: Optional[float] = None
-    eps: Optional[float] = None
-    rho: Optional[float] = None
-    D: Optional[float] = None
-    p: Optional[float] = None
 
     def __post_init__(self):
         if not (0 < self.bite <= 1):

@@ -33,6 +33,10 @@ class TestDivideCLI:
         code = main(["divide", "check", "/nonexistent.graph", "--q", "3"])
         assert code == 3
 
+    def test_malformed_params_exit_3(self, capsys):
+        for params in ("19,3,2", "19,3,2,x", "19,3,2,1,1"):
+            assert main(["divide", "check", "--params", params]) == 3, params
+
 
 class TestCoverCLI:
     def test_solve_and_verify_roundtrip(self, tmp_path, capsys):
@@ -214,6 +218,19 @@ class TestPipelineCLI:
     def test_inadmissible_exit_3(self, capsys):
         code = main(["pipeline", "--n", "8"])
         assert code == 3
+
+    def test_text_output_names_route(self, capsys):
+        code, out = run(capsys, "pipeline", "--n", "9", "--seed", "5")
+        fields = dict(tok.split("=", 1) for tok in out.split())
+        assert code == 0 and fields["route"] in ("nibble", "exact-cover", "hill-climb")
+
+    def test_malformed_config_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        for text in ("# comment\nn=9\nseed 5\n",   # no '=': a parse error
+                     "n=9\nseed=five\n",            # bad value
+                     "n=9\np=0.25\n"):              # a key the pipeline lost
+            cfg.write_text(text)
+            assert main(["pipeline", "--config", str(cfg)]) == 3, text
 
     def test_oracle_and_verify(self, tmp_path, capsys):
         pack = str(tmp_path / "sts9.pack")

@@ -170,3 +170,18 @@ class TestFiles:
         P2 = read_packing(str(ppath))
         assert P2.cliques == P.cliques
         assert P2.host == host
+
+    def test_line_after_declared_edges_rejected(self, tmp_path):
+        p = tmp_path / "trailing.graph"
+        p.write_text("2 4 1\n0 1\n2 3\n")
+        with pytest.raises(ParseError, match="line 3"):
+            read_graph(str(p))
+        p.write_text("2 4 1\n0 1\n\n")   # trailing blank lines are fine
+        assert read_graph(str(p)).m == 1
+
+    def test_line_after_host_rejected(self, tmp_path):
+        write_graph(Hypergraph.complete(7, 2), str(tmp_path / "k7.graph"))
+        ppath = tmp_path / "p.pack"
+        ppath.write_text("3 7 1\n0 1 2\nhost k7.graph\n3 4 5\n")
+        with pytest.raises(ParseError, match="line 4"):
+            read_packing(str(ppath))

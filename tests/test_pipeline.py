@@ -72,8 +72,8 @@ class TestPipeline:
     def test_artifacts_written(self, tmp_path):
         out = str(tmp_path / "run")
         res = pipeline_steiner(PipelineConfig(n=9, seed=3, out_dir=out))
-        for name in ("X.graph", "A.graph", "J.graph", "nibble.pack",
-                     "final.pack", "report.json", "host.graph"):
+        for name in ("J.graph", "nibble.pack", "final.pack", "report.json",
+                     "host.graph"):
             assert os.path.exists(os.path.join(out, name)), name
         with open(os.path.join(out, "report.json")) as fh:
             rep = json.load(fh)
@@ -85,5 +85,22 @@ class TestPipeline:
 
     def test_stage_reports_present(self):
         res = pipeline_steiner(PipelineConfig(n=13, seed=8))
-        for stage in ("reserve", "omni", "boost", "nibble", "complete"):
-            assert stage in res.report["stages"]
+        assert set(res.report["stages"]) == {"boost", "nibble"}
+        assert "skipped" in res.report["stages"]["boost"]
+
+    def test_route_reported(self):
+        routes = set()
+        for n, seed in ((7, 0), (7, 6), (13, 8), (31, 1)):
+            rep = pipeline_steiner(PipelineConfig(n=n, seed=seed)).report
+            assert rep["route"] in ("nibble", "exact-cover", "hill-climb")
+            assert rep["fallback_used"] == (rep["route"] != "nibble")
+            assert (rep["route"] == "nibble") == (rep["stages"]["nibble"]["leftover"] == 0)
+            routes.add(rep["route"])
+        assert routes == {"nibble", "hill-climb"}
+
+    @pytest.mark.parametrize("n", [109, 121])
+    def test_large_n_finishes(self, n):
+        # the old reserve/embedding stages searched without end at n >= 108
+        res = pipeline_steiner(PipelineConfig(n=n, seed=0))
+        assert res.report["verified"]
+        assert verify_design(res.decomposition, DesignParams(n, 3, 2, 1))["pass"]
