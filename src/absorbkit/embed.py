@@ -15,10 +15,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from .errors import CapacityError, ParameterError
+from .exactcover import _Budget
 from .gadgets import RootedGadget, is_edge_intersecting
 from .hypercore import (Hypergraph, MultiHypergraph, max_level_degree)
 
 COUNT_FRESH_CAP = 6
+# placements the exhaustive fallback may try in one embed_system call,
+# about a second of search; a hopeless search (a root already over the
+# degree budget) otherwise enumerates every injective assignment
+DFS_BUDGET = 10 ** 5
 
 
 @dataclass
@@ -128,8 +133,9 @@ def embed_system(sys: SupergraphSystem, G: Hypergraph,
     """Embed all gadgets into G, images pairwise edge-disjoint, avoiding
     E(J) \\ E(H) per gadget, with Delta_{r-1} of the union within budget.
 
-    Returns None when the restart cap is exhausted; identical inputs and
-    seed give identical output.
+    Returns None when the restart cap is exhausted and raises BudgetError
+    when the exhaustive fallback has tried DFS_BUDGET placements; identical
+    inputs and seed give identical output.
     """
     J, r = sys.J, G.r
     if not set(J.mult) <= G.edges:
@@ -141,6 +147,7 @@ def embed_system(sys: SupergraphSystem, G: Hypergraph,
         degree_budget = 8 * max(max_level_degree(J, r - 1) if J.m else 0, 1)
     rng = random.Random(seed)
     j_edges = set(J.mult)
+    nodes = _Budget(DFS_BUDGET, "embedding DFS")
 
     for _ in range(restarts):
         order = list(range(len(sys.gadgets)))
@@ -155,7 +162,7 @@ def embed_system(sys: SupergraphSystem, G: Hypergraph,
             own = set(sys.H_family[idx].edges)
             avoid = (j_edges - own) | used_edges
             assign = _embed_one(W, G, avoid, deg, degree_budget, rng,
-                                samples_per_gadget)
+                                samples_per_gadget, nodes)
             if assign is None:
                 ok_all = False
                 break
@@ -178,9 +185,10 @@ def embed_system(sys: SupergraphSystem, G: Hypergraph,
 
 
 def _embed_one(W: RootedGadget, G: Hypergraph, avoid: set, deg: Counter,
-               budget: int, rng: random.Random, samples: int):
+               budget: int, rng: random.Random, samples: int, nodes: _Budget):
     """One gadget: uniform rejection sampling, then exhaustive fallback in a
-    seed-shuffled order so 'no valid embedding' is certain."""
+    seed-shuffled order so 'no valid embedding' is certain; each placement
+    the fallback tries spends one of `nodes`."""
     fresh = W.fresh_vertices()
     roots = set(W.roots)
     hosts = [v for v in range(G.n) if v not in roots]
@@ -217,6 +225,7 @@ def _embed_one(W: RootedGadget, G: Hypergraph, avoid: set, deg: Counter,
         for h in shuffled:
             if h in used:
                 continue
+            nodes.spend()
             assign[fresh[i]] = h
             if _edges_ok_partial(edges, assign, roots, G, avoid_f, fresh[i]):
                 got = rec(i + 1, assign, used | {h})

@@ -23,15 +23,19 @@ DEFAULT_BUDGET = 10 ** 8
 
 
 class _Budget:
-    __slots__ = ("left",)
+    """Search nodes left; spending past the limit raises BudgetError."""
 
-    def __init__(self, nodes: int):
-        self.left = nodes
+    __slots__ = ("left", "limit", "what")
+
+    def __init__(self, nodes: int, what: str = "exact cover"):
+        self.left = self.limit = nodes
+        self.what = what
 
     def spend(self):
+        if self.left <= 0:
+            raise BudgetError(f"{self.what} node budget exhausted: "
+                              f"{self.limit - self.left} of {self.limit} nodes")
         self.left -= 1
-        if self.left < 0:
-            raise BudgetError("exact cover node budget exhausted")
 
 
 @dataclass

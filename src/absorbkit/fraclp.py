@@ -1,12 +1,14 @@
 """Exact rational linear programming for fractional clique decompositions.
 
 Feasibility of {sum of weights through each edge = 1, weights >= 0 (<= cap)}
-is decided by a phase-1 simplex over Fractions (Dantzig pricing with a
-Bland anti-cycling switch), so verdicts are exact: feasibility comes with
-the weighting itself, and infeasibility comes with a Farkas certificate
-that is re-verified before being returned.  An exhaustive vertex
-enumeration (`fm_feasible`: every linearly independent column subset,
-solved exactly) doubles as an independent oracle for small instances.
+is decided by a fraction-free phase-1 simplex (Dantzig pricing with a
+Bland anti-cycling switch) on an integer tableau: each row holds integer
+numerators over its own positive integer denominator.  Verdicts are exact:
+feasibility comes with the weighting itself, and infeasibility comes with
+a Farkas certificate that is re-verified before being returned.  An
+exhaustive vertex enumeration (`fm_feasible`: every linearly independent
+column subset, solved exactly) doubles as an independent oracle for small
+instances.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .errors import CapacityError, ParameterError
@@ -67,62 +69,100 @@ class BoostFamily:
 
 def _phase1(rows: List[List[Fraction]], b: List[Fraction], n_struct: int) -> tuple:
     """Minimize the artificial sum for {Ax = b, x >= 0}; returns
-    (objective, x, y, pivots).  One artificial per row; b must be >= 0."""
+    (objective, x, y, pivots).  One artificial per row; b must be >= 0.
+
+    Each tableau row, the objective row included, is a list of integer
+    numerators over one positive integer denominator, reduced by their gcd
+    after each change.  Every entry keeps its exact rational value, so the
+    pivots are those of a Fraction tableau; only x and y become Fractions.
+    """
     m = len(rows)
     ncols = n_struct + m
-    T = [row[:] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b[i]]
-         for i, row in enumerate(rows)]
+    T: List[List[int]] = []
+    den: List[int] = []
+    for i, row in enumerate(rows):
+        d = lcm(*(v.denominator for v in row), b[i].denominator)
+        T.append([v.numerator * (d // v.denominator) for v in row]
+                 + [d if j == i else 0 for j in range(m)]
+                 + [b[i].numerator * (d // b[i].denominator)])
+        den.append(d)
     basis = [n_struct + i for i in range(m)]
-    # reduced costs: c_j - sum of column entries (artificial costs are 1)
-    obj = [Fraction(0)] * (ncols + 1)
-    for j in range(ncols):
-        col = sum(T[i][j] for i in range(m))
-        cj = Fraction(1) if j >= n_struct else Fraction(0)
-        obj[j] = cj - col
-    obj[ncols] = -sum(b)
+    # reduced costs: c_j - sum of column entries (artificial costs are 1),
+    # over the common denominator of the rows
+    oden = lcm(*den)
+    scale = [oden // d for d in den]
+    obj = [(oden if n_struct <= j < ncols else 0)
+           - sum(s * Ti[j] for s, Ti in zip(scale, T)) for j in range(ncols + 1)]
+    g = gcd(oden, *obj)
+    obj, oden = [v // g for v in obj], oden // g
     pivots = 0
     stalled = 0
     bland_after = 4 * (m + ncols)
     while True:
         # Dantzig pricing normally; permanent Bland switch once the
-        # objective stalls long enough to suspect cycling
+        # objective stalls long enough to suspect cycling.  The objective
+        # entries share one positive denominator: compare numerators.
         if stalled <= bland_after:
-            enter, best = None, Fraction(0)
-            for j in range(ncols):
-                if obj[j] < best:
-                    enter, best = j, obj[j]
+            best = min(obj[:ncols])
+            enter = obj.index(best) if best < 0 else None
         else:
             enter = next((j for j in range(ncols) if obj[j] < 0), None)
         if enter is None:
             break
-        ratio, leave = None, None
+        # ratio rhs_i / a_i: the row denominator cancels, so compare
+        # numerator ratios by cross-multiplying (a_i > 0)
+        leave = None
         for i in range(m):
-            if T[i][enter] > 0:
-                r = T[i][ncols] / T[i][enter]
-                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
-                    ratio, leave = r, i
+            a = T[i][enter]
+            if a > 0:
+                rhs = T[i][ncols]
+                if leave is None:
+                    leave, lrhs, la = i, rhs, a
+                    continue
+                cross_i, cross_leave = rhs * la, lrhs * a
+                if cross_i < cross_leave or (cross_i == cross_leave
+                                             and basis[i] < basis[leave]):
+                    leave, lrhs, la = i, rhs, a
         if leave is None:
             raise ParameterError("phase-1 unbounded; the instance is malformed")
-        piv = T[leave][enter]
-        T[leave] = [v / piv for v in T[leave]]
+        # dividing the leaving row by its pivot keeps its numerators and
+        # makes the pivot numerator its denominator
+        prow = T[leave]
+        p = prow[enter]
+        g = gcd(*prow)
+        if g > 1:
+            prow = [v // g for v in prow]
+            p //= g
+        T[leave], den[leave] = prow, p
         for i in range(m):
-            if i != leave and T[i][enter]:
-                f = T[i][enter]
-                T[i] = [a - f * c for a, c in zip(T[i], T[leave])]
-        if obj[enter]:
-            f = obj[enter]
-            before = obj[ncols]
-            obj = [a - f * c for a, c in zip(obj, T[leave])]
-            stalled = stalled + 1 if obj[ncols] == before else 0
+            if i != leave:
+                row = T[i]
+                f = row[enter]
+                if f:
+                    new = [a * p - f * c for a, c in zip(row, prow)]
+                    d = den[i] * p
+                    g = gcd(d, *new)
+                    if g > 1:
+                        new, d = [v // g for v in new], d // g
+                    T[i], den[i] = new, d
+        f = obj[enter]
+        if f:
+            before, before_den = obj[ncols], oden
+            obj = [a * p - f * c for a, c in zip(obj, prow)]
+            oden *= p
+            g = gcd(oden, *obj)
+            if g > 1:
+                obj, oden = [v // g for v in obj], oden // g
+            stalled = stalled + 1 if obj[ncols] * before_den == before * oden else 0
         basis[leave] = enter
         pivots += 1
-    objective = -obj[ncols]
+    objective = Fraction(-obj[ncols], oden)
     x = [Fraction(0)] * n_struct
     for i, bi in enumerate(basis):
         if bi < n_struct:
-            x[bi] = T[i][ncols]
+            x[bi] = Fraction(T[i][ncols], den[i])
     # row prices: y_i = 1 - reduced cost of artificial i
-    y = [Fraction(1) - obj[n_struct + i] for i in range(m)]
+    y = [1 - Fraction(obj[n_struct + i], oden) for i in range(m)]
     return objective, x, y, pivots
 
 

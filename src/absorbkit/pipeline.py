@@ -28,7 +28,7 @@ from .divide import DesignParams, params_admissible
 from .errors import BudgetError, ConstructionError, ParameterError
 from .exactcover import find_decomposition
 from .hypercore import (Decomposition, Hypergraph, Packing, clique_edges,
-                        write_graph, write_packing)
+                        enumerate_cliques, write_graph, write_packing)
 from .nibble import NibbleParams, random_greedy_pack
 
 
@@ -132,8 +132,10 @@ def _fallback_cover(n: int, committed: List[tuple], seed: int,
             # only the first round can get here: a reshape leaves edges
             return current, "nibble", attempts
         # exact cover on a small residual first; it rarely succeeds (the
-        # residual need not be divisible) but certifies the cheap cases
-        if residual.m <= 24:
+        # residual need not be divisible) but certifies the cheap cases.
+        # A residual with no triangle cannot be covered, and random greedy's
+        # packing is maximal, so the first round never has one.
+        if residual.m <= 24 and enumerate_cliques(residual, 3):
             attempts += 1
             try:
                 D = find_decomposition(residual, 3, budget=cover_budget)

@@ -2,12 +2,15 @@ import itertools
 
 import pytest
 
-from absorbkit.embed import (Embedding, SupergraphSystem, check_refined_family,
-                             count_rooted_embeddings, embed_system)
-from absorbkit.errors import ParameterError
+from absorbkit.embed import (DFS_BUDGET, Embedding, SupergraphSystem,
+                             check_refined_family, count_rooted_embeddings,
+                             embed_system)
+from absorbkit.cli import main
+from absorbkit.errors import BudgetError, ParameterError
 from absorbkit.exactcover import find_decomposition
 from absorbkit.gadgets import RootedGadget, anti_edge, fake_edge
-from absorbkit.hypercore import Hypergraph, MultiHypergraph, clique_edges
+from absorbkit.hypercore import Hypergraph, MultiHypergraph, clique_edges, write_graph
+from absorbkit.omni import omni_small
 
 
 class TestCounting:
@@ -115,6 +118,51 @@ class TestEmbedSystem:
         bad = RootedGadget(W=Hypergraph(3, 2, [(0, 2), (1, 2)]), roots=(0, 1, 2))
         with pytest.raises(ParameterError):
             SupergraphSystem(J=J, H_family=[H], gadgets=[bad])
+
+
+def private_absorbers(n=109, triangles=4):
+    """The omni-absorber's private absorbers for X = `triangles` disjoint
+    triangles in K_n: one gadget per nonempty union of X's triangles."""
+    X = Hypergraph(n, 2, [e for t in range(triangles)
+                          for e in clique_edges((3 * t, 3 * t + 1, 3 * t + 2), 2)])
+    cert = omni_small(X, 3)
+    H_family, gadgets = [], []
+    for key in sorted((k for k in cert.parts if k), key=sorted):
+        part = cert.parts[key]
+        W = Hypergraph(max(max(v for e in part["edges"] for v in e) + 1, n), 2,
+                       part["edges"])
+        H_family.append(Hypergraph(n, 2, key))
+        gadgets.append(RootedGadget(W=W, roots=part["support"]))
+    return X, H_family, gadgets
+
+
+class TestEmbedBudget:
+    # 4 disjoint triangles have 15 private absorbers; their 12 roots exceed
+    # the degree budget, so no embedding exists and the exhaustive fallback
+    # used to enumerate injective assignments without end
+
+    def test_overloaded_roots_raise_budget_error(self):
+        X, H_family, gadgets = private_absorbers()
+        assert len(gadgets) == 15
+        sys = SupergraphSystem(J=X.multi(), H_family=H_family, gadgets=gadgets)
+        with pytest.raises(BudgetError, match=f"{DFS_BUDGET} of {DFS_BUDGET} nodes"):
+            embed_system(sys, Hypergraph.complete(109, 2), seed=0)
+
+    def test_cli_exits_2(self, tmp_path, capsys):
+        X, H_family, gadgets = private_absorbers()
+        write_graph(X, str(tmp_path / "X.graph"))
+        write_graph(Hypergraph.complete(109, 2), str(tmp_path / "host.graph"))
+        lines = ["base X.graph"]
+        for i, (H, W) in enumerate(zip(H_family, gadgets)):
+            write_graph(W.W, str(tmp_path / f"W{i}.graph"))
+            write_graph(H, str(tmp_path / f"H{i}.graph"))
+            lines.append(f"gadget W{i}.graph H{i}.graph "
+                         + ",".join(map(str, W.roots)))
+        (tmp_path / "system.manifest").write_text("\n".join(lines) + "\n")
+        code = main(["embed", "--system", str(tmp_path / "system.manifest"),
+                     "--host", str(tmp_path / "host.graph")])
+        assert code == 2
+        assert "node budget exhausted" in capsys.readouterr().err
 
 
 class TestRefinedFamily:

@@ -40,6 +40,11 @@ class TestFindDecomposition:
         with pytest.raises(BudgetError):
             find_decomposition(Hypergraph.complete(9, 2), 3, budget=3)
 
+    def test_budget_error_says_what_it_spent(self):
+        # K_12 has no STS, so the search runs until the budget is gone
+        with pytest.raises(BudgetError, match="of 50 nodes"):
+            find_decomposition(Hypergraph.complete(12, 2), 3, budget=50)
+
 
 class TestCounting:
     def test_sts7_count_30(self):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from absorbkit import fraclp
 from absorbkit.errors import ParameterError
 from absorbkit.fraclp import (BoostFamily, FractionalWeighting, boost_sample,
                               fm_feasible, fractional_decomposition,
@@ -71,6 +72,105 @@ class TestFeasibility:
             want = fm_feasible(G, 3)
             assert got == want, sorted(G.edges)
             done += 1
+
+
+def reference_phase1(rows, b, n_struct):
+    """The dense-Fraction phase-1 simplex that the integer tableau replaced,
+    kept as the reference: it rebuilds every row as Fractions per pivot."""
+    m = len(rows)
+    ncols = n_struct + m
+    T = [row[:] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b[i]]
+         for i, row in enumerate(rows)]
+    basis = [n_struct + i for i in range(m)]
+    obj = [Fraction(0)] * (ncols + 1)
+    for j in range(ncols):
+        col = sum(T[i][j] for i in range(m))
+        cj = Fraction(1) if j >= n_struct else Fraction(0)
+        obj[j] = cj - col
+    obj[ncols] = -sum(b)
+    pivots = 0
+    stalled = 0
+    bland_after = 4 * (m + ncols)
+    while True:
+        if stalled <= bland_after:
+            enter, best = None, Fraction(0)
+            for j in range(ncols):
+                if obj[j] < best:
+                    enter, best = j, obj[j]
+        else:
+            enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        if enter is None:
+            break
+        ratio, leave = None, None
+        for i in range(m):
+            if T[i][enter] > 0:
+                r = T[i][ncols] / T[i][enter]
+                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
+                    ratio, leave = r, i
+        if leave is None:
+            raise ParameterError("phase-1 unbounded; the instance is malformed")
+        piv = T[leave][enter]
+        T[leave] = [v / piv for v in T[leave]]
+        for i in range(m):
+            if i != leave and T[i][enter]:
+                f = T[i][enter]
+                T[i] = [a - f * c for a, c in zip(T[i], T[leave])]
+        if obj[enter]:
+            f = obj[enter]
+            before = obj[ncols]
+            obj = [a - f * c for a, c in zip(obj, T[leave])]
+            stalled = stalled + 1 if obj[ncols] == before else 0
+        basis[leave] = enter
+        pivots += 1
+    objective = -obj[ncols]
+    x = [Fraction(0)] * n_struct
+    for i, bi in enumerate(basis):
+        if bi < n_struct:
+            x[bi] = T[i][ncols]
+    y = [Fraction(1) - obj[n_struct + i] for i in range(m)]
+    return objective, x, y, pivots
+
+
+def equivalence_instances():
+    """(id, graph, cap): complete graphs, capped complete graphs, K_4 - e
+    and seeded random graphs on at most 8 vertices, some infeasible."""
+    out = [(f"K_{n}", Hypergraph.complete(n, 2), None) for n in range(5, 10)]
+    for n in range(5, 8):
+        out.append((f"K_{n} cap=2/{n}", Hypergraph.complete(n, 2), Fraction(2, n)))
+        out.append((f"K_{n} cap=1/2", Hypergraph.complete(n, 2), Fraction(1, 2)))
+    out.append(("K_4-e", k4_minus_edge(), None))
+    rng = random.Random(2024)
+    for i in range(30):
+        n = rng.randint(4, 8)
+        p = rng.choice((0.5, 0.7, 0.9))
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        out.append((f"random #{i} n={n}", Hypergraph(n, 2, edges), None))
+    return out
+
+
+class TestIntegerTableau:
+    @pytest.mark.parametrize("G, cap", [pytest.param(G, cap, id=name)
+                                        for name, G, cap in equivalence_instances()])
+    def test_matches_fraction_tableau(self, monkeypatch, G, cap):
+        got = solve_fractional(G, 3, weight_cap=cap)
+        monkeypatch.setattr(fraclp, "_phase1", reference_phase1)
+        want = solve_fractional(G, 3, weight_cap=cap)
+        assert got.feasible == want.feasible
+        assert (got.weighting is None) == (want.weighting is None)
+        if got.weighting is not None:
+            assert got.weighting.psi == want.weighting.psi
+        assert got.farkas == want.farkas
+        assert got.rows == want.rows
+        assert got.pivots == want.pivots
+
+    def test_instances_include_infeasible(self):
+        verdicts = {solve_fractional(G, 3, weight_cap=cap).feasible
+                    for _, G, cap in equivalence_instances()}
+        assert verdicts == {True, False}
+
+    def test_k13_solves(self):
+        out = solve_fractional(Hypergraph.complete(13, 2), 3)
+        assert out.feasible and out.pivots == 175
 
 
 class TestLowWeight:

@@ -7,7 +7,7 @@ from absorbkit.divide import DesignParams
 from absorbkit.errors import ParameterError
 from absorbkit.exactcover import find_two_disjoint_decompositions
 from absorbkit.hypercore import Hypergraph
-from absorbkit.pipeline import (PipelineConfig, oracle_steiner,
+from absorbkit.pipeline import (PipelineConfig, _fallback_cover, oracle_steiner,
                                 pipeline_steiner, verify_design)
 
 
@@ -97,6 +97,21 @@ class TestPipeline:
             assert (rep["route"] == "nibble") == (rep["stages"]["nibble"]["leftover"] == 0)
             routes.add(rep["route"])
         assert routes == {"nibble", "hill-climb"}
+
+    def test_maximal_residual_skips_exact_cover(self):
+        # random greedy's packing is maximal, so its residual has no
+        # triangle and exact cover is not tried on it
+        for n, seed in ((7, 0), (9, 3), (13, 8), (15, 2)):
+            rep = pipeline_steiner(PipelineConfig(n=n, seed=seed)).report
+            assert 0 < rep["stages"]["nibble"]["leftover"] <= 24
+            assert rep["route"] == "hill-climb"
+            assert rep["fallback_attempts"] == 0
+
+    def test_residual_with_triangles_tries_exact_cover(self):
+        triples, route, attempts = _fallback_cover(7, [], seed=0, rounds=1,
+                                                    cover_budget=10 ** 5)
+        assert (route, attempts) == ("exact-cover", 1)
+        assert verify_design(triples, DesignParams(7, 3, 2, 1))["pass"]
 
     @pytest.mark.parametrize("n", [109, 121])
     def test_large_n_finishes(self, n):
