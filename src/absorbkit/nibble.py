@@ -1,10 +1,17 @@
 """Randomized packing engines and their analyzers.
 
 Plain random greedy (bite = 1) is the default engine; the bite-rounds
-variant exists for experiments.  Every engine returns its packing together
-with the uncovered leftover and asserts exact conservation.  Girth and
-configuration counting are exhaustive with union-size pruning plus a
-pair-index shortcut, and agree with naive enumeration on small inputs.
+variant exists for experiments.  Both keep the uncovered edges as int
+bitmasks: on a graph host, one mask per vertex u holding u and its
+uncovered neighbours; on an r-uniform host, one mask per (r-1)-set T
+holding T and every v with T + v uncovered (the layout of
+`Hypergraph.neighbor_mask`).  A clique with vertex mask M is free iff the
+mask of every vertex, or (r-1)-set, inside it contains M, and taking it
+clears the rest of M from those masks.  The leftover is read off the final
+masks.  Every engine returns its packing together with the uncovered
+leftover and asserts exact conservation.  Girth and configuration counting
+are exhaustive with union-size pruning plus a pair-index shortcut, and
+agree with naive enumeration on small inputs.
 """
 from __future__ import annotations
 
@@ -58,44 +65,81 @@ def _clique_pool(G: Hypergraph, q: int, params: NibbleParams) -> List[tuple]:
     return enumerate_cliques(G, q)
 
 
+def _sweep(batch: List[tuple], masks, kbits, bit: List[int], r: int,
+           commit: bool) -> List[tuple]:
+    """Run the mask test over `batch` in order, in one inline loop.
+
+    A key is a vertex when r = 2 (`masks` and `kbits` are lists) and an
+    (r-1)-set otherwise (they are dicts).  ``masks[k]`` holds the bits of k
+    itself plus every v such that k + v is an uncovered edge, ``kbits[k]``
+    the bits of k, and ``bit[v]`` is 1 << v.  A clique with vertex mask M
+    is free iff every key inside it has all of M.  With `commit`, each free
+    clique is taken at once, its edges are cleared, and the taken cliques
+    are returned; without, the free cliques are returned and nothing
+    changes.
+    """
+    out = []
+    for c in batch:
+        M = 0
+        for v in c:
+            M |= bit[v]
+        ks = c if r == 2 else tuple(itertools.combinations(c, r - 1))
+        for k in ks:
+            if masks[k] & M != M:
+                break
+        else:
+            if commit:
+                for k in ks:
+                    masks[k] ^= M ^ kbits[k]
+            out.append(c)
+    return out
+
+
 def random_greedy_pack(G: Hypergraph, q: int,
                        params: Optional[NibbleParams] = None) -> Tuple[Packing, Hypergraph]:
     """Random greedy / bite-rounds packing; returns (packing, leftover)."""
     params = params or NibbleParams()
     rng = random.Random(params.seed)
     pool = _clique_pool(G, q, params)
-    covered: set = set()
-    chosen: List[tuple] = []
-
-    def try_commit(c: tuple) -> bool:
-        es = list(clique_edges(c, G.r))
-        if any(e in covered for e in es):
-            return False
-        covered.update(es)
-        chosen.append(c)
-        return True
+    r = G.r
+    bit = [1 << v for v in range(G.n)]
+    if r == 2:
+        kbits, masks = bit, bit[:]
+        for u, v in G.edges:
+            masks[u] |= bit[v]
+            masks[v] |= bit[u]
+    else:
+        kbits, masks = {}, {}
+        for e in G.edges:
+            for i in range(r):
+                T = e[:i] + e[i + 1:]
+                if T not in kbits:
+                    kbits[T] = masks[T] = sum(bit[v] for v in T)
+                masks[T] |= bit[e[i]]
+    per_clique = comb(q, r)
 
     if params.bite >= 1:
         order = pool[:]
         rng.shuffle(order)
-        for c in order:
-            try_commit(c)
+        chosen = _sweep(order, masks, kbits, bit, r, True)
     else:
+        chosen = []
         rounds = 0
         live = pool[:]
         while live and rounds < params.max_rounds:
-            remaining = G.m - len(covered)
-            k = max(1, math.ceil(params.bite * remaining / comb(q, G.r)))
+            remaining = G.m - len(chosen) * per_clique
+            k = max(1, math.ceil(params.bite * remaining / per_clique))
             bite = rng.sample(live, min(k, len(live)))
             rng.shuffle(bite)
-            for c in bite:
-                try_commit(c)
-            live = [c for c in live
-                    if not any(e in covered for e in clique_edges(c, G.r))]
+            chosen += _sweep(bite, masks, kbits, bit, r, True)
+            live = _sweep(live, masks, kbits, bit, r, False)
             rounds += 1
     packing = Packing(G, chosen, q)
-    leftover = Hypergraph(G.n, G.r, G.edges - covered)
-    assert len(covered) + leftover.m == G.m, "edge conservation violated"
+    # edge e is uncovered iff the mask of its key e - e[-1] still has e[-1]
+    leftover = Hypergraph(G.n, r, [
+        e for e in G.edges
+        if masks[e[0] if r == 2 else e[:-1]] >> e[-1] & 1])
+    assert len(chosen) * per_clique + leftover.m == G.m, "edge conservation violated"
     return packing, leftover
 
 

@@ -111,9 +111,10 @@ def _hill_climb_complete(n: int, committed: List[tuple], rng: random.Random,
     return sorted(cliques)
 
 
-def _fallback_cover(n: int, committed: List[tuple], seed: int,
+def _fallback_cover(host: Hypergraph, committed: List[tuple], seed: int,
                     rounds: int, cover_budget: int) -> Tuple[List[tuple], str, int]:
-    """Complete a partial triangle packing of K_n into an STS.
+    """Complete a partial triangle packing of the complete graph `host`
+    into an STS.
 
     Exact cover on the residual, wrapped in a perturb/retry loop: when the
     residual is not decomposable, hill-climb switches reshape the packing and
@@ -121,13 +122,13 @@ def _fallback_cover(n: int, committed: List[tuple], seed: int,
     where route is "nibble" when `committed` is already a decomposition, else
     "exact-cover" or "hill-climb"; raises BudgetError when the rounds run out.
     """
+    n = host.n
     rng = random.Random(seed)
     current = list(committed)
     attempts = 0
     for _ in range(rounds):
-        residual = Hypergraph(n, 2,
-                              Hypergraph.complete(n, 2).edges
-                              - {e for c in current for e in clique_edges(c, 2)})
+        residual = Hypergraph(n, 2, host.edges - {
+            e for c in current for e in clique_edges(c, 2)})
         if residual.m == 0:
             # only the first round can get here: a reshape leaves edges
             return current, "nibble", attempts
@@ -172,7 +173,7 @@ def pipeline_steiner(cfg: PipelineConfig) -> PipelineResult:
         "boost": {"skipped": "the pipeline runs no LP boost"},
         "nibble": {"packed": len(packing), "leftover": leftover.m}}}
     triples, route, attempts = _fallback_cover(
-        n, list(packing.cliques), repair_seed,
+        host, list(packing.cliques), repair_seed,
         cfg.hill_climb_rounds, cfg.residual_cover_budget)
     report.update(route=route, fallback_used=route != "nibble",
                   fallback_attempts=attempts)

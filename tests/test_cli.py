@@ -113,6 +113,14 @@ class TestNibbleCLI:
             data = json.load(fh)
         assert "leftover_fraction" in data
 
+    def test_run_on_3_uniform_host(self, capsys):
+        code, out = run(capsys, "nibble", "run", "--n", "8", "--r", "3",
+                        "--q", "4", "--seed", "1")
+        assert code == 0
+        fields = dict(line.split("=", 1) for line in out.split())
+        assert fields["edges"] == "56"
+        assert 4 * int(fields["packed"]) + int(fields["leftover"]) == 56
+
     def test_reserve(self, capsys):
         code, out = run(capsys, "nibble", "reserve", "--n", "20", "--p", "0.3",
                         "--seed", "1")

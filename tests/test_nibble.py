@@ -1,17 +1,84 @@
 import itertools
+import math
 import random
-from math import inf
+from math import comb, inf
 
 import pytest
 
 from absorbkit.errors import BudgetError, CapacityError, ParameterError
 from absorbkit.hypercore import Hypergraph, Packing, clique_edges
-from absorbkit.nibble import (NibbleParams, complete_with_reserves,
-                              configurations, generate_reserves, girth,
-                              high_girth_pack, random_greedy_pack,
-                              reserve_candidates, spread_estimate)
+from absorbkit.nibble import (NibbleParams, _clique_pool,
+                              complete_with_reserves, configurations,
+                              generate_reserves, girth, high_girth_pack,
+                              random_greedy_pack, reserve_candidates,
+                              spread_estimate)
 
 PASCH = [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)]
+
+
+def tuple_set_random_greedy(G, q, params):
+    """Reference engine: random greedy on a set of covered edge tuples,
+    with the RNG calls of the mask engine in the same order."""
+    rng = random.Random(params.seed)
+    pool = _clique_pool(G, q, params)
+    covered = set()
+    chosen = []
+
+    def try_commit(c):
+        es = list(clique_edges(c, G.r))
+        if any(e in covered for e in es):
+            return False
+        covered.update(es)
+        chosen.append(c)
+        return True
+
+    if params.bite >= 1:
+        order = pool[:]
+        rng.shuffle(order)
+        for c in order:
+            try_commit(c)
+    else:
+        rounds = 0
+        live = pool[:]
+        while live and rounds < params.max_rounds:
+            remaining = G.m - len(covered)
+            k = max(1, math.ceil(params.bite * remaining / comb(q, G.r)))
+            bite = rng.sample(live, min(k, len(live)))
+            rng.shuffle(bite)
+            for c in bite:
+                try_commit(c)
+            live = [c for c in live
+                    if not any(e in covered for e in clique_edges(c, G.r))]
+            rounds += 1
+    return chosen, G.edges - covered
+
+
+def equivalence_instances():
+    """(label, host, q, params) at bite 1 and 0.3: complete graphs, random
+    graphs, 3-uniform hosts and one clique-source pool."""
+    rng = random.Random(2024)
+    base = []
+    for n in (7, 9, 13, 21, 31, 61):
+        base.append((f"K{n}", Hypergraph.complete(n, 2), 3, None))
+    for i in range(10):
+        n = rng.randint(6, 16)
+        p = rng.choice((0.5, 0.7, 0.9))
+        G = Hypergraph(n, 2, [e for e in itertools.combinations(range(n), 2)
+                              if rng.random() < p])
+        base.append((f"G{i}-n{n}", G, 3 + i % 2, None))
+    for n in (6, 7, 8):
+        base.append((f"K{n}^3", Hypergraph.complete(n, 3), 4, None))
+    G = Hypergraph(9, 3, [e for e in itertools.combinations(range(9), 3)
+                          if rng.random() < 0.8])
+    base.append(("G-n9^3", G, 4, None))
+    fam = [c for c in itertools.combinations(range(11), 3) if 0 in c or 1 in c]
+    base.append(("K11-source", Hypergraph.complete(11, 2), 3, fam))
+    out = []
+    for j, (label, G, q, source) in enumerate(base):
+        for bite in (1.0, 0.3):
+            out.append((f"{label}-bite{bite}", G, q,
+                        NibbleParams(bite=bite, seed=j, clique_source=source)))
+    return out
 
 
 class TestRandomGreedy:
@@ -42,6 +109,15 @@ class TestRandomGreedy:
         G = Hypergraph.complete(51, 2)
         _, left = random_greedy_pack(G, 3, NibbleParams(seed=7))
         assert left.m / G.m < 0.2
+
+    def test_same_cliques_and_leftover_as_tuple_sets(self):
+        instances = equivalence_instances()
+        assert len(instances) >= 40
+        for label, G, q, params in instances:
+            P, left = random_greedy_pack(G, q, params)
+            chosen, uncovered = tuple_set_random_greedy(G, q, params)
+            assert P.cliques == tuple(sorted(chosen)), label
+            assert left.edges == uncovered, label
 
 
 class TestReserves:

@@ -108,8 +108,9 @@ class TestPipeline:
             assert rep["fallback_attempts"] == 0
 
     def test_residual_with_triangles_tries_exact_cover(self):
-        triples, route, attempts = _fallback_cover(7, [], seed=0, rounds=1,
-                                                    cover_budget=10 ** 5)
+        triples, route, attempts = _fallback_cover(
+            Hypergraph.complete(7, 2), [], seed=0, rounds=1,
+            cover_budget=10 ** 5)
         assert (route, attempts) == ("exact-cover", 1)
         assert verify_design(triples, DesignParams(7, 3, 2, 1))["pass"]
 
