@@ -368,8 +368,7 @@ def cmd_pipeline(args) -> int:
     if args.config:
         raw = _load_config(args.config)
         casts = {"n": int, "q": int, "r": int, "lam": int, "seed": int,
-                 "hill_climb_rounds": int, "residual_cover_budget": int,
-                 "out_dir": str}
+                 "hill_climb_rounds": int, "out_dir": str}
         for k, v in raw.items():
             if k not in casts:
                 raise ParameterError(f"unknown config key {k!r}")

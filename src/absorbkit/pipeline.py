@@ -1,18 +1,19 @@
 """End-to-end Steiner triple system pipeline and reference constructions.
 
-The pipeline builds an STS(n) in three steps: random greedy packs K_n
-(the nibble), a repair step completes the packing (exact cover when the
-residual is small, else Stinson's hill-climbing switches), and
-`verify_design` checks the result exactly.  The report names the route that
-finished the run: "nibble" (nothing was left to repair), "exact-cover" or
-"hill-climb".
+The pipeline builds an STS(n) in two steps: Stinson's hill-climb (Stinson
+1985) grows the system from the empty packing of K_n, restarting with fresh
+random draws when a run spends its step budget, and `verify_design` checks
+the result exactly.  The report's route is always "hill-climb", and its
+`hill_climb` entry counts the restarts and steps spent.
 
-Absorption is not a pipeline stage.  With the inefficient omni construction
-the reserve X has to be a few vertex-disjoint triangles, so no leftover edge
-uv has a w with uw, vw in X (completion through X has no candidates), and
-every divisible subgraph of X is a union of whole triangles of X (the
-omni-absorber has nothing to absorb).  The reserve, omni-absorber,
-embedding and LP-boost engines stay available as standalone tools.
+Random greedy is not a pipeline stage: at desk scale the hill-climb alone
+builds the whole system faster than random greedy plus a repair step.  Nor
+is absorption.  With the inefficient omni construction the reserve X has
+to be a few vertex-disjoint triangles, so no leftover edge uv has a w with
+uw, vw in X (completion through X has no candidates), and every divisible
+subgraph of X is a union of whole triangles of X (the omni-absorber has
+nothing to absorb).  The random greedy, reserve, omni-absorber, embedding
+and LP-boost engines stay available as standalone tools.
 """
 from __future__ import annotations
 
@@ -26,10 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .divide import DesignParams, params_admissible
 from .errors import BudgetError, ConstructionError, ParameterError
-from .exactcover import find_decomposition
-from .hypercore import (Decomposition, Hypergraph, Packing, clique_edges,
-                        enumerate_cliques, write_graph, write_packing)
-from .nibble import NibbleParams, random_greedy_pack
+from .hypercore import Decomposition, Hypergraph, Packing, write_graph, write_packing
 
 
 @dataclass
@@ -40,14 +38,15 @@ class PipelineConfig:
     lam: int = 1
     seed: int = 0
     out_dir: Optional[str] = None
-    hill_climb_rounds: int = 200
-    residual_cover_budget: int = 200_000
+    hill_climb_rounds: int = 200      # the cap on restarts
 
     def __post_init__(self):
         if (self.q, self.r, self.lam) != (3, 2, 1):
             raise ParameterError(
                 "the end-to-end pipeline is triangles-first: q=3, r=2, lam=1; "
                 "lam > 1 is available as clique-disjoint unions of lam=1 outputs")
+        if self.hill_climb_rounds < 0:
+            raise ParameterError("hill_climb_rounds must be >= 0")
 
 
 @dataclass
@@ -56,145 +55,133 @@ class PipelineResult:
     report: Dict
 
 
-def _hill_climb_complete(n: int, committed: List[tuple], rng: random.Random,
-                         max_steps: int) -> Optional[List[tuple]]:
-    """Switch-based completion of a partial triangle packing of K_n.
+def _hill_climb_complete(n: int, rng: random.Random,
+                         max_steps: int) -> Optional[Tuple[List[tuple], int]]:
+    """Stinson's hill-climb from the empty triangle packing of K_n, n odd.
 
-    Pick a live point x and two uncovered partners y, z of x; if the pair
-    (y, z) is free, adopt the triangle (coverage +3), otherwise swap out the
-    triangle through (y, z) (coverage unchanged).  Coverage never drops, so
-    the walk converges fast for odd n with the right residues.
+    A step picks a live point x (one with an uncovered pair) and two of its
+    uncovered partners y, z.  If the pair yz is uncovered the triangle xyz
+    is added; otherwise the triangle yzw on yz is swapped for xyz, which
+    uncovers yw and zw.  The number of triangles never drops.  Returns
+    (sorted triangles, steps), or None when `max_steps` steps leave a pair
+    uncovered.
+
+    partners[x] lists x's uncovered partners and pos[x*n + y] is y's index
+    in it, so a uniform draw and a swap-remove are O(1); third[x*n + y] is
+    the third point of the triangle on xy, or -1; `live` is a swap-remove
+    list of the points with uncovered pairs, and at[x] is x's index in it.
+    Every partner list has even length, as n - 1 is even.
     """
-    cover: Dict[tuple, tuple] = {}
-    cliques: set = set()
-    partners: List[set] = [set(range(n)) - {x} for x in range(n)]
-    for c in committed:
-        cliques.add(c)
-        for e in clique_edges(c, 2):
-            cover[e] = c
-            partners[e[0]].discard(e[1])
-            partners[e[1]].discard(e[0])
-    live = [x for x in range(n) if partners[x]]
+    partners = [[y for y in range(n) if y != x] for x in range(n)]
+    pos = [y - (y > x) for x in range(n) for y in range(n)]
+    third = [-1] * (n * n)
+    live, at = list(range(n)), list(range(n))
+    randrange = rng.randrange
+
+    def drop(x, y):
+        px = partners[x]
+        last = px.pop()
+        if last != y:
+            i = pos[x * n + y]
+            px[i] = last
+            pos[x * n + last] = i
+
+    def add(x, y):
+        px = partners[x]
+        pos[x * n + y] = len(px)
+        px.append(y)
+
+    def kill(x):
+        last = live.pop()
+        if last != x:
+            live[at[x]] = last
+            at[last] = at[x]
+
     steps = 0
-    while live and steps < max_steps:
+    while live:
+        if steps == max_steps:
+            return None
         steps += 1
-        x = live[rng.randrange(len(live))]
-        if len(partners[x]) < 2:
-            # empty: stale entry; a singleton cannot happen for odd n
-            live = [v for v in live if len(partners[v]) >= 2]
-            if not live:
-                break
-            continue
-        y, z = rng.sample(sorted(partners[x]), 2)
-        t = tuple(sorted((x, y, z)))
-        yz = tuple(sorted((y, z)))
-        old = cover.get(yz)
-        if old is not None:
-            cliques.discard(old)
-            for f in clique_edges(old, 2):
-                del cover[f]
-                partners[f[0]].add(f[1])
-                partners[f[1]].add(f[0])
-        cliques.add(t)
-        for f in clique_edges(t, 2):
-            cover[f] = t
-            partners[f[0]].discard(f[1])
-            partners[f[1]].discard(f[0])
-        if old is not None:
-            w = next(v for v in old if v not in yz)
-            if partners[w] and w not in live:
+        x = live[randrange(len(live))]
+        px = partners[x]
+        d = len(px)
+        i, j = randrange(d), randrange(d - 1)
+        y, z = px[i], px[j + (j >= i)]
+        w = third[y * n + z]
+        drop(x, y)
+        drop(x, z)
+        drop(y, x)
+        drop(z, x)
+        if w < 0:
+            drop(y, z)
+            drop(z, y)
+            if not partners[y]:
+                kill(y)
+            if not partners[z]:
+                kill(z)
+        else:
+            if not partners[w]:
+                at[w] = len(live)
                 live.append(w)
-        if not partners[x]:
-            live = [v for v in live if partners[v]]
-    if any(partners[x] for x in range(n)):
-        return None
-    return sorted(cliques)
-
-
-def _fallback_cover(host: Hypergraph, committed: List[tuple], seed: int,
-                    rounds: int, cover_budget: int) -> Tuple[List[tuple], str, int]:
-    """Complete a partial triangle packing of the complete graph `host`
-    into an STS.
-
-    Exact cover on the residual, wrapped in a perturb/retry loop: when the
-    residual is not decomposable, hill-climb switches reshape the packing and
-    the residual is retried.  Returns (triples, route, exact-cover attempts),
-    where route is "nibble" when `committed` is already a decomposition, else
-    "exact-cover" or "hill-climb"; raises BudgetError when the rounds run out.
-    """
-    n = host.n
-    rng = random.Random(seed)
-    current = list(committed)
-    attempts = 0
-    for _ in range(rounds):
-        residual = Hypergraph(n, 2, host.edges - {
-            e for c in current for e in clique_edges(c, 2)})
-        if residual.m == 0:
-            # only the first round can get here: a reshape leaves edges
-            return current, "nibble", attempts
-        # exact cover on a small residual first; it rarely succeeds (the
-        # residual need not be divisible) but certifies the cheap cases.
-        # A residual with no triangle cannot be covered, and random greedy's
-        # packing is maximal, so the first round never has one.
-        if residual.m <= 24 and enumerate_cliques(residual, 3):
-            attempts += 1
-            try:
-                D = find_decomposition(residual, 3, budget=cover_budget)
-            except BudgetError:
-                D = None
-            if D is not None:
-                return current + list(D.cliques), "exact-cover", attempts
-        got = _hill_climb_complete(n, current, rng, max_steps=60 * n * n)
-        if got is not None:
-            return got, "hill-climb", attempts
-        # reshape: drop a random chunk and let the next round retry
-        rng.shuffle(current)
-        current = current[: max(0, len(current) - max(1, len(current) // 10))]
-    raise BudgetError(f"pipeline repair exhausted its {rounds} rounds "
-                      f"({attempts} exact-cover attempts)")
+            add(y, w)
+            add(w, y)
+            add(z, w)
+            add(w, z)
+            third[y * n + w] = third[w * n + y] = -1
+            third[z * n + w] = third[w * n + z] = -1
+        third[x * n + y] = third[y * n + x] = z
+        third[x * n + z] = third[z * n + x] = y
+        third[y * n + z] = third[z * n + y] = x
+        if not px:
+            kill(x)
+    triples = [(x, y, w) for x in range(n) for y in range(x + 1, n)
+               for w in (third[x * n + y],) if w > y]
+    return triples, steps
 
 
 def pipeline_steiner(cfg: PipelineConfig) -> PipelineResult:
-    """Build a verified STS(n): random greedy on K_n, repair, exact check.
+    """Build a verified STS(n) by hill-climbing from the empty packing.
 
-    Raises ParameterError for inadmissible n and BudgetError when the repair
-    rounds run out; every returned decomposition has passed `verify_design`.
+    Raises ParameterError for inadmissible n, before any search, and
+    BudgetError when every restart spends its 60·n² steps; every returned
+    decomposition has passed `verify_design`.
     """
     n = cfg.n
     params = DesignParams(n, cfg.q, cfg.r, cfg.lam)
     if not params_admissible(params):
         raise ParameterError(f"n = {n} fails the divisibility conditions for triples")
     rng = random.Random(cfg.seed)
-    nibble_seed, repair_seed = rng.randrange(2 ** 31), rng.randrange(2 ** 31)
+    max_steps = 60 * n * n
+    rounds = cfg.hill_climb_rounds
+    for restarts in range(rounds + 1):
+        got = _hill_climb_complete(n, rng, max_steps)
+        if got is not None:
+            break
+    else:
+        raise BudgetError(f"pipeline hill-climb exhausted {rounds} of {rounds} "
+                          f"restarts, {(rounds + 1) * max_steps} steps")
+    triples, steps = got
     host = Hypergraph.complete(n, 2)
-    packing, leftover = random_greedy_pack(host, 3, NibbleParams(seed=nibble_seed))
-    report: Dict = {"n": n, "seed": cfg.seed, "stages": {
-        # perfbench's sts-lp answer check reads this entry and J.graph
-        "boost": {"skipped": "the pipeline runs no LP boost"},
-        "nibble": {"packed": len(packing), "leftover": leftover.m}}}
-    triples, route, attempts = _fallback_cover(
-        host, list(packing.cliques), repair_seed,
-        cfg.hill_climb_rounds, cfg.residual_cover_budget)
-    report.update(route=route, fallback_used=route != "nibble",
-                  fallback_attempts=attempts)
-
     D = Decomposition(host, triples, 3)
     check = verify_design(D, params)
     if not check["pass"]:
         raise ConstructionError("pipeline output failed design verification")
-    report["triples"] = len(D)
-    report["verified"] = True
+    report: Dict = {
+        "n": n, "seed": cfg.seed, "route": "hill-climb",
+        # perfbench's sts-lp answer check reads this entry and J.graph
+        "stages": {"boost": {"skipped": "the pipeline runs no LP boost"}},
+        "hill_climb": {"restarts": restarts, "steps": restarts * max_steps + steps},
+        "triples": len(D), "verified": True}
     if cfg.out_dir:
-        _write_artifacts(cfg.out_dir, report, host, packing, D)
+        _write_artifacts(cfg.out_dir, report, host, D)
     return PipelineResult(decomposition=D, report=report)
 
 
-def _write_artifacts(out_dir: str, report: Dict, host, packing, D) -> None:
+def _write_artifacts(out_dir: str, report: Dict, host, D) -> None:
     os.makedirs(out_dir, exist_ok=True)
     write_graph(host, os.path.join(out_dir, "host.graph"))
-    # the nibble's host, under the name nibble.pack and its readers use
+    # a copy of host.graph under the name perfbench's sts-lp check reads
     write_graph(host, os.path.join(out_dir, "J.graph"))
-    write_packing(packing, os.path.join(out_dir, "nibble.pack"), "J.graph")
     write_packing(D, os.path.join(out_dir, "final.pack"), "host.graph")
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

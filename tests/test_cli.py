@@ -230,13 +230,14 @@ class TestPipelineCLI:
     def test_text_output_names_route(self, capsys):
         code, out = run(capsys, "pipeline", "--n", "9", "--seed", "5")
         fields = dict(tok.split("=", 1) for tok in out.split())
-        assert code == 0 and fields["route"] in ("nibble", "exact-cover", "hill-climb")
+        assert code == 0 and fields["route"] == "hill-climb"
 
     def test_malformed_config_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         for text in ("# comment\nn=9\nseed 5\n",   # no '=': a parse error
                      "n=9\nseed=five\n",            # bad value
-                     "n=9\np=0.25\n"):              # a key the pipeline lost
+                     "n=9\np=0.25\n",               # a key the pipeline lost
+                     "n=9\nresidual_cover_budget=5\n"):
             cfg.write_text(text)
             assert main(["pipeline", "--config", str(cfg)]) == 3, text
 

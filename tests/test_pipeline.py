@@ -3,12 +3,14 @@ import os
 
 import pytest
 
+from absorbkit import pipeline
+from absorbkit.cli import main
 from absorbkit.divide import DesignParams
-from absorbkit.errors import ParameterError
+from absorbkit.errors import BudgetError, ParameterError
 from absorbkit.exactcover import find_two_disjoint_decompositions
 from absorbkit.hypercore import Hypergraph
-from absorbkit.pipeline import (PipelineConfig, _fallback_cover, oracle_steiner,
-                                pipeline_steiner, verify_design)
+from absorbkit.pipeline import (PipelineConfig, oracle_steiner, pipeline_steiner,
+                                verify_design)
 
 
 class TestOracle:
@@ -72,9 +74,9 @@ class TestPipeline:
     def test_artifacts_written(self, tmp_path):
         out = str(tmp_path / "run")
         res = pipeline_steiner(PipelineConfig(n=9, seed=3, out_dir=out))
-        for name in ("J.graph", "nibble.pack", "final.pack", "report.json",
-                     "host.graph"):
+        for name in ("J.graph", "final.pack", "report.json", "host.graph"):
             assert os.path.exists(os.path.join(out, name)), name
+        assert not os.path.exists(os.path.join(out, "nibble.pack"))
         with open(os.path.join(out, "report.json")) as fh:
             rep = json.load(fh)
         assert rep["triples"] == res.report["triples"]
@@ -85,34 +87,51 @@ class TestPipeline:
 
     def test_stage_reports_present(self):
         res = pipeline_steiner(PipelineConfig(n=13, seed=8))
-        assert set(res.report["stages"]) == {"boost", "nibble"}
+        assert set(res.report["stages"]) == {"boost"}
         assert "skipped" in res.report["stages"]["boost"]
 
     def test_route_reported(self):
-        routes = set()
         for n, seed in ((7, 0), (7, 6), (13, 8), (31, 1)):
             rep = pipeline_steiner(PipelineConfig(n=n, seed=seed)).report
-            assert rep["route"] in ("nibble", "exact-cover", "hill-climb")
-            assert rep["fallback_used"] == (rep["route"] != "nibble")
-            assert (rep["route"] == "nibble") == (rep["stages"]["nibble"]["leftover"] == 0)
-            routes.add(rep["route"])
-        assert routes == {"nibble", "hill-climb"}
-
-    def test_maximal_residual_skips_exact_cover(self):
-        # random greedy's packing is maximal, so its residual has no
-        # triangle and exact cover is not tried on it
-        for n, seed in ((7, 0), (9, 3), (13, 8), (15, 2)):
-            rep = pipeline_steiner(PipelineConfig(n=n, seed=seed)).report
-            assert 0 < rep["stages"]["nibble"]["leftover"] <= 24
             assert rep["route"] == "hill-climb"
-            assert rep["fallback_attempts"] == 0
+            effort = rep["hill_climb"]
+            assert set(effort) == {"restarts", "steps"}
+            assert effort["restarts"] >= 0
+            assert n * (n - 1) // 6 <= effort["steps"] <= (effort["restarts"] + 1) * 60 * n * n
+            assert not {"fallback_used", "fallback_attempts"} & set(rep)
 
-    def test_residual_with_triangles_tries_exact_cover(self):
-        triples, route, attempts = _fallback_cover(
-            Hypergraph.complete(7, 2), [], seed=0, rounds=1,
-            cover_budget=10 ** 5)
-        assert (route, attempts) == ("exact-cover", 1)
-        assert verify_design(triples, DesignParams(7, 3, 2, 1))["pass"]
+    def test_admissibility_checked_before_search(self, monkeypatch):
+        # on n = 101 the hill-climb would spend its whole budget
+        def never(*args, **kwargs):
+            pytest.fail("the hill-climb ran on an inadmissible n")
+        monkeypatch.setattr(pipeline, "_hill_climb_complete", never)
+        with pytest.raises(ParameterError):
+            pipeline_steiner(PipelineConfig(n=101))
+
+    def test_budget_error_says_what_it_spent(self, monkeypatch):
+        calls = []
+
+        def spent(n, rng, max_steps):
+            calls.append(max_steps)
+            return None
+        monkeypatch.setattr(pipeline, "_hill_climb_complete", spent)
+        with pytest.raises(BudgetError,
+                           match=r"exhausted 2 of 2 restarts, 30420 steps"):
+            pipeline_steiner(PipelineConfig(n=13, hill_climb_rounds=2))
+        assert calls == [60 * 13 * 13] * 3
+        assert main(["pipeline", "--n", "13"]) == 2
+
+    def test_negative_rounds_rejected(self):
+        with pytest.raises(ParameterError):
+            PipelineConfig(n=7, hill_climb_rounds=-1)
+
+    def test_every_admissible_n_to_99(self):
+        sizes = [n for n in range(7, 100) if n % 6 in (1, 3)]
+        runs = [(n, seed) for n in sizes for seed in range(5)] + [(201, 0)]
+        for n, seed in runs:
+            res = pipeline_steiner(PipelineConfig(n=n, seed=seed))
+            assert res.report["triples"] == n * (n - 1) // 6
+            assert verify_design(res.decomposition, DesignParams(n, 3, 2, 1))["pass"], (n, seed)
 
     @pytest.mark.parametrize("n", [109, 121])
     def test_large_n_finishes(self, n):

@@ -1,0 +1,11 @@
+"""The README's Python quick-start runs as printed."""
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quick_start_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1, "expected one Python quick-start block"
+    exec(compile(blocks[0], str(README), "exec"), {})
