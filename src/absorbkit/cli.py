@@ -15,7 +15,7 @@ from .divide import (DesignParams, admissibility_report, is_divisible,
                      params_admissible)
 from .errors import (AbsorbKitError, BudgetError, CapacityError,
                      ParameterError, ParseError)
-from .exactcover import count_decompositions, find_decomposition
+from .exactcover import DEFAULT_BUDGET, count_decompositions, find_decomposition
 from .fraclp import boost_sample, inheritance_stats, solve_fractional
 from .gadgets import (anti_edge, build_absorber, fake_edge, find_booster,
                       lift_booster_q3, rooted_degeneracy, trivial_booster_1d)
@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     cs.add_argument("graph")
     cs.add_argument("--q", type=int, default=3)
     cs.add_argument("--count", type=int)
-    cs.add_argument("--budget", type=int, default=10 ** 8)
+    cs.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     cs.add_argument("--out")
     cs.add_argument("--json", action="store_true")
     cs.set_defaults(func=cmd_cover_solve)
@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--r", type=int, default=2)
     g.add_argument("--search", action="store_true")
     g.add_argument("--host")
-    g.add_argument("--budget", type=int, default=10 ** 8)
+    g.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     g.add_argument("--out")
     g.set_defaults(func=cmd_gadget)
 

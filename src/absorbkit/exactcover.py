@@ -1,25 +1,34 @@
-"""Backtracking exact cover over (edge, clique) incidence.
+"""Exact cover over (item, option) incidence, searched on an explicit stack.
 
 This is the package's truth oracle: a returned decomposition is always
 re-checked by the exact multiset test in hypercore, and "none" always means
-the full search space was exhausted.  A node budget (default 10**8) turns
-long searches into a BudgetError instead of a silent timeout.
+the full search space was exhausted.  A node budget (DEFAULT_BUDGET, 10**7
+nodes: about a minute and a half of search on K_16) turns long searches
+into a BudgetError instead of a silent timeout.
 
-Column selection is fail-first: branch on the uncovered edge with the
-fewest remaining options.  Option order is the (stable) construction order,
-so identical instances give identical first solutions.
+The engine is Knuth's Algorithm X (TAOCP 7.2.2.1) on integer item ids.
+Each item keeps a static list of the options covering it, in ascending
+option index; a bytearray marks the options killed by the partial solution
+and a list holds each item's live option count.  Covering an item adds a
+constant larger than any count to its entry, so `min` skips it.  The
+search path lives on explicit stacks, so its depth is bounded by memory,
+not by the interpreter's recursion limit.
+
+Column selection is fail-first: branch on the uncovered primary item with
+the fewest live options, the first in item order on ties.  Options are
+tried in construction order, so identical instances give identical first
+solutions.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetError, ParameterError
-from .hypercore import (AnyGraph, Decomposition, Hypergraph, MultiHypergraph,
-                        clique_edges, enumerate_cliques)
+from .hypercore import AnyGraph, Decomposition, MultiHypergraph, enumerate_cliques
 
-DEFAULT_BUDGET = 10 ** 8
+DEFAULT_BUDGET = 10 ** 7
 
 
 class _Budget:
@@ -38,159 +47,158 @@ class _Budget:
         self.left -= 1
 
 
-@dataclass
 class CoverInstance:
-    """Items to cover (with demand) and candidate options.
+    """Items numbered 0..len(items)-1 and options as tuples of item ids.
 
-    `primary` items must be covered exactly `demand` times; `secondary`
-    items at most once (they carry no demand).  Option payload is the list
-    of items it covers.
+    The first len(demand) items are primary: item i must be covered exactly
+    demand[i] times.  The rest are secondary: covered at most once.  Option
+    k reports payloads[k] in a solution and covers the items rows[k];
+    cols[i] lists the options covering item i in ascending order.
     """
 
-    demand: Counter
-    options: list
-    secondary: set = field(default_factory=set)
+    __slots__ = ("items", "demand", "payloads", "rows", "cols")
+
+    def __init__(self, items: list, demand: list, payloads: list, rows: list):
+        self.items = items
+        self.demand = demand
+        self.payloads = payloads
+        self.rows = rows
+        cols: list = [[] for _ in items]
+        for k, row in enumerate(rows):
+            for i in row:
+                cols[i].append(k)
+        self.cols = cols
 
     @classmethod
     def from_graph(cls, G: AnyGraph, q: int, restrict: Optional[Iterable] = None) -> "CoverInstance":
         if q <= G.r:
             raise ParameterError(f"need q > r, got q={q}, r={G.r}")
         if isinstance(G, MultiHypergraph):
-            demand = Counter(G.mult)
+            # sorted: ties in the column choice go to the smallest edge
+            items = sorted(G.mult)
+            demand = [G.mult[e] for e in items]
             simple = G.simple()
         else:
-            demand = Counter({e: 1 for e in G.edges})
+            items = list(G.edges)
+            demand = [1] * len(items)
             simple = G
+        ids = {e: i for i, e in enumerate(items)}
+        r = G.r
         if restrict is None:
+            # every clique of the support has all its r-subsets in `ids`
             cliques = enumerate_cliques(simple, q)
+            rows = [tuple([ids[e] for e in combinations(c, r)]) for c in cliques]
         else:
-            cliques = sorted({tuple(sorted(c)) for c in restrict})
-        options = []
-        for c in cliques:
-            cov = list(clique_edges(c, G.r))
-            if all(e in demand for e in cov):
-                options.append((c, cov))
-        return cls(demand=demand, options=options)
+            cliques, rows = [], []
+            for c in sorted({tuple(sorted(c)) for c in restrict}):
+                row = [ids.get(e) for e in combinations(c, r)]
+                if None not in row:
+                    cliques.append(c)
+                    rows.append(tuple(row))
+        return cls(items, demand, cliques, rows)
 
 
-def _solve_simple(inst: CoverInstance, budget: _Budget, cap: Optional[int],
-                  exclude: frozenset = frozenset()):
-    """Algorithm X via dict-of-sets; supports at-most-once secondary items.
+def _search(inst: CoverInstance, budget: _Budget, cap: Optional[int],
+            exclude: Iterable[int] = ()):
+    """Algorithm X with demands and at-most-once secondary items.
 
-    Yields solutions as lists of option payloads (cliques).  `cap` bounds the
-    number of solutions produced; `exclude` drops options by payload.
+    Yields solutions as lists of option ids.  An option stays live while
+    every item it covers has demand left, so it may be used repeatedly
+    where demands exceed 1; per-item option floors make each solution
+    multiset enumerated exactly once.  `cap` bounds the number of solutions
+    produced; `exclude` lists option ids that may not be used.
     """
-    X: dict = {e: set() for e in inst.demand}
-    for s in inst.secondary:
-        X.setdefault(s, set())
-    Y: dict = {}
-    payload: dict = {}
-    for idx, (c, cov) in enumerate(inst.options):
-        if c in exclude:
-            continue
-        Y[idx] = cov
-        payload[idx] = c
-        for e in cov:
-            X[e].add(idx)
-    primary = [e for e in inst.demand]
+    rows, cols = inst.rows, inst.cols
+    npri = len(inst.demand)
+    big = len(rows) + 1
+    left = inst.demand + [1] * (len(cols) - npri)
+    size = [len(col) for col in cols]
+    for i in range(npri, len(size)):   # secondary items are never branched on
+        size[i] += big
+    dead = bytearray(len(rows))
+    for k in exclude:
+        if not dead[k]:
+            dead[k] = 1
+            for i in rows[k]:
+                size[i] -= 1
+    if not npri:
+        yield []
+        return
+    spend = budget.spend
+    floor = [0] * npri        # the least option a branch on item i may use
+    killed: list = []         # options killed by the partial solution, in order
+    marks: list = []          # len(killed) before each chosen option
+    path: list = []           # the chosen option per level
+    saved: list = []          # floor[c] before each chosen option
+    frames: list = []         # the branch item per level
+    poss: list = []           # the next position in its option list
+    found = 0
 
-    def select(opt: int) -> list:
-        cols = []
-        for j in Y[opt]:
-            for i in X[j]:
-                for k in Y[i]:
-                    if k != j:
-                        X[k].discard(i)
-            cols.append((j, X.pop(j)))
-        return cols
+    def unchoose():
+        floor[frames[-1]] = saved.pop()
+        mark = marks.pop()
+        for k in killed[mark:]:
+            dead[k] = 0
+            for i in rows[k]:
+                size[i] += 1
+        del killed[mark:]
+        for i in rows[path.pop()]:
+            if not left[i]:
+                size[i] -= big
+            left[i] += 1
 
-    def deselect(cols: list):
-        for j, col in reversed(cols):
-            X[j] = col
-            for i in col:
-                for k in Y[i]:
-                    if k != j:
-                        X[k].add(i)
-
-    found = [0]
-
-    def walk(solution: list):
-        open_primary = [e for e in primary if e in X]
-        if not open_primary:
-            found[0] += 1
-            yield [payload[i] for i in solution]
-            return
-        c = min(open_primary, key=lambda e: len(X[e]))
-        for opt in sorted(X[c]):
-            budget.spend()
-            solution.append(opt)
-            cols = select(opt)
-            yield from walk(solution)
-            deselect(cols)
-            solution.pop()
-            if cap is not None and found[0] >= cap:
+    while True:
+        least = min(size)
+        if least < big:
+            c = size.index(least)
+            frames.append(c)
+            poss.append(bisect_left(cols[c], floor[c]))
+        else:
+            found += 1
+            yield path[:]
+            unchoose()
+            if cap is not None and found >= cap:
                 return
-
-    yield from walk([])
-
-
-def _solve_demand(inst: CoverInstance, budget: _Budget, cap: Optional[int],
-                  exclude: frozenset = frozenset()):
-    """Demand-based cover for multigraph targets.
-
-    An option may be used repeatedly; per-item option floors make each
-    solution multiset enumerated exactly once.
-    """
-    options = [(c, cov) for c, cov in inst.options if c not in exclude]
-    remaining = Counter(inst.demand)
-    by_item: dict = {e: [] for e in remaining}
-    for idx, (c, cov) in enumerate(options):
-        for e in cov:
-            by_item[e].append(idx)
-    found = [0]
-
-    def usable(idx: int) -> bool:
-        return all(remaining[e] > 0 for e in options[idx][1])
-
-    def walk(solution: list, floors: dict):
-        open_items = [e for e in remaining if remaining[e] > 0]
-        if not open_items:
-            found[0] += 1
-            yield [options[i][0] for i in solution]
-            return
-        c = min(open_items, key=lambda e: (sum(1 for i in by_item[e] if usable(i)), e))
-        floor = floors.get(c, 0)
-        for idx in by_item[c]:
-            if idx < floor or not usable(idx):
-                continue
-            budget.spend()
-            for e in options[idx][1]:
-                remaining[e] -= 1
-            solution.append(idx)
-            old = floors.get(c)
-            floors[c] = idx
-            yield from walk(solution, floors)
-            if old is None:
-                del floors[c]
-            else:
-                floors[c] = old
-            solution.pop()
-            for e in options[idx][1]:
-                remaining[e] += 1
-            if cap is not None and found[0] >= cap:
+        while True:
+            c = frames[-1]
+            col = cols[c]
+            pos = poss[-1]
+            end = len(col)
+            while pos < end and dead[col[pos]]:
+                pos += 1
+            if pos < end:
+                break
+            frames.pop()
+            poss.pop()
+            if not frames:
                 return
+            unchoose()
+            if cap is not None and found >= cap:
+                return
+        opt = col[pos]
+        poss[-1] = pos + 1
+        spend()
+        marks.append(len(killed))
+        path.append(opt)
+        saved.append(floor[c])
+        floor[c] = opt
+        for j in rows[opt]:
+            left[j] -= 1
+            if not left[j]:
+                size[j] += big
+                for k in cols[j]:
+                    if not dead[k]:
+                        dead[k] = 1
+                        killed.append(k)
+                        for i in rows[k]:
+                            size[i] -= 1
 
-    yield from walk([], {})
 
-
-def _solutions(G: AnyGraph, q: int, restrict, budget_nodes: int, cap: Optional[int],
-               exclude: frozenset = frozenset()):
+def _solutions(G: AnyGraph, q: int, restrict, budget_nodes: int, cap: Optional[int]):
     inst = CoverInstance.from_graph(G, q, restrict)
-    budget = _Budget(budget_nodes)
-    if isinstance(G, MultiHypergraph):
-        yield from _solve_demand(inst, budget, cap, exclude)
-    else:
-        yield from _solve_simple(inst, budget, cap, exclude)
+    payloads = inst.payloads
+    for sol in _search(inst, _Budget(budget_nodes), cap):
+        yield [payloads[k] for k in sol]
 
 
 def find_decomposition(G: AnyGraph, q: int, restrict: Optional[Iterable] = None,
@@ -221,14 +229,15 @@ def find_two_disjoint_decompositions(G: AnyGraph, q: int, budget: int = DEFAULT_
     """Two decompositions sharing no clique, or None (exhaustive).
 
     Searches the first coordinate exhaustively; for each candidate, a nested
-    search runs with the candidate's cliques excluded.
+    search on the same instance runs with the candidate's cliques killed.
     """
     shared = _Budget(budget)
     inst = CoverInstance.from_graph(G, q)
-    solver = _solve_demand if isinstance(G, MultiHypergraph) else _solve_simple
-    for sol1 in solver(inst, shared, None):
-        for sol2 in solver(inst, shared, 1, exclude=frozenset(sol1)):
-            return Decomposition(G, sol1, q), Decomposition(G, sol2, q)
+    payloads = inst.payloads
+    for sol1 in _search(inst, shared, None):
+        for sol2 in _search(inst, shared, 1, exclude=sol1):
+            return (Decomposition(G, [payloads[k] for k in sol1], q),
+                    Decomposition(G, [payloads[k] for k in sol2], q))
     return None
 
 
@@ -237,19 +246,23 @@ def solve_cover(demand: Iterable, options: Sequence, secondary: Iterable = (),
     """Generic exact cover: cover every demand item exactly once using
     options (payload, covered-items), touching each secondary item at most
     once.  Returns chosen payloads or None (exhaustive)."""
-    inst = CoverInstance(
-        demand=Counter({it: 1 for it in demand}),
-        options=[(payload, list(cov)) for payload, cov in options],
-        secondary=set(secondary),
-    )
-    known = set(inst.demand) | inst.secondary
-    for payload, cov in inst.options:
-        bad = [it for it in cov if it not in known]
+    ids = {it: i for i, it in enumerate(dict.fromkeys(demand))}
+    npri = len(ids)
+    for it in secondary:
+        ids.setdefault(it, len(ids))
+    payloads, rows = [], []
+    for payload, cov in options:
+        cov = list(cov)
+        bad = [it for it in cov if it not in ids]
         if bad:
             raise ParameterError(f"option {payload!r} covers undeclared items {bad!r}")
-    b = _Budget(budget)
-    for sol in _solve_simple(inst, b, cap=1):
-        return sol
+        if len(set(cov)) < len(cov):
+            raise ParameterError(f"option {payload!r} covers an item twice")
+        payloads.append(payload)
+        rows.append(tuple(ids[it] for it in cov))
+    inst = CoverInstance(list(ids), [1] * npri, payloads, rows)
+    for sol in _search(inst, _Budget(budget), cap=1):
+        return [payloads[k] for k in sol]
     return None
 
 
@@ -258,21 +271,16 @@ def naive_decomposition_count(G: AnyGraph, q: int) -> int:
     if isinstance(G, MultiHypergraph):
         raise ParameterError("naive oracle covers simple targets only")
     inst = CoverInstance.from_graph(G, q)
-    want = Counter(inst.demand)
-    opts = inst.options
+    full = (1 << len(inst.items)) - 1
+    masks = [sum(1 << i for i in row) for row in inst.rows]
     count = 0
-    for mask in range(1 << len(opts)):
-        got: Counter = Counter()
-        ok = True
-        for i in range(len(opts)):
-            if mask >> i & 1:
-                for e in opts[i][1]:
-                    got[e] += 1
-                    if got[e] > 1:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok and got == want:
-            count += 1
+    for pick in range(1 << len(masks)):
+        got = 0
+        for k, mask in enumerate(masks):
+            if pick >> k & 1:
+                if got & mask:
+                    break
+                got |= mask
+        else:
+            count += got == full
     return count

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Optional, Sequence
 from .divide import is_divisible
 from .errors import (BudgetError, CapacityError, ConstructionError,
                      ParameterError, PreconditionError)
-from .exactcover import find_two_disjoint_decompositions
+from .exactcover import DEFAULT_BUDGET, find_two_disjoint_decompositions
 from .hypercore import (AnyGraph, Decomposition, Hypergraph, MultiHypergraph,
                         clique_edges, decomposition_valid)
 from .integral import integral_decomposition, multi_absorber
@@ -198,7 +198,7 @@ def lift_booster_q3() -> Booster:
     return booster_lift(trivial_booster_1d(2))
 
 
-def find_booster(q: int, r: int, host: AnyGraph, budget: int = 10 ** 8) -> Optional[Booster]:
+def find_booster(q: int, r: int, host: AnyGraph, budget: int = DEFAULT_BUDGET) -> Optional[Booster]:
     """Search replacement for the algebraic booster construction: two
     clique-disjoint decompositions of the host, or None (exhaustive)."""
     if q <= r:

@@ -2,7 +2,9 @@ import json
 import os
 
 from absorbkit.cli import main
-from absorbkit.hypercore import Hypergraph, write_graph
+from absorbkit.divide import DesignParams
+from absorbkit.hypercore import Hypergraph, read_packing, write_graph
+from absorbkit.pipeline import verify_design
 
 
 def run(capsys, *argv):
@@ -59,6 +61,25 @@ class TestCoverCLI:
         write_graph(Hypergraph.complete(7, 2), g)
         code, out = run(capsys, "cover", "solve", g, "--q", "3", "--count", "100")
         assert code == 0 and "count=30" in out
+
+    def test_solutions_longer_than_recursion_limit(self, tmp_path, capsys):
+        # 1027 to 1617 triples: deeper than the interpreter's recursion limit
+        for n in (79, 81, 85, 87, 91, 93, 97, 99):
+            g = str(tmp_path / f"k{n}.graph")
+            write_graph(Hypergraph.complete(n, 2), g)
+            out_pack = str(tmp_path / f"sts{n}.pack")
+            code, _ = run(capsys, "cover", "solve", g, "--out", out_pack)
+            assert code == 0, n
+            P = read_packing(out_pack)
+            assert P.host == Hypergraph.complete(n, 2)
+            assert verify_design(P, DesignParams(n, 3, 2, 1))["pass"], n
+
+    def test_spent_budget_exit_2(self, tmp_path, capsys):
+        # K_16 has no STS, so the search runs until the budget is gone
+        g = str(tmp_path / "k16.graph")
+        write_graph(Hypergraph.complete(16, 2), g)
+        assert main(["cover", "solve", g, "--budget", "20000"]) == 2
+        assert "of 20000 nodes" in capsys.readouterr().err
 
 
 class TestGadgetCLI:

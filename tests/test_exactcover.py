@@ -1,11 +1,178 @@
+import itertools
+import random
+from collections import Counter
+
 import pytest
 
-from absorbkit.errors import BudgetError
-from absorbkit.exactcover import (count_decompositions, enumerate_decompositions,
+from absorbkit.errors import BudgetError, ParameterError
+from absorbkit.exactcover import (CoverInstance, _Budget, _search,
+                                  count_decompositions, enumerate_decompositions,
                                   find_decomposition, find_two_disjoint_decompositions,
                                   naive_decomposition_count, solve_cover)
 from absorbkit.hypercore import (Decomposition, Hypergraph, MultiHypergraph,
-                                 decomposition_valid)
+                                 clique_edges, decomposition_valid, enumerate_cliques)
+
+
+# Reference engines: the recursive dict-of-sets solvers that the explicit-stack
+# engine replaced, kept to check that first solutions, enumeration order and
+# nodes spent are unchanged.  Instances are (demand Counter, [(payload, items)],
+# secondary set); `exclude` drops options by payload.
+
+def reference_instance(G, q, restrict=None):
+    if isinstance(G, MultiHypergraph):
+        demand = Counter(G.mult)
+        simple = G.simple()
+    else:
+        demand = Counter({e: 1 for e in G.edges})
+        simple = G
+    if restrict is None:
+        cliques = enumerate_cliques(simple, q)
+    else:
+        cliques = sorted({tuple(sorted(c)) for c in restrict})
+    options = []
+    for c in cliques:
+        cov = list(clique_edges(c, G.r))
+        if all(e in demand for e in cov):
+            options.append((c, cov))
+    return demand, options, set()
+
+
+def reference_solve_simple(inst, budget, cap, exclude=frozenset()):
+    demand, options, secondary = inst
+    X = {e: set() for e in demand}
+    for s in secondary:
+        X.setdefault(s, set())
+    Y = {}
+    payload = {}
+    for idx, (c, cov) in enumerate(options):
+        if c in exclude:
+            continue
+        Y[idx] = cov
+        payload[idx] = c
+        for e in cov:
+            X[e].add(idx)
+    primary = list(demand)
+
+    def select(opt):
+        cols = []
+        for j in Y[opt]:
+            for i in X[j]:
+                for k in Y[i]:
+                    if k != j:
+                        X[k].discard(i)
+            cols.append((j, X.pop(j)))
+        return cols
+
+    def deselect(cols):
+        for j, col in reversed(cols):
+            X[j] = col
+            for i in col:
+                for k in Y[i]:
+                    if k != j:
+                        X[k].add(i)
+
+    found = [0]
+
+    def walk(solution):
+        open_primary = [e for e in primary if e in X]
+        if not open_primary:
+            found[0] += 1
+            yield [payload[i] for i in solution]
+            return
+        c = min(open_primary, key=lambda e: len(X[e]))
+        for opt in sorted(X[c]):
+            budget.spend()
+            solution.append(opt)
+            cols = select(opt)
+            yield from walk(solution)
+            deselect(cols)
+            solution.pop()
+            if cap is not None and found[0] >= cap:
+                return
+
+    yield from walk([])
+
+
+def reference_solve_demand(inst, budget, cap, exclude=frozenset()):
+    demand, all_options, _ = inst
+    options = [(c, cov) for c, cov in all_options if c not in exclude]
+    remaining = Counter(demand)
+    by_item = {e: [] for e in remaining}
+    for idx, (c, cov) in enumerate(options):
+        for e in cov:
+            by_item[e].append(idx)
+    found = [0]
+
+    def usable(idx):
+        return all(remaining[e] > 0 for e in options[idx][1])
+
+    def walk(solution, floors):
+        open_items = [e for e in remaining if remaining[e] > 0]
+        if not open_items:
+            found[0] += 1
+            yield [options[i][0] for i in solution]
+            return
+        c = min(open_items, key=lambda e: (sum(1 for i in by_item[e] if usable(i)), e))
+        floor = floors.get(c, 0)
+        for idx in by_item[c]:
+            if idx < floor or not usable(idx):
+                continue
+            budget.spend()
+            for e in options[idx][1]:
+                remaining[e] -= 1
+            solution.append(idx)
+            old = floors.get(c)
+            floors[c] = idx
+            yield from walk(solution, floors)
+            if old is None:
+                del floors[c]
+            else:
+                floors[c] = old
+            solution.pop()
+            for e in options[idx][1]:
+                remaining[e] += 1
+            if cap is not None and found[0] >= cap:
+                return
+
+    yield from walk([], {})
+
+
+def run_reference(G, q, cap, restrict=None, nodes=10 ** 7):
+    budget = _Budget(nodes)
+    solver = (reference_solve_demand if isinstance(G, MultiHypergraph)
+              else reference_solve_simple)
+    sols = list(solver(reference_instance(G, q, restrict), budget, cap))
+    return sols, budget.limit - budget.left
+
+
+def run_engine(G, q, cap, restrict=None, nodes=10 ** 7):
+    budget = _Budget(nodes)
+    inst = CoverInstance.from_graph(G, q, restrict)
+    sols = [[inst.payloads[k] for k in sol] for sol in _search(inst, budget, cap)]
+    return sols, budget.limit - budget.left
+
+
+def planted_triangles(rng, n, tries):
+    """Edge-disjoint random triangles on n vertices."""
+    used, out = set(), []
+    for _ in range(tries):
+        t = tuple(sorted(rng.sample(range(n), 3)))
+        es = list(itertools.combinations(t, 2))
+        if not used.intersection(es):
+            used.update(es)
+            out.append(t)
+    return out
+
+
+def random_graph(rng, n):
+    """Half the time a union of edge-disjoint triangles, which always has a
+    decomposition; else a G(n, p) graph."""
+    if rng.random() < 0.5:
+        ts = planted_triangles(rng, n, rng.randint(2, 3 * n))
+        return Hypergraph(n, 2, [e for t in ts for e in itertools.combinations(t, 2)])
+    p = rng.choice([0.5, 0.7, 0.9])
+    return Hypergraph(n, 2, [e for e in itertools.combinations(range(n), 2)
+                             if rng.random() < p])
 
 
 class TestFindDecomposition:
@@ -104,3 +271,111 @@ class TestSolveCover:
     def test_plain_cover(self):
         sol = solve_cover([1, 2, 3], [("x", [1, 2]), ("y", [3]), ("z", [1, 3])])
         assert sorted(sol) == ["x", "y"]
+
+    def test_repeated_item_rejected(self):
+        with pytest.raises(ParameterError, match="twice"):
+            solve_cover([1, 2], [("x", [1, 1]), ("y", [2])])
+
+
+class TestAgainstReference:
+    """Same solutions, in the same order, for the same nodes spent."""
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 7, 8, 9, 13, 15, 19, 21, 25, 27, 31, 33, 37])
+    def test_complete_first_solution(self, n):
+        G = Hypergraph.complete(n, 2)
+        assert run_engine(G, 3, 1) == run_reference(G, 3, 1)
+
+    @pytest.mark.parametrize("n, cap", [(7, None), (9, None), (13, 10 ** 3)])
+    def test_complete_counts(self, n, cap):
+        G = Hypergraph.complete(n, 2)
+        got = run_engine(G, 3, cap)
+        assert got == run_reference(G, 3, cap)
+        assert len(got[0]) == {7: 30, 9: 840, 13: 10 ** 3}[n]
+
+    def test_random_graphs_all_solutions(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            G = random_graph(rng, rng.randint(4, 10))
+            assert run_engine(G, 3, None) == run_reference(G, 3, None), G.edges
+
+    def test_random_restrict(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            n = rng.randint(5, 9)
+            planted = planted_triangles(rng, n, 3 * n)
+            G = Hypergraph(n, 2, [e for t in planted for e in itertools.combinations(t, 2)])
+            extra = rng.sample(list(itertools.combinations(range(n), 3)), 2 * n)
+            restrict = planted[1:] + extra if rng.random() < 0.3 else planted + extra
+            assert (run_engine(G, 3, None, restrict)
+                    == run_reference(G, 3, None, restrict)), (G.edges, restrict)
+
+    def test_three_uniform_targets(self):
+        for n in (5, 6, 8):
+            G = Hypergraph.complete(n, 3)
+            assert run_engine(G, 4, 50) == run_reference(G, 4, 50)
+
+    def test_multigraph_targets(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            n = rng.randint(3, 6)
+            mult = Counter()
+            for _ in range(rng.randint(1, 4)):
+                t = rng.sample(range(n), 3)
+                for e in itertools.combinations(sorted(t), 2):
+                    mult[e] += 1
+            if rng.random() < 0.3:   # some targets have no decomposition
+                mult[tuple(sorted(rng.sample(range(n), 2)))] += 1
+            J = MultiHypergraph(n, 2, dict(mult))
+            assert run_engine(J, 3, None) == run_reference(J, 3, None), mult
+
+    def test_solve_cover_with_secondary_and_exclude(self):
+        rng = random.Random(3)
+        for _ in range(150):
+            primary = [f"p{i}" for i in range(rng.randint(1, 7))]
+            secondary = [f"s{i}" for i in range(rng.randint(0, 3))]
+            items = primary + secondary
+            options = []
+            for k in range(rng.randint(1, 14)):
+                cov = rng.sample(items, rng.randint(1, min(3, len(items))))
+                options.append((k, cov))
+            exclude = frozenset(k for k, _ in options if rng.random() < 0.2)
+            cap = rng.choice([None, 1, 2])
+            ref_inst = (Counter({it: 1 for it in primary}), options, set(secondary))
+            b_ref = _Budget(10 ** 6)
+            want = list(reference_solve_simple(ref_inst, b_ref, cap, exclude))
+            ids = {it: i for i, it in enumerate(items)}
+            inst = CoverInstance(items, [1] * len(primary), [k for k, _ in options],
+                                 [tuple(ids[it] for it in cov) for _, cov in options])
+            b_new = _Budget(10 ** 6)
+            got = list(_search(inst, b_new, cap, exclude))
+            assert got == want and b_new.left == b_ref.left, (options, exclude, cap)
+            if not exclude:
+                assert solve_cover(primary, options, secondary) == (want[0] if want else None)
+
+    def test_exclude_on_graph_instances(self):
+        rng = random.Random(9)
+        for n in (7, 9):
+            G = Hypergraph.complete(n, 2)
+            ref_inst = reference_instance(G, 3)
+            inst = CoverInstance.from_graph(G, 3)
+            for _ in range(10):
+                ks = rng.sample(range(len(inst.payloads)), 3)
+                b_ref, b_new = _Budget(10 ** 6), _Budget(10 ** 6)
+                want = list(reference_solve_simple(
+                    ref_inst, b_ref, 5, frozenset(inst.payloads[k] for k in ks)))
+                got = [[inst.payloads[k] for k in sol]
+                       for sol in _search(inst, b_new, 5, ks)]
+                assert got == want and b_new.left == b_ref.left
+
+    def test_disjoint_pairs_match(self):
+        for G in (Hypergraph.complete(7, 2), Hypergraph.complete(9, 2),
+                  MultiHypergraph(3, 2, {(0, 1): 2, (0, 2): 2, (1, 2): 2})):
+            inst = reference_instance(G, 3)
+            solver = (reference_solve_demand if isinstance(G, MultiHypergraph)
+                      else reference_solve_simple)
+            b = _Budget(10 ** 6)
+            want = next(((s1, s2) for s1 in solver(inst, b, None)
+                         for s2 in solver(inst, b, 1, exclude=frozenset(s1))), None)
+            pair = find_two_disjoint_decompositions(G, 3)
+            assert (pair and tuple(D.cliques for D in pair)) == (
+                want and tuple(Decomposition(G, sol, 3).cliques for sol in want))
