@@ -211,7 +211,10 @@ def find_decomposition(G: AnyGraph, q: int, restrict: Optional[Iterable] = None,
 
 def count_decompositions(G: AnyGraph, q: int, cap: int = 10 ** 6,
                          budget: int = DEFAULT_BUDGET) -> tuple:
-    """(count, overflowed): exact count if < cap, else (cap, True)."""
+    """(count, overflowed): exact count if < cap, else (cap, True).
+    A cap below 1 is a ParameterError."""
+    if cap < 1:
+        raise ParameterError(f"cap must be at least 1, got {cap}")
     n = 0
     for _ in _solutions(G, q, None, budget, cap=cap):
         n += 1
@@ -220,7 +223,10 @@ def count_decompositions(G: AnyGraph, q: int, cap: int = 10 ** 6,
 
 def enumerate_decompositions(G: AnyGraph, q: int, cap: Optional[int] = None,
                              budget: int = DEFAULT_BUDGET) -> list:
-    """All decompositions (as clique lists), up to cap."""
+    """All decompositions (as clique lists), up to cap (None: no cap; below
+    1: ParameterError)."""
+    if cap is not None and cap < 1:
+        raise ParameterError(f"cap must be at least 1, got {cap}")
     return [sorted(sol) for sol in _solutions(G, q, None, budget, cap=cap)]
 
 

@@ -9,9 +9,11 @@ holding T and every v with T + v uncovered (the layout of
 mask of every vertex, or (r-1)-set, inside it contains M, and taking it
 clears the rest of M from those masks.  The leftover is read off the final
 masks.  Every engine returns its packing together with the uncovered
-leftover and asserts exact conservation.  Girth and configuration counting
-are exhaustive with union-size pruning plus a pair-index shortcut, and
-agree with naive enumeration on small inputs.
+leftover and asserts exact conservation.  Configuration counting is
+exhaustive with union-size pruning plus a pair-index shortcut, and agrees
+with naive enumeration on small inputs.  Girth and the high-girth packer
+decide triangle systems up to g = 4 exactly on a pair -> third-point map
+(a repeated pair, else Pasch) and run the exhaustive search only beyond.
 """
 from __future__ import annotations
 
@@ -415,20 +417,95 @@ def configurations(P: Sequence[Sequence[int]], i: int, j: int,
     return count, witnesses
 
 
+def _add_triangle(t: tuple, third: dict, star: dict) -> None:
+    """Index triangle abc in the maps `_closes_pasch` reads."""
+    a, b, c = t
+    third[a, b] = third[b, a] = c
+    third[a, c] = third[c, a] = b
+    third[b, c] = third[c, b] = a
+    star[a].append((b, c))
+    star[b].append((a, c))
+    star[c].append((a, b))
+
+
+def _closes_pasch(cand: tuple, third: dict, star: dict) -> bool:
+    """Would triangle cand complete a Pasch configuration with a linear
+    triangle system it shares no pair with?
+
+    ``third[(x, y)]`` is the third point of the system's triangle on the
+    pair xy (both orders are keys) and ``star[v]`` lists (d, e) for each of
+    its triangles vde.  A Pasch configuration through abc is abc, ade, bdf,
+    cef: every point lies in two of its triangles, so the configuration
+    meets the star of any one point of abc.  Test the smallest star.
+    """
+    a, b, c = cand
+    if len(star[b]) < len(star[a]):
+        a, b = b, a
+    if len(star[c]) < len(star[a]):
+        a, c = c, a
+    get = third.get
+    for d, e in star[a]:
+        f = get((b, d))
+        if f is not None and get((c, e)) == f:
+            return True
+        f = get((b, e))
+        if f is not None and get((c, d)) == f:
+            return True
+    return False
+
+
+def _triangle_girth(cliques: Sequence[tuple], g_max: int) -> Optional[int]:
+    """Girth up to min(g_max, 4) of a list of triangles: 2, 4, or None.
+
+    Two triangles on one pair are a (4,2)-configuration.  Otherwise the
+    system is linear, so three triangles span at least 6 points (no (5,3)),
+    and four on at most 6 points cover 12 distinct pairs: they span exactly
+    6 points, each in two of them, which is Pasch, the only
+    (6,4)-configuration.  One pass adds the triangles in order, testing
+    each first for a repeated pair and then for a Pasch it closes with
+    those before it.
+    """
+    third: dict = {}
+    star: dict = defaultdict(list)
+    pasch = False
+    for t in cliques:
+        a, b, c = t
+        if (a, b) in third or (a, c) in third or (b, c) in third:
+            return 2
+        if not pasch and g_max >= 4:
+            pasch = _closes_pasch(t, third, star)
+        _add_triangle(t, third, star)
+    return 4 if pasch else None
+
+
 def girth(P: Sequence[Sequence[int]], q: int, r: int, g_max: int = 6):
-    """Smallest g in [2, g_max] with a ((q-r)g + r, g)-configuration, else inf."""
-    for g in range(2, g_max + 1):
-        cnt, _ = configurations(P, g, (q - r) * g + r, stop_at=1)
+    """Smallest g in [2, g_max] with a ((q-r)g + r, g)-configuration, else inf.
+
+    Triangles (q = 3, r = 2) take an exact fast path for g <= 4 with a
+    pair -> third-point map (`_triangle_girth`); only g >= 5, and every
+    other (q, r), runs the `configurations` DFS.
+    """
+    cliques = P.cliques if isinstance(P, Packing) else P
+    lo = 2
+    if (q, r) == (3, 2) and g_max >= 2 and all(len(set(c)) == 3 for c in cliques):
+        got = _triangle_girth(cliques, g_max)
+        if got is not None:
+            return got
+        lo = 5
+    for g in range(lo, g_max + 1):
+        cnt, _ = configurations(cliques, g, (q - r) * g + r, stop_at=1)
         if cnt > 0:
             return g
     return inf
 
 
 def _creates_config(cand: tuple, accepted: List[tuple], by_vertex: dict,
-                    by_pair: dict, q: int, r: int, g: int) -> bool:
+                    by_pair: dict, q: int, r: int, g: int, lo: int = 2) -> bool:
     """Does accepting cand create a ((q-r)g' + r, g')-configuration for some
-    2 <= g' <= g?  Exact DFS over accepted cliques, seeded with cand."""
-    for gp in range(2, g + 1):
+    lo <= g' <= g?  Exact DFS over accepted cliques, seeded with cand.
+    `high_girth_pack` passes lo = 5 for triangles, whose g' <= 4 cases
+    `_closes_pasch` decides."""
+    for gp in range(lo, g + 1):
         j = (q - r) * gp + r
 
         def rec(start: int, chosen: int, union: frozenset) -> bool:
@@ -464,28 +541,41 @@ def _creates_config(cand: tuple, accepted: List[tuple], by_vertex: dict,
 def high_girth_pack(G: Hypergraph, q: int, g: int,
                     params: Optional[NibbleParams] = None) -> Tuple[Packing, Hypergraph]:
     """Random greedy that accepts a clique only if no forbidden
-    configuration appears; the output's girth is re-checked."""
+    configuration appears; the output's girth is re-checked.
+
+    Accepted cliques are edge-disjoint, so for triangles (q = 3, r = 2) a
+    candidate can close no configuration with g' <= 3 and only Pasch with
+    g' = 4: `_closes_pasch` decides that on a pair -> third-point map and
+    per-vertex triangle lists, and the `_creates_config` DFS runs for
+    g' = 5..g only.  Other (q, r) run the DFS for every g' in 2..g.
+    """
     if g > 6:
         raise CapacityError("g <= 6 for the exhaustive configuration check")
     params = params or NibbleParams()
     rng = random.Random(params.seed)
     pool = _clique_pool(G, q, params)
     rng.shuffle(pool)
+    tri = (q, G.r) == (3, 2)
+    lo = 5 if tri else 2
     covered: set = set()
     accepted: List[tuple] = []
-    accepted_set: set = set()
     by_vertex: dict = defaultdict(list)
     by_pair: dict = defaultdict(list)
+    third: dict = {}
+    star: dict = defaultdict(list)
     for c in pool:
         es = list(clique_edges(c, G.r))
         if any(e in covered for e in es):
             continue
-        if g >= 2 and accepted and _creates_config(
-                c, accepted, by_vertex, by_pair, q, G.r, g):
+        if tri and g >= 4 and _closes_pasch(c, third, star):
             continue
+        if g >= lo and accepted and _creates_config(
+                c, accepted, by_vertex, by_pair, q, G.r, g, lo):
+            continue
+        if tri:
+            _add_triangle(c, third, star)
         idx = len(accepted)
         accepted.append(c)
-        accepted_set.add(c)
         for v in c:
             by_vertex[v].append(idx)
         for pr in itertools.combinations(c, 2):

@@ -62,6 +62,12 @@ class TestCoverCLI:
         code, out = run(capsys, "cover", "solve", g, "--q", "3", "--count", "100")
         assert code == 0 and "count=30" in out
 
+    def test_count_cap_below_one_exit_3(self, tmp_path, capsys):
+        g = str(tmp_path / "k7.graph")
+        write_graph(Hypergraph.complete(7, 2), g)
+        for cap in ("0", "-1"):
+            assert main(["cover", "solve", g, "--q", "3", "--count", cap]) == 3
+
     def test_solutions_longer_than_recursion_limit(self, tmp_path, capsys):
         # 1027 to 1617 triples: deeper than the interpreter's recursion limit
         for n in (79, 81, 85, 87, 91, 93, 97, 99):

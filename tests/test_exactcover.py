@@ -229,6 +229,15 @@ class TestCounting:
         count, overflow = count_decompositions(Hypergraph.complete(7, 2), 3, cap=5)
         assert (count, overflow) == (5, True)
 
+    def test_cap_below_one_rejected(self):
+        K7 = Hypergraph.complete(7, 2)
+        for cap in (0, -1):
+            with pytest.raises(ParameterError):
+                count_decompositions(K7, 3, cap=cap)
+            with pytest.raises(ParameterError):
+                enumerate_decompositions(K7, 3, cap=cap)
+        assert len(enumerate_decompositions(K7, 3, cap=1)) == 1
+
     def test_agrees_with_naive_oracle(self):
         import itertools
         import random

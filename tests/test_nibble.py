@@ -1,19 +1,55 @@
 import itertools
 import math
 import random
+from collections import defaultdict
 from math import comb, inf
 
 import pytest
 
 from absorbkit.errors import BudgetError, CapacityError, ParameterError
 from absorbkit.hypercore import Hypergraph, Packing, clique_edges
-from absorbkit.nibble import (NibbleParams, _clique_pool,
+from absorbkit.nibble import (NibbleParams, _clique_pool, _creates_config,
                               complete_with_reserves, configurations,
                               generate_reserves, girth, high_girth_pack,
                               random_greedy_pack, reserve_candidates,
                               spread_estimate)
 
 PASCH = [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)]
+
+
+def dfs_girth(P, q, r, g_max):
+    """Reference girth: the `configurations` DFS for every g in 2..g_max."""
+    for g in range(2, g_max + 1):
+        if configurations(P, g, (q - r) * g + r, stop_at=1)[0]:
+            return g
+    return inf
+
+
+def dfs_high_girth_pack(G, q, g, params):
+    """Reference engine: the high-girth greedy with every g' in 2..g decided
+    by the `_creates_config` DFS, with the same pool and RNG calls."""
+    rng = random.Random(params.seed)
+    pool = _clique_pool(G, q, params)
+    rng.shuffle(pool)
+    covered = set()
+    accepted = []
+    by_vertex = defaultdict(list)
+    by_pair = defaultdict(list)
+    for c in pool:
+        es = list(clique_edges(c, G.r))
+        if any(e in covered for e in es):
+            continue
+        if g >= 2 and accepted and _creates_config(
+                c, accepted, by_vertex, by_pair, q, G.r, g):
+            continue
+        idx = len(accepted)
+        accepted.append(c)
+        for v in c:
+            by_vertex[v].append(idx)
+        for pr in itertools.combinations(c, 2):
+            by_pair[pr].append(idx)
+        covered.update(es)
+    return accepted, G.edges - covered
 
 
 def tuple_set_random_greedy(G, q, params):
@@ -305,8 +341,44 @@ class TestGirth:
     def test_sts7_girth(self):
         from absorbkit.exactcover import find_decomposition
         D = find_decomposition(Hypergraph.complete(7, 2), 3)
-        g = girth(D.cliques, 3, 2, g_max=4)
-        assert g in (4, inf) or g > 2
+        # every STS(7) is the Fano plane, which holds 7 Pasch configurations
+        assert girth(D.cliques, 3, 2, g_max=4) == 4
+
+    def test_matches_dfs_on_random_triangle_lists(self):
+        from absorbkit.pipeline import oracle_steiner
+        rng = random.Random(31)
+        # STS(9) holds no Pasch, STS(13) does
+        systems = [oracle_steiner(9).cliques, oracle_steiner(13).cliques]
+        seen = set()
+        for trial in range(300):
+            if trial % 3 == 0:
+                # arbitrary triangles: mostly non-linear, repeats allowed
+                cl = [tuple(rng.sample(range(9), 3))
+                      for _ in range(rng.randint(1, 10))]
+            else:
+                # linear: a relabelled random part of an STS
+                sts = systems[trial % 2]
+                perm = list(range(13))
+                rng.shuffle(perm)
+                part = rng.sample(sts, rng.randint(1, len(sts)))
+                cl = [tuple(perm[v] for v in c) for c in part]
+            for g_max in range(2, 6):
+                got = girth(cl, 3, 2, g_max=g_max)
+                assert got == dfs_girth(cl, 3, 2, g_max), (cl, g_max)
+                seen.add(got)
+        assert seen == {2, 4, 5, inf}
+
+    def test_matches_dfs_on_oracle_steiner(self):
+        from absorbkit.pipeline import oracle_steiner
+        got = {}
+        for n in range(7, 28):
+            if n % 6 not in (1, 3):
+                continue
+            D = oracle_steiner(n)
+            for g_max in (4, 5):
+                got[n, g_max] = girth(D, 3, 2, g_max=g_max)
+                assert got[n, g_max] == dfs_girth(D.cliques, 3, 2, g_max), (n, g_max)
+        assert got[7, 4] == got[21, 4] == 4 and got[27, 4] is inf
 
 
 class TestHighGirth:
@@ -322,6 +394,22 @@ class TestHighGirth:
         P, left = high_girth_pack(G, 3, 4, NibbleParams(seed=1))
         assert girth(P.cliques, 3, 2, g_max=4) is inf
         assert P.covered_edges() | left.edges == G.edges
+
+    def test_matches_dfs_reference(self):
+        rng = random.Random(12)
+        hosts = [Hypergraph.complete(n, 2) for n in (7, 9, 12, 15, 19)]
+        for _ in range(6):
+            n = rng.randint(8, 14)
+            hosts.append(Hypergraph(n, 2, [e for e in itertools.combinations(range(n), 2)
+                                           if rng.random() < 0.7]))
+        for G in hosts:
+            for g in range(2, 6):
+                for seed in range(2):
+                    params = NibbleParams(seed=seed)
+                    P, left = high_girth_pack(G, 3, g, params)
+                    ref, ref_left = dfs_high_girth_pack(G, 3, g, params)
+                    assert P.cliques == tuple(sorted(ref)), (G.n, g, seed)
+                    assert left.edges == ref_left, (G.n, g, seed)
 
 
 class TestSpread:
