@@ -19,8 +19,8 @@ from .exactcover import DEFAULT_BUDGET, count_decompositions, find_decomposition
 from .fraclp import boost_sample, inheritance_stats, solve_fractional
 from .gadgets import (anti_edge, build_absorber, fake_edge, find_booster,
                       lift_booster_q3, rooted_degeneracy, trivial_booster_1d)
-from .hypercore import (Decomposition, Hypergraph, Packing, read_graph,
-                        read_packing, write_graph, write_packing)
+from .hypercore import (Hypergraph, Packing, read_graph, read_packing,
+                        write_graph, write_packing)
 from .nibble import (NibbleParams, complete_with_reserves, configurations,
                      generate_reserves, girth, high_girth_pack,
                      random_greedy_pack, spread_estimate)
@@ -39,10 +39,14 @@ def _parse_ids(text: str) -> tuple:
     return tuple(int(t) for t in text.replace(",", " ").split())
 
 
+def _need(value, message: str) -> None:
+    if not value:
+        raise ParameterError(message)
+
+
 def _host_or_complete(args) -> Hypergraph:
     if getattr(args, "graph", None):
-        G = read_graph(args.graph)
-        return G.simple() if not isinstance(G, Hypergraph) else G
+        return read_graph(args.graph).simple()
     return Hypergraph.complete(args.n, args.r)
 
 
@@ -69,6 +73,7 @@ def cmd_divide_check(args) -> int:
             print(f"i={row['i']} divisor={row['divisor']} value={row['value']} "
                   f"ok={row['ok']}")
         return EXIT_OK if params_admissible(p) else EXIT_NEGATIVE
+    _need(args.graph, "divide check needs a graph file or --params n,q,r,lam")
     G = read_graph(args.graph)
     ok = is_divisible(G, args.q)
     _emit({"divisible": ok}, args.json)
@@ -121,6 +126,7 @@ def cmd_integral_solve(args) -> int:
 
 def cmd_gadget(args) -> int:
     if args.kind in ("anti", "fake"):
+        _need(args.edge, f"gadget {args.kind} needs --edge <ids>")
         e = _parse_ids(args.edge)
         g = anti_edge(e, args.q) if args.kind == "anti" else fake_edge(e, args.q)
         print(f"kind={args.kind} roots={','.join(map(str, g.roots))} "
@@ -133,6 +139,7 @@ def cmd_gadget(args) -> int:
         return EXIT_OK
     if args.kind == "booster":
         if args.search:
+            _need(args.host, "gadget booster --search needs --host <graph>")
             host = read_graph(args.host)
             b = find_booster(args.q, args.r, host, budget=args.budget)
             if b is None:
@@ -154,6 +161,7 @@ def cmd_gadget(args) -> int:
             write_packing(b.B_off, os.path.join(args.out, "off.pack"), "booster.graph")
         return EXIT_OK
     if args.kind == "absorber":
+        _need(args.graph, "gadget absorber needs a graph file")
         L = read_graph(args.graph)
         cert = build_absorber(L, args.q)
         print(f"A_edges={cert.A.m} D1={len(cert.D1)} D2={len(cert.D2)} "
@@ -225,9 +233,8 @@ def cmd_embed(args) -> int:
                 W = read_graph(os.path.join(base_dir, toks[1]))
                 H = read_graph(os.path.join(base_dir, toks[2]))
                 roots = _parse_ids(toks[3])
-                H_family.append(H.simple() if not isinstance(H, Hypergraph) else H)
-                gadgets.append(RootedGadget(
-                    W=W.simple() if not isinstance(W, Hypergraph) else W, roots=roots))
+                H_family.append(H.simple())
+                gadgets.append(RootedGadget(W=W.simple(), roots=roots))
     if J is None:
         raise ParameterError("system manifest needs a 'base <graph>' line")
     J = J.multi() if isinstance(J, Hypergraph) else J
@@ -277,9 +284,8 @@ def cmd_lp(args) -> int:
         G = read_graph(args.graph)
         M = _parse_ids(args.members) if args.members else ()
         frac = args.threshold
-        stats = inheritance_stats(G.simple() if not isinstance(G, Hypergraph) else G,
-                                  s=args.s, m=len(M), M=M, trials=args.trials,
-                                  seed=args.seed,
+        stats = inheritance_stats(G.simple(), s=args.s, m=len(M), M=M,
+                                  trials=args.trials, seed=args.seed,
                                   threshold=lambda s: frac * (s - 1))
         _emit(stats, args.json)
         return EXIT_OK
@@ -305,6 +311,8 @@ def cmd_nibble(args) -> int:
         rs = generate_reserves(args.n, args.q, args.r, args.p, seed=args.seed)
         stats = {"X_edges": rs.X.m, **{k: v for k, v in rs.flags.items()}}
     elif args.action == "complete":
+        _need(args.graph and args.reserves,
+              "nibble complete needs --graph <graph> and --reserves <graph>")
         G = read_graph(args.graph).simple()
         X = read_graph(args.reserves).simple()
         partial = read_packing(args.packing) if args.packing else Packing(G, [], q=args.q)
@@ -322,6 +330,7 @@ def cmd_nibble(args) -> int:
                  "coverage": 1 - left.m / G.m if G.m else 1.0,
                  "girth_check": str(girth(P.cliques, args.q, G.r, g_max=args.g))}
     elif args.action == "girth":
+        _need(args.packing, "nibble girth needs --packing <file>")
         P = read_packing(args.packing)
         g = girth(P.cliques, args.q, args.r, g_max=args.gmax)
         cnt4, _ = configurations(P.cliques, 2, 4)
@@ -367,8 +376,7 @@ def cmd_pipeline(args) -> int:
     kwargs: dict = {}
     if args.config:
         raw = _load_config(args.config)
-        casts = {"n": int, "q": int, "r": int, "lam": int, "seed": int,
-                 "hill_climb_rounds": int, "out_dir": str}
+        casts = {"n": int, "seed": int, "hill_climb_rounds": int, "out_dir": str}
         for k, v in raw.items():
             if k not in casts:
                 raise ParameterError(f"unknown config key {k!r}")
@@ -418,8 +426,16 @@ def cmd_verify(args) -> int:
 
 # ----------------------------------------------------------------- main ----
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParameterError (exit 3) instead of exiting 2,
+    which is the budget code; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ParameterError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="absorb-kit")
+    ap = _Parser(prog="absorb-kit")
     sub = ap.add_subparsers(dest="group", required=True)
 
     d = sub.add_parser("divide").add_subparsers(dest="action", required=True)
@@ -539,8 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (BudgetError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

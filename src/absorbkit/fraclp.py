@@ -170,10 +170,7 @@ def solve_fractional(G: AnyGraph, q: int,
                      weight_cap: Optional[Union[Fraction, int, str]] = None,
                      restrict: Optional[Sequence[tuple]] = None) -> SimplexOutcome:
     """Full-output LP solve; `fractional_decomposition` is the thin wrapper."""
-    if isinstance(G, Hypergraph):
-        host = G
-    else:
-        host = G.simple()
+    host = G.simple()
     if q <= host.r:
         raise ParameterError(f"need q > r, got q={q}, r={host.r}")
     cliques = list(restrict) if restrict is not None else enumerate_cliques(host, q)

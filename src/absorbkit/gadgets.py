@@ -9,8 +9,11 @@ a clique is absorbed by "booster minus root"; a general divisible L is
 absorbed by combining an integral decomposition with one booster unit per
 occurrence clique, where each unit toggles between covering its private
 edges alone and covering them together with the anti-edges of the clique's
-edge occurrences.  Every construction is re-verified by exact multiset
-checks before it is returned.
+edge occurrences.  Every other (q, r) searches for an absorber as an exact
+cover instance on the package's one search engine (`exactcover._search`),
+with the fewest fresh vertices that admit one.  Every absorber ends in the
+same certificate step (`_certify`): exact multiset checks of both
+decompositions and of V(L)'s independence in A.
 """
 from __future__ import annotations
 
@@ -23,9 +26,10 @@ from typing import Dict, Iterable, Optional, Sequence
 from .divide import is_divisible
 from .errors import (BudgetError, CapacityError, ConstructionError,
                      ParameterError, PreconditionError)
-from .exactcover import DEFAULT_BUDGET, find_two_disjoint_decompositions
-from .hypercore import (AnyGraph, Decomposition, Hypergraph, MultiHypergraph,
-                        clique_edges, decomposition_valid)
+from .exactcover import (DEFAULT_BUDGET, CoverInstance, _Budget, _search,
+                         find_two_disjoint_decompositions)
+from .hypercore import (AnyGraph, Decomposition, Hypergraph, clique_edges,
+                        decomposition_valid)
 from .integral import integral_decomposition, multi_absorber
 
 ABSORBER_EDGE_CAP = 12
@@ -207,8 +211,7 @@ def find_booster(q: int, r: int, host: AnyGraph, budget: int = DEFAULT_BUDGET) -
     if pair is None:
         return None
     d_on, d_off = pair
-    simple = host.simple() if isinstance(host, MultiHypergraph) else host
-    return Booster(B=simple, B_on=d_on, B_off=d_off)
+    return Booster(B=host.simple(), B_on=d_on, B_off=d_off)
 
 
 # Canonical rooted q=3 lift booster, root clique (x, y, z), fresh (c, d, v).
@@ -306,25 +309,21 @@ def _is_triangle_component(edges: set) -> bool:
 
 
 def build_absorber(L: Hypergraph, q: int = 3, base: Optional[int] = None,
-                   edge_cap: int = ABSORBER_EDGE_CAP, budget: int = 10 ** 7
-                   ) -> AbsorberCertificate:
+                   budget: int = DEFAULT_BUDGET) -> AbsorberCertificate:
     """Absorber for a divisible graph L, fully verified before returning.
 
     q=3, r=2 uses the deterministic booster assembly; everything else goes
-    through the bounded search fallback (e(L) <= 6 for r >= 3).
+    through `search_absorber` (e(L) <= 6 for r >= 3).
     """
     if not is_divisible(L, q):
         raise PreconditionError("L is not divisible; no absorber exists")
-    cap = edge_cap if L.r == 2 else min(edge_cap, 6)
+    cap = ABSORBER_EDGE_CAP if L.r == 2 else min(ABSORBER_EDGE_CAP, 6)
     if L.m > cap:
         raise CapacityError(f"e(L) = {L.m} exceeds the absorber cap {cap}")
     if base is None:
         base = L.n
     if L.m == 0:
-        empty = Hypergraph(L.n, L.r)
-        d_empty = Decomposition(empty, [], q=q)
-        return AbsorberCertificate(A=empty, L=L, D1=Decomposition(L, [], q=q),
-                                   D2=d_empty, edge_intersecting=True)
+        return _certify(L, L.n, [], [], [], q)
     if L.r != 2 or q != 3:
         return search_absorber(L, q, base=base, budget=budget)
 
@@ -398,17 +397,7 @@ def build_absorber(L: Hypergraph, q: int = 3, base: Optional[int] = None,
             D1 += on      # negative units fire in D1
             D2 += off
 
-    A = Hypergraph(nxt, 2, A_edges)
-    AL = Hypergraph(nxt, 2, set(A.edges) | {e for e in L.edges})
-    cert = AbsorberCertificate(
-        A=A, L=L,
-        D1=Decomposition(AL, D1),
-        D2=Decomposition(A, D2) if D2 else Decomposition(A, [], q=q),
-    )
-    _check_absorber(cert)
-    cert.edge_intersecting = is_edge_intersecting(
-        RootedGadget(W=A, roots=tuple(sorted(L.support()))), L)
-    return cert
+    return _certify(L, nxt, A_edges, D1, D2, q)
 
 
 def _check_absorber(cert: AbsorberCertificate) -> None:
@@ -425,119 +414,79 @@ def _check_absorber(cert: AbsorberCertificate) -> None:
         raise ConstructionError("D2 failed re-verification")
 
 
-def search_absorber(L: Hypergraph, q: int, base: Optional[int] = None,
-                    max_fresh: int = SEARCH_FRESH_CAP, budget: int = 10 ** 7
-                    ) -> AbsorberCertificate:
-    """Bounded backtracking search for an absorber.
+def _certify(L: Hypergraph, n: int, A_edges: Iterable[tuple], D1: list, D2: list,
+             q: int) -> AbsorberCertificate:
+    """The certificate step every absorber ends in: D1 must decompose A u L
+    and D2 must decompose A, on the vertex set 0..n-1."""
+    A = Hypergraph(n, L.r, A_edges)
+    AL = Hypergraph(n, L.r, A.edges | L.edges)
+    cert = AbsorberCertificate(A=A, L=L, D1=Decomposition(AL, D1, q),
+                               D2=Decomposition(A, D2, q))
+    _check_absorber(cert)
+    cert.edge_intersecting = is_edge_intersecting(
+        RootedGadget(W=A, roots=tuple(sorted(L.support()))), L)
+    return cert
 
-    Looks for clique families P (positives) and N (negatives) over
-    V(L) + fresh vertices with pos - neg edge counts equal to chi_L, no
-    clique containing a non-L r-set inside V(L).  A is the union of the
-    negatives' edges.
+
+def _absorber_instance(L: Hypergraph, q: int, fresh: Sequence[int]) -> CoverInstance:
+    """Absorbers for L on V(L) plus `fresh`, as exact cover.
+
+    An absorber is a pair of clique families: P covers each L edge once,
+    and P and N cover every other edge e equally often, at most once.  The
+    items are the L edges and, for each other edge e, a pair e+ and e-;
+    a positive clique covers its L edges and the e+ of its other edges, a
+    negative clique (no L edge) covers its e- items, and a slack option
+    {e+, e-} leaves e unused.  Cliques holding a non-L r-set of V(L) are
+    left out, so V(L) stays independent in A, the union of N.  Payloads
+    are (+1, clique), (-1, clique) and (0, edge).
+    """
+    r = L.r
+    cliques = [C for C in itertools.combinations([*range(L.n), *fresh], q)
+               if all(e in L.edges or e[-1] >= L.n
+                      for e in itertools.combinations(C, r))]
+    others = sorted({e for C in cliques for e in itertools.combinations(C, r)}
+                    - L.edges)
+    items = sorted(L.edges) + [(e, sign) for e in others for sign in (+1, -1)]
+    ids = {it: i for i, it in enumerate(items)}
+    payloads, rows = [], []
+    for C in cliques:
+        es = list(itertools.combinations(C, r))
+        payloads.append((+1, C))
+        rows.append(tuple(ids[e] if e in L.edges else ids[e, +1] for e in es))
+        if not any(e in L.edges for e in es):
+            payloads.append((-1, C))
+            rows.append(tuple(ids[e, -1] for e in es))
+    for e in others:
+        payloads.append((0, e))
+        rows.append((ids[e, +1], ids[e, -1]))
+    return CoverInstance(items, [1] * len(items), payloads, rows)
+
+
+def search_absorber(L: Hypergraph, q: int, base: Optional[int] = None,
+                    max_fresh: int = SEARCH_FRESH_CAP, budget: int = DEFAULT_BUDGET
+                    ) -> AbsorberCertificate:
+    """Absorber for L by exact cover over V(L) plus the fewest fresh
+    vertices (from q - r up to max_fresh) that admit one.
+
+    Each fresh-vertex count is searched exhaustively on the exact-cover
+    engine (`_absorber_instance`), and one node budget spans all counts.
+    A is the union of the negatives' edges; the certificate is verified.
     """
     if not is_divisible(L, q):
         raise PreconditionError("L is not divisible; no absorber exists")
     if base is None:
         base = L.n
-    r = L.r
-    nodes = [0]
-    for n_fresh in range(q - r, max_fresh + 1):
-        verts = list(range(L.n)) + list(range(base, base + n_fresh))
-        internal = set(range(L.n))
-        cliques = []
-        for C in itertools.combinations(sorted(verts), q):
-            bad = False
-            for e in itertools.combinations(C, r):
-                if set(e) <= internal and e not in L.edges:
-                    bad = True
-                    break
-            if not bad:
-                cliques.append(C)
-        res = _signed_cover(L, cliques, nodes, budget)
-        if res is not None:
-            pos, neg = res
-            A_edges: set = set()
-            for C in neg:
-                A_edges.update(clique_edges(C, r))
-            A = Hypergraph(base + n_fresh, r, A_edges)
-            AL = Hypergraph(base + n_fresh, r, set(A.edges) | set(L.edges))
-            cert = AbsorberCertificate(
-                A=A, L=L,
-                D1=Decomposition(AL, pos),
-                D2=Decomposition(A, neg) if neg else Decomposition(A, [], q=q))
-            _check_absorber(cert)
-            cert.edge_intersecting = is_edge_intersecting(
-                RootedGadget(W=A, roots=tuple(sorted(L.support()))), L)
-            return cert
-    raise BudgetError(f"no absorber found within {max_fresh} fresh vertices")
-
-
-def _signed_cover(L: Hypergraph, cliques: list, nodes: list, budget: int):
-    """Find clique sets (pos, neg) with pos - neg edge counts = chi_L."""
-    r = L.r
-    by_edge: dict = defaultdict(list)
-    for C in cliques:
-        for e in clique_edges(C, r):
-            by_edge[e].append(C)
-    pos_cnt: Counter = Counter()
-    neg_cnt: Counter = Counter()
-    pos_used: set = set()
-    neg_used: set = set()
-
-    def target(e):
-        return 1 if e in L.edges else 0
-
-    order = sorted(by_edge)
-
-    def pick():
-        for e in order:
-            bal = pos_cnt[e] - neg_cnt[e]
-            t = target(e)
-            if bal < t:
-                return e, +1
-            if bal > t:
-                return e, -1
-        return None
-
-    def _fits(C, sign):
-        for e in clique_edges(C, r):
-            if sign > 0 and pos_cnt[e] + 1 > 1:
-                return False
-            if sign < 0 and (neg_cnt[e] + 1 > 1 or e in L.edges):
-                return False
-        return True
-
-    def walk():
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise BudgetError("absorber search budget exhausted")
-        chosen = pick()
-        if chosen is None:
-            return [], []
-        e, sign = chosen
-        used = pos_used if sign > 0 else neg_used
-        cnt = pos_cnt if sign > 0 else neg_cnt
-        for C in by_edge[e]:
-            if C in used or not _fits(C, sign):
-                continue
-            used.add(C)
-            for f in clique_edges(C, r):
-                cnt[f] += 1
-            sub = walk()
-            if sub is not None:
-                pos, neg = sub
-                if sign > 0:
-                    return [C] + pos, neg
-                return pos, [C] + neg
-            used.discard(C)
-            for f in clique_edges(C, r):
-                cnt[f] -= 1
-        return None
-
-    out = walk()
-    if out is None:
-        return None
-    return out
+    nodes = _Budget(budget, "absorber search")
+    for n_fresh in range(q - L.r, max_fresh + 1):
+        inst = _absorber_instance(L, q, range(base, base + n_fresh))
+        for sol in _search(inst, nodes, cap=1):
+            picked = [inst.payloads[k] for k in sol]
+            pos = [C for sign, C in picked if sign > 0]
+            neg = [C for sign, C in picked if sign < 0]
+            A_edges = {e for C in neg for e in clique_edges(C, L.r)}
+            return _certify(L, base + n_fresh, A_edges, pos, neg, q)
+    raise BudgetError(f"no absorber within {max_fresh} fresh vertices "
+                      f"({nodes.limit - nodes.left} search nodes)")
 
 
 # ---------------------------------------------------------------------------

@@ -57,9 +57,6 @@ class Hypergraph:
     def is_complete(self) -> bool:
         return self.m == comb(self.n, self.r)
 
-    def has_edge(self, e: Iterable[int]) -> bool:
-        return tuple(sorted(e)) in self.edges
-
     def support(self) -> frozenset:
         """Vertices incident to at least one edge."""
         return frozenset(v for e in self.edges for v in e)
@@ -69,11 +66,6 @@ class Hypergraph:
 
     def without_edges(self, gone: Iterable[Iterable[int]]) -> "Hypergraph":
         return Hypergraph(self.n, self.r, set(self.edges) - {tuple(sorted(e)) for e in gone})
-
-    def relabeled(self, phi: Mapping[int, int], n: int | None = None) -> "Hypergraph":
-        """Image under a vertex map; must stay injective on each edge."""
-        new = [tuple(sorted(phi[v] for v in e)) for e in self.edges]
-        return Hypergraph(self.n if n is None else n, self.r, new)
 
     def multi(self) -> "MultiHypergraph":
         return MultiHypergraph(self.n, self.r, {e: 1 for e in self.edges})
@@ -313,11 +305,6 @@ class Decomposition:
         self.q = q
         self.cliques = tuple(cl)
 
-    def as_packing(self) -> Packing:
-        if isinstance(self.target, MultiHypergraph):
-            raise ParameterError("multigraph decompositions are not packings")
-        return Packing(self.target, self.cliques, self.q)
-
     def __len__(self) -> int:
         return len(self.cliques)
 
@@ -457,6 +444,4 @@ def read_packing(path: str, as_decomposition: bool = False):
     host = read_graph(host_path)
     if as_decomposition:
         return Decomposition(host, cliques, q)
-    if isinstance(host, MultiHypergraph):
-        host = host.simple()
-    return Packing(host, cliques, q)
+    return Packing(host.simple(), cliques, q)

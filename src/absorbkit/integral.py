@@ -14,7 +14,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import Dict, Optional
 
 from .errors import CapacityError, ParameterError, PreconditionError
@@ -35,16 +34,6 @@ class InclusionMatrix:
 
     def row_sum(self, i: int) -> int:
         return sum(self.entries[i])
-
-    def apply(self, x: Dict[tuple, int]) -> Counter:
-        """Edge sums of a sparse clique weighting, exact."""
-        sums: Counter = Counter()
-        for c, w in x.items():
-            if w == 0:
-                continue
-            for e in itertools.combinations(c, len(self.rows[0])):
-                sums[e] += w
-        return sums
 
 
 def inclusion_matrix(n: int, q: int, r: int) -> InclusionMatrix:

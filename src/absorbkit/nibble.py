@@ -9,11 +9,13 @@ holding T and every v with T + v uncovered (the layout of
 mask of every vertex, or (r-1)-set, inside it contains M, and taking it
 clears the rest of M from those masks.  The leftover is read off the final
 masks.  Every engine returns its packing together with the uncovered
-leftover and asserts exact conservation.  Configuration counting is
-exhaustive with union-size pruning plus a pair-index shortcut, and agrees
-with naive enumeration on small inputs.  Girth and the high-girth packer
-decide triangle systems up to g = 4 exactly on a pair -> third-point map
-(a repeated pair, else Pasch) and run the exhaustive search only beyond.
+leftover and asserts exact conservation.  One exhaustive configuration
+DFS (`_config_dfs`, union-size pruning plus vertex and pair indexes) serves
+configuration counting, girth and the high-girth packer's test of a
+candidate, and agrees with naive enumeration on small inputs.  Girth and
+the high-girth packer decide triangle systems up to g = 4 exactly on a
+pair -> third-point map (a repeated pair, else Pasch) and run the DFS only
+beyond.
 """
 from __future__ import annotations
 
@@ -170,13 +172,7 @@ def generate_reserves(n: int, q: int, r: int, p: float, seed: int = 0,
             counts[(u, v)] = (nbrs[u] & nbrs[v]).bit_count()
     else:
         for e in sorted(host.edges - x_edges):
-            cnt = 0
-            others = [v for v in range(n) if v not in e]
-            for extra in itertools.combinations(others, q - r):
-                Q = tuple(sorted(e + extra))
-                if all(f == e or f in x_edges for f in clique_edges(Q, r)):
-                    cnt += 1
-            counts[e] = cnt
+            counts[e] = len(reserve_candidates(e, host, x_edges, q))
     max_deg = max_level_degree(X, r - 1) if X.m else 0
     mn = min(counts.values()) if counts else 0
     thr_specialized = 0.5 * p ** (comb(q, r) - 1) * comb(n - r, q - r)
@@ -359,61 +355,77 @@ def complete_with_reserves(G: Hypergraph, X: Hypergraph, partial: Packing,
 CONFIG_I_CAP = 6
 
 
+def _index_clique(idx: int, c: tuple, by_vertex: dict, by_pair: dict) -> None:
+    """Record clique number idx in the vertex and pair indexes."""
+    for v in c:
+        by_vertex[v].append(idx)
+    for pr in itertools.combinations(c, 2):
+        by_pair[pr].append(idx)
+
+
+def _clique_index(cliques: Sequence[tuple]) -> Tuple[dict, dict]:
+    by_vertex: dict = defaultdict(list)
+    by_pair: dict = defaultdict(list)
+    for idx, c in enumerate(cliques):
+        _index_clique(idx, c, by_vertex, by_pair)
+    return by_vertex, by_pair
+
+
+def _config_dfs(cliques: Sequence[tuple], by_vertex: dict, by_pair: dict,
+                k: int, j: int, union: frozenset = frozenset()):
+    """An iterator, in lexicographic order, over the index tuples
+    t_1 < ... < t_k into `cliques` (sorted vertex tuples) whose vertices
+    together with `union` span at most j vertices.  k below 1 or above
+    CONFIG_I_CAP raises at once.
+
+    A clique of s vertices keeps the span within j only if it meets the
+    running union in at least s - (j - |union|) vertices; when that is 1 or
+    2, its index comes from `by_vertex` or `by_pair` (vertex or sorted vertex
+    pair -> ascending clique indexes) instead of from a scan of the list.
+    """
+    if k < 1:
+        raise ParameterError("need i >= 1")
+    if k > CONFIG_I_CAP:
+        raise CapacityError(f"i = {k} exceeds the exhaustive cap {CONFIG_I_CAP}")
+    n_cl = len(cliques)
+    if k > n_cl or len(union) > j:
+        return iter(())
+    smallest = min(map(len, cliques), default=0)
+    chosen: List[int] = []
+
+    def rec(start: int, union: frozenset):
+        if len(chosen) == k:
+            yield tuple(chosen)
+            return
+        overlap = smallest - (j - len(union))
+        if overlap >= 1:
+            index, keys = ((by_pair, itertools.combinations(sorted(union), 2))
+                           if overlap >= 2 else (by_vertex, union))
+            ts: Sequence[int] = sorted(
+                {t for key in keys for t in index.get(key, ()) if t >= start})
+        else:
+            ts = range(start, n_cl)
+        for t in ts:
+            u2 = union.union(cliques[t])
+            if len(u2) <= j:
+                chosen.append(t)
+                yield from rec(t + 1, u2)
+                chosen.pop()
+
+    return rec(0, frozenset(union))
+
+
 def configurations(P: Sequence[Sequence[int]], i: int, j: int,
                    witness_cap: int = 10, stop_at: Optional[int] = None) -> Tuple[int, List[tuple]]:
-    """Exact count of i-subsets of P spanning at most j vertices, plus
-    witnesses up to a cap."""
+    """Exact count of i-subsets of P spanning at most j vertices (at most
+    `stop_at` of them), plus witnesses up to a cap."""
     cliques = [tuple(sorted(c)) for c in (P.cliques if isinstance(P, Packing) else P)]
-    if i < 1:
-        raise ParameterError("need i >= 1")
-    if i > CONFIG_I_CAP:
-        raise CapacityError(f"i = {i} exceeds the exhaustive cap {CONFIG_I_CAP}")
-    n_cl = len(cliques)
-    if i > n_cl:
-        return 0, []
-    by_pair: dict = defaultdict(list)
-    by_vertex: dict = defaultdict(list)
-    for idx, c in enumerate(cliques):
-        for v in c:
-            by_vertex[v].append(idx)
-        for pr in itertools.combinations(c, 2):
-            by_pair[pr].append(idx)
     count = 0
     witnesses: List[tuple] = []
-
-    def candidates(union: set, start: int) -> Sequence[int]:
-        budget = j - len(union)
-        sz = len(cliques[start]) if start < n_cl else 0
-        # cliques must keep the union within budget; when the budget forces
-        # overlap, pull candidates from the vertex/pair indexes
-        if union and sz and sz - budget >= 2:
-            got: set = set()
-            for pr in itertools.combinations(sorted(union), 2):
-                got.update(idx for idx in by_pair.get(pr, ()) if idx >= start)
-            return sorted(got)
-        if union and sz and sz - budget >= 1:
-            got = set()
-            for v in union:
-                got.update(idx for idx in by_vertex.get(v, ()) if idx >= start)
-            return sorted(got)
-        return range(start, n_cl)
-
-    def rec(start: int, chosen: list, union: set):
-        nonlocal count
-        if stop_at is not None and count >= stop_at:
-            return
-        if len(chosen) == i:
-            count += 1
-            if len(witnesses) < witness_cap:
-                witnesses.append(tuple(cliques[t] for t in chosen))
-            return
-        for t in candidates(union, start):
-            u2 = union | set(cliques[t])
-            if len(u2) > j:
-                continue
-            rec(t + 1, chosen + [t], u2)
-
-    rec(0, [], set())
+    for ts in itertools.islice(_config_dfs(cliques, *_clique_index(cliques), i, j), stop_at):
+        count += 1
+        if len(witnesses) < witness_cap:
+            witnesses.append(tuple(cliques[t] for t in ts))
     return count, witnesses
 
 
@@ -483,7 +495,7 @@ def girth(P: Sequence[Sequence[int]], q: int, r: int, g_max: int = 6):
 
     Triangles (q = 3, r = 2) take an exact fast path for g <= 4 with a
     pair -> third-point map (`_triangle_girth`); only g >= 5, and every
-    other (q, r), runs the `configurations` DFS.
+    other (q, r), runs the configuration DFS, on one clique index for all g.
     """
     cliques = P.cliques if isinstance(P, Packing) else P
     lo = 2
@@ -492,9 +504,12 @@ def girth(P: Sequence[Sequence[int]], q: int, r: int, g_max: int = 6):
         if got is not None:
             return got
         lo = 5
+    if lo > g_max:
+        return inf
+    cliques = [tuple(sorted(c)) for c in cliques]
+    by_vertex, by_pair = _clique_index(cliques)
     for g in range(lo, g_max + 1):
-        cnt, _ = configurations(cliques, g, (q - r) * g + r, stop_at=1)
-        if cnt > 0:
+        if next(_config_dfs(cliques, by_vertex, by_pair, g, (q - r) * g + r), None):
             return g
     return inf
 
@@ -502,40 +517,14 @@ def girth(P: Sequence[Sequence[int]], q: int, r: int, g_max: int = 6):
 def _creates_config(cand: tuple, accepted: List[tuple], by_vertex: dict,
                     by_pair: dict, q: int, r: int, g: int, lo: int = 2) -> bool:
     """Does accepting cand create a ((q-r)g' + r, g')-configuration for some
-    lo <= g' <= g?  Exact DFS over accepted cliques, seeded with cand.
+    lo <= g' <= g?  Exact: the configuration DFS looks for g' - 1 accepted
+    cliques that span at most (q-r)g' + r vertices together with cand.
     `high_girth_pack` passes lo = 5 for triangles, whose g' <= 4 cases
     `_closes_pasch` decides."""
-    for gp in range(lo, g + 1):
-        j = (q - r) * gp + r
-
-        def rec(start: int, chosen: int, union: frozenset) -> bool:
-            if chosen == gp:
-                return len(union) <= j
-            budget = j - len(union)
-            if budget < 0:
-                return False
-            need_overlap = q - budget
-            if need_overlap >= 2:
-                cand_idx: set = set()
-                for pr in itertools.combinations(sorted(union), 2):
-                    cand_idx.update(i for i in by_pair.get(pr, ()) if i >= start)
-                iterable = sorted(cand_idx)
-            elif need_overlap >= 1:
-                cand_idx = set()
-                for v in union:
-                    cand_idx.update(i for i in by_vertex.get(v, ()) if i >= start)
-                iterable = sorted(cand_idx)
-            else:
-                iterable = range(start, len(accepted))
-            for t in iterable:
-                u2 = union | frozenset(accepted[t])
-                if len(u2) <= j and rec(t + 1, chosen + 1, u2):
-                    return True
-            return False
-
-        if rec(0, 1, frozenset(cand)):
-            return True
-    return False
+    return any(
+        next(_config_dfs(accepted, by_vertex, by_pair, gp - 1, (q - r) * gp + r,
+                         frozenset(cand)), None)
+        for gp in range(lo, g + 1))
 
 
 def high_girth_pack(G: Hypergraph, q: int, g: int,
@@ -559,8 +548,7 @@ def high_girth_pack(G: Hypergraph, q: int, g: int,
     lo = 5 if tri else 2
     covered: set = set()
     accepted: List[tuple] = []
-    by_vertex: dict = defaultdict(list)
-    by_pair: dict = defaultdict(list)
+    by_vertex, by_pair = _clique_index(accepted)
     third: dict = {}
     star: dict = defaultdict(list)
     for c in pool:
@@ -574,12 +562,8 @@ def high_girth_pack(G: Hypergraph, q: int, g: int,
             continue
         if tri:
             _add_triangle(c, third, star)
-        idx = len(accepted)
+        _index_clique(len(accepted), c, by_vertex, by_pair)
         accepted.append(c)
-        for v in c:
-            by_vertex[v].append(idx)
-        for pr in itertools.combinations(c, 2):
-            by_pair[pr].append(idx)
         covered.update(es)
     packing = Packing(G, accepted, q)
     leftover = Hypergraph(G.n, G.r, G.edges - covered)

@@ -33,18 +33,11 @@ from .hypercore import Decomposition, Hypergraph, Packing, write_graph, write_pa
 @dataclass
 class PipelineConfig:
     n: int
-    q: int = 3
-    r: int = 2
-    lam: int = 1
     seed: int = 0
     out_dir: Optional[str] = None
     hill_climb_rounds: int = 200      # the cap on restarts
 
     def __post_init__(self):
-        if (self.q, self.r, self.lam) != (3, 2, 1):
-            raise ParameterError(
-                "the end-to-end pipeline is triangles-first: q=3, r=2, lam=1; "
-                "lam > 1 is available as clique-disjoint unions of lam=1 outputs")
         if self.hill_climb_rounds < 0:
             raise ParameterError("hill_climb_rounds must be >= 0")
 
@@ -147,7 +140,7 @@ def pipeline_steiner(cfg: PipelineConfig) -> PipelineResult:
     decomposition has passed `verify_design`.
     """
     n = cfg.n
-    params = DesignParams(n, cfg.q, cfg.r, cfg.lam)
+    params = DesignParams(n, 3, 2, 1)
     if not params_admissible(params):
         raise ParameterError(f"n = {n} fails the divisibility conditions for triples")
     rng = random.Random(cfg.seed)

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from absorbkit.cli import main
 from absorbkit.divide import DesignParams
 from absorbkit.hypercore import Hypergraph, read_packing, write_graph
@@ -11,6 +13,32 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "solve"],                 # a missing positional
+    ["pipeline", "--n", "x"],           # a malformed option value
+    ["nibble", "bogus"],                # an unknown choice
+    [],                                 # no command at all
+    ["divide", "check"],                # neither a graph nor --params
+    ["gadget", "absorber"],
+    ["gadget", "anti"],
+    ["gadget", "booster", "--search"],
+    ["nibble", "complete"],
+    ["nibble", "complete", "--graph", "g.graph"],
+    ["nibble", "girth"],
+])
+def test_missing_or_malformed_arguments_exit_3(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["divide", "check", "--help"])
+    assert exc.value.code == 0
+    assert "--params" in capsys.readouterr().out
 
 
 class TestDivideCLI:
@@ -264,6 +292,7 @@ class TestPipelineCLI:
         for text in ("# comment\nn=9\nseed 5\n",   # no '=': a parse error
                      "n=9\nseed=five\n",            # bad value
                      "n=9\np=0.25\n",               # a key the pipeline lost
+                     "n=9\nlam=1\n",                # a single-valued knob, deleted
                      "n=9\nresidual_cover_budget=5\n"):
             cfg.write_text(text)
             assert main(["pipeline", "--config", str(cfg)]) == 3, text

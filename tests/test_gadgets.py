@@ -1,13 +1,16 @@
 import itertools
 import random
+from collections import Counter, defaultdict
 from math import comb, inf
 
 import pytest
 
 from absorbkit.divide import is_divisible
-from absorbkit.errors import (ConstructionError, ParameterError,
+from absorbkit.errors import (BudgetError, ConstructionError, ParameterError,
                               PreconditionError)
-from absorbkit.gadgets import (AbsorberCertificate, anti_edge, booster_lift,
+from absorbkit.exactcover import find_decomposition
+from absorbkit.gadgets import (AbsorberCertificate, _check_absorber,
+                               anti_edge, booster_lift,
                                build_absorber, fake_edge, find_booster,
                                is_divisibility_equivalent,
                                is_edge_intersecting, lift_booster_q3,
@@ -16,6 +19,82 @@ from absorbkit.gadgets import (AbsorberCertificate, anti_edge, booster_lift,
                                trivial_booster_1d)
 from absorbkit.hypercore import (Decomposition, Hypergraph, clique_edges,
                                  decomposition_valid)
+
+
+def recursive_signed_cover(L, cliques, budget=10 ** 7):
+    """Reference absorber search: clique sets (pos, neg) whose edge counts
+    differ by chi_L, each at most once per edge, negatives off L; recursive
+    backtracking on the first unbalanced edge.  None after a full search."""
+    r = L.r
+    by_edge = defaultdict(list)
+    for C in cliques:
+        for e in clique_edges(C, r):
+            by_edge[e].append(C)
+    cnt = {+1: Counter(), -1: Counter()}
+    used = {+1: set(), -1: set()}
+    order = sorted(by_edge)
+    nodes = [0]
+
+    def pick():
+        for e in order:
+            bal = cnt[+1][e] - cnt[-1][e]
+            t = 1 if e in L.edges else 0
+            if bal != t:
+                return e, (+1 if bal < t else -1)
+        return None
+
+    def fits(C, sign):
+        return all(cnt[sign][e] == 0 and (sign > 0 or e not in L.edges)
+                   for e in clique_edges(C, r))
+
+    def walk():
+        nodes[0] += 1
+        if nodes[0] > budget:
+            raise BudgetError("reference absorber search budget exhausted")
+        chosen = pick()
+        if chosen is None:
+            return [], []
+        e, sign = chosen
+        for C in by_edge[e]:
+            if C in used[sign] or not fits(C, sign):
+                continue
+            used[sign].add(C)
+            cnt[sign].update(clique_edges(C, r))
+            sub = walk()
+            if sub is not None:
+                pos, neg = sub
+                return ([C] + pos, neg) if sign > 0 else (pos, [C] + neg)
+            used[sign].discard(C)
+            cnt[sign].subtract(clique_edges(C, r))
+        return None
+
+    return walk()
+
+
+def reference_fresh_count(L, q, max_fresh=5):
+    """Fewest fresh vertices at which the reference search finds an
+    absorber for L, or None."""
+    for n_fresh in range(q - L.r, max_fresh + 1):
+        cliques = [C for C in itertools.combinations(range(L.n + n_fresh), q)
+                   if all(e in L.edges or not set(e) <= set(range(L.n))
+                          for e in itertools.combinations(C, L.r))]
+        if recursive_signed_cover(L, cliques) is not None:
+            return n_fresh
+    return None
+
+
+def divisible_without_triangle_decomposition(count, seed=3):
+    """Distinct 6-vertex graphs, C_6 first, that are triangle-divisible but
+    have no triangle decomposition."""
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(6), 2))
+    out = [Hypergraph(6, 2, [(i, (i + 1) % 6) for i in range(6)])]
+    while len(out) < count:
+        L = Hypergraph(6, 2, rng.sample(pairs, rng.choice([6, 9, 12])))
+        if (L not in out and is_divisible(L, 3)
+                and find_decomposition(L, 3) is None):
+            out.append(L)
+    return out
 
 
 class TestAntiEdge:
@@ -279,3 +358,27 @@ class TestSearchAbsorber:
         assert decomposition_valid(cert.D2.target, cert.D2.cliques, 3)
         for edge in cert.A.edges:
             assert not set(edge) <= {0, 1, 2}
+
+    def test_same_fewest_fresh_vertices_as_reference(self):
+        cases = [(L, 3) for L in divisible_without_triangle_decomposition(6)]
+        cases += [(Hypergraph.complete(4, 2), 4), (Hypergraph.complete(4, 3), 4)]
+        for L, q in cases:
+            cert = search_absorber(L, q)
+            _check_absorber(cert)
+            assert cert.A.n - L.n == reference_fresh_count(L, q), (sorted(L.edges), q)
+            assert cert.D1.target.edges == cert.A.edges | L.edges
+            assert cert.D2.target.edges == cert.A.edges
+
+    def test_budget_error_counts_nodes(self):
+        L = Hypergraph(6, 2, [(i, (i + 1) % 6) for i in range(6)])
+        with pytest.raises(BudgetError, match="of 50 nodes"):
+            search_absorber(L, 3, budget=50)
+
+    def test_build_absorber_search_path(self):
+        # two K_4 sharing vertex 3: K_4-divisible, so q = 4 takes the search
+        L = Hypergraph(7, 2, [e for C in ((0, 1, 2, 3), (3, 4, 5, 6))
+                              for e in itertools.combinations(C, 2)])
+        cert = build_absorber(L, 4)
+        _check_absorber(cert)
+        assert cert.D1.q == cert.D2.q == 4
+        assert cert.D1.target.edges == cert.A.edges | L.edges

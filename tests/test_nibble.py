@@ -318,9 +318,42 @@ class TestConfigurations:
                         if len({v for c in sub for v in c}) <= j)
             assert cnt == naive, (cl, i, j)
 
+    def test_mixed_clique_sizes_match_naive_oracle(self):
+        # the overlap a clique needs is set by the smallest clique, not by
+        # the next one in the list: here (0, 7) meets the union in 1 vertex
+        assert configurations([(0, 1, 2), (3, 4, 5, 6), (0, 7)], 2, 5)[0] == 1
+        rng = random.Random(21)
+        for _ in range(50):
+            cl = sorted({tuple(sorted(rng.sample(range(9), rng.randint(2, 4))))
+                         for _ in range(rng.randint(3, 10))})
+            i, j = rng.randint(1, 4), rng.randint(3, 9)
+            naive = sum(1 for sub in itertools.combinations(cl, i)
+                        if len({v for c in sub for v in c}) <= j)
+            assert configurations(cl, i, j)[0] == naive, (cl, i, j)
+
     def test_capacity(self):
         with pytest.raises(CapacityError):
             configurations(PASCH, 7, 10)
+
+    def test_creates_config_matches_brute_force(self):
+        rng = random.Random(44)
+        for _ in range(150):
+            n = rng.randint(6, 10)
+            accepted = [tuple(sorted(rng.sample(range(n), 3)))
+                        for _ in range(rng.randint(1, 9))]
+            by_vertex, by_pair = defaultdict(list), defaultdict(list)
+            for idx, c in enumerate(accepted):
+                for v in c:
+                    by_vertex[v].append(idx)
+                for pr in itertools.combinations(c, 2):
+                    by_pair[pr].append(idx)
+            cand = tuple(sorted(rng.sample(range(n), 3)))
+            for gp in range(2, 6):
+                brute = any(len(set(cand).union(*sub)) <= gp + 2
+                            for sub in itertools.combinations(accepted, gp - 1))
+                got = _creates_config(cand, accepted, by_vertex, by_pair,
+                                      3, 2, gp, lo=gp)
+                assert got == brute, (cand, accepted, gp)
 
 
 class TestGirth:
