@@ -10,6 +10,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .divide import (DesignParams, admissibility_report, is_divisible,
                      params_admissible)
@@ -554,9 +555,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser tree, built once per process: parsing keeps no state on
+    it, and building it costs far more than a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (BudgetError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,8 +24,8 @@ from math import comb, inf
 from typing import Dict, Iterable, Optional, Sequence
 
 from .divide import is_divisible
-from .errors import (BudgetError, CapacityError, ConstructionError,
-                     ParameterError, PreconditionError)
+from .errors import (CapacityError, ConstructionError, ParameterError,
+                     PreconditionError)
 from .exactcover import (DEFAULT_BUDGET, CoverInstance, _Budget, _search,
                          find_two_disjoint_decompositions)
 from .hypercore import (AnyGraph, Decomposition, Hypergraph, clique_edges,
@@ -471,6 +471,8 @@ def search_absorber(L: Hypergraph, q: int, base: Optional[int] = None,
     Each fresh-vertex count is searched exhaustively on the exact-cover
     engine (`_absorber_instance`), and one node budget spans all counts.
     A is the union of the negatives' edges; the certificate is verified.
+    Raises CapacityError when every count up to max_fresh is searched out
+    and BudgetError when the node budget is spent first.
     """
     if not is_divisible(L, q):
         raise PreconditionError("L is not divisible; no absorber exists")
@@ -485,8 +487,8 @@ def search_absorber(L: Hypergraph, q: int, base: Optional[int] = None,
             neg = [C for sign, C in picked if sign < 0]
             A_edges = {e for C in neg for e in clique_edges(C, L.r)}
             return _certify(L, base + n_fresh, A_edges, pos, neg, q)
-    raise BudgetError(f"no absorber within {max_fresh} fresh vertices "
-                      f"({nodes.limit - nodes.left} search nodes)")
+    raise CapacityError(f"no absorber within {max_fresh} fresh vertices "
+                        f"({nodes.limit - nodes.left} search nodes)")
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,16 @@ The inclusion matrix M has rows indexed by r-subsets and columns by
 q-subsets of the vertex set; solving M x = chi_L over the integers gives a
 signed clique weighting whose positive part decomposes L together with the
 multigraph spanned by the negative part.  Solving uses a column-style
-Hermite triangularization with arbitrary-precision integers; the
-triangularization of a given (n, q, r) is cached so sweeps over many
-targets on the same vertex set stay cheap.
+Hermite triangularization M U = H with arbitrary-precision integers.  H and
+U are kept as sparse columns ({row: nonzero} dicts), and each row is
+gcd-reduced by a heap of its nonzero entries, so a reduction step touches
+only the nonzeros of the two columns it combines.  The triangularization
+of a given (n, q, r) is cached so sweeps over many targets on the same
+vertex set stay cheap.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -36,14 +40,20 @@ class InclusionMatrix:
         return sum(self.entries[i])
 
 
-def inclusion_matrix(n: int, q: int, r: int) -> InclusionMatrix:
-    """0/1 matrix of r-subset-in-q-subset incidences over 0..n-1."""
+def _subsets(n: int, q: int, r: int):
+    """Row labels (r-subsets) and column labels (q-subsets), lex order."""
     if not (n >= q > r >= 1):
         raise ParameterError(f"need n >= q > r >= 1, got n={n}, q={q}, r={r}")
     rows = list(itertools.combinations(range(n), r))
     cols = list(itertools.combinations(range(n), q))
     if len(cols) > DIMENSION_CAP:
         raise CapacityError(f"{len(cols)} columns exceeds the cap {DIMENSION_CAP}")
+    return rows, cols
+
+
+def inclusion_matrix(n: int, q: int, r: int) -> InclusionMatrix:
+    """0/1 matrix of r-subset-in-q-subset incidences over 0..n-1."""
+    rows, cols = _subsets(n, q, r)
     ridx = {e: i for i, e in enumerate(rows)}
     entries = [[0] * len(cols) for _ in rows]
     for j, c in enumerate(cols):
@@ -56,95 +66,94 @@ def inclusion_matrix(n: int, q: int, r: int) -> InclusionMatrix:
 def _triangularization(n: int, q: int, r: int):
     """Column HNF data: returns (rows, cols, H, U, pivots) with M*U = H.
 
-    U is unimodular; H is in column staircase form: pivots[i] is the pivot
-    column of row i or None, and H[i][j] == 0 for j > pivots[i] among
-    processed rows.
+    rows and cols are the r- and q-subset labels of M.  H and U are lists
+    of columns, column j a {row index: nonzero entry} dict.  U is
+    unimodular; H is in column staircase form: pivots[i] is the pivot
+    column of row i or None, the pivot columns are 0, 1, ... in row order,
+    column pivots[i] is zero above row i, and every other column is zero.
+
+    Row i is reduced by Euclid's algorithm over its nonzero entries in
+    columns not yet pivots: the column with the smallest |entry| (lowest
+    index on ties) is subtracted from the next smallest.  Only that second
+    column changes in row i, so a heap keyed (|entry|, column) finds both.
     """
-    M = inclusion_matrix(n, q, r)
-    nrows, ncols = len(M.rows), len(M.cols)
-    H = [list(row) for row in M.entries]
-    U = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    rows, cols = _subsets(n, q, r)
+    ridx = {e: i for i, e in enumerate(rows)}
+    H = [{ridx[e]: 1 for e in itertools.combinations(c, r)} for c in cols]
+    U = [{j: 1} for j in range(len(cols))]
 
     def col_addmul(dst: int, src: int, f: int):
-        if f == 0:
-            return
-        for i in range(nrows):
-            H[i][dst] += f * H[i][src]
-        for i in range(ncols):
-            U[i][dst] += f * U[i][src]
-
-    def col_swap(a: int, b: int):
-        if a == b:
-            return
-        for i in range(nrows):
-            H[i][a], H[i][b] = H[i][b], H[i][a]
-        for i in range(ncols):
-            U[i][a], U[i][b] = U[i][b], U[i][a]
+        for A in (H, U):
+            d = A[dst]
+            for i, v in A[src].items():
+                w = d.get(i, 0) + f * v
+                if w:
+                    d[i] = w
+                else:
+                    del d[i]
 
     piv_col = 0
     pivots: list = []
-    for i in range(nrows):
-        # gcd-reduce row i across columns piv_col..ncols-1
-        while True:
-            nz = [k for k in range(piv_col, ncols) if H[i][k] != 0]
-            if not nz:
-                pivots.append(None)
-                break
-            if len(nz) == 1:
-                k = nz[0]
-                col_swap(piv_col, k)
-                if H[i][piv_col] < 0:
-                    col_addmul(piv_col, piv_col, -2)  # negate
-                pivots.append(piv_col)
-                piv_col += 1
-                break
-            # reduce the largest entry by the smallest nonzero one
-            nz.sort(key=lambda k: abs(H[i][k]))
-            small, big = nz[0], nz[1]
-            fq = H[i][big] // H[i][small]
-            col_addmul(big, small, -fq)
-    return M, H, U, pivots
+    for i in range(len(rows)):
+        heap = [(abs(v), k) for k in range(piv_col, len(cols))
+                if (v := H[k].get(i))]
+        heapq.heapify(heap)
+        while len(heap) > 1:
+            entry = heapq.heappop(heap)
+            small, big = entry[1], heap[0][1]
+            col_addmul(big, small, -(H[big][i] // H[small][i]))
+            v = H[big].get(i)
+            if v:
+                heapq.heapreplace(heap, (abs(v), big))
+            else:
+                heapq.heappop(heap)
+            heapq.heappush(heap, entry)
+        if not heap:
+            pivots.append(None)
+            continue
+        k = heap[0][1]
+        H[piv_col], H[k] = H[k], H[piv_col]
+        U[piv_col], U[k] = U[k], U[piv_col]
+        if H[piv_col][i] < 0:
+            H[piv_col] = {j: -v for j, v in H[piv_col].items()}
+            U[piv_col] = {j: -v for j, v in U[piv_col].items()}
+        pivots.append(piv_col)
+        piv_col += 1
+    return rows, cols, H, U, pivots
 
 
 def _solve_system(n: int, q: int, r: int, b: Dict[tuple, int]) -> Optional[Dict[tuple, int]]:
-    """Integer solution x (sparse, over q-subsets) of M x = b, or None."""
-    M, H, U, pivots = _triangularization(n, q, r)
-    nrows, ncols = len(M.rows), len(M.cols)
-    y = [0] * ncols
-    resid = [b.get(e, 0) for e in M.rows]
-    for i in range(nrows):
-        p = pivots[i]
-        val = resid[i] - sum(H[i][k] * y[k] for k in range(ncols) if y[k] and k != p)
+    """Integer solution x (sparse, over q-subsets) of M x = b, or None.
+
+    Forward substitution by columns: solve H y = b row by row, subtracting
+    each pivot column as soon as its y is known (column pivots[i] is zero
+    above row i), and accumulate x = U y from the same columns.
+    """
+    rows, cols, H, U, pivots = _triangularization(n, q, r)
+    resid = [b.get(e, 0) for e in rows]
+    x: Dict[int, int] = {}
+    for i, p in enumerate(pivots):
         if p is None:
-            if val != 0:
+            if resid[i]:
                 return None
             continue
-        if val % H[i][p] != 0:
+        y, rem = divmod(resid[i], H[p][i])
+        if rem:
             return None
-        y[p] = val // H[i][p]
-    x = {}
-    for col in range(ncols):
-        v = sum(U[col][k] * y[k] for k in range(ncols) if y[k])
-        if v:
-            x[M.cols[col]] = v
-    return x
+        if y:
+            for j, v in H[p].items():
+                resid[j] -= y * v
+            for j, v in U[p].items():
+                x[j] = x.get(j, 0) + y * v
+    return {cols[j]: v for j, v in sorted(x.items()) if v}
 
 
 def _kernel_basis(n: int, q: int, r: int) -> list:
-    """Sparse integer kernel vectors of the inclusion matrix."""
-    M, H, U, pivots = _triangularization(n, q, r)
-    ncols = len(M.cols)
-    used = {p for p in pivots if p is not None}
-    basis = []
-    for j in range(ncols):
-        if j in used:
-            continue
-        if any(H[i][j] for i in range(len(M.rows))):
-            continue
-        vec = {M.cols[i]: U[i][j] for i in range(ncols) if U[i][j]}
-        if vec:
-            basis.append(vec)
-    return basis
+    """Sparse integer kernel vectors of the inclusion matrix: the columns
+    of U past the last pivot, each with its q-subsets in lex order."""
+    rows, cols, H, U, pivots = _triangularization(n, q, r)
+    rank = sum(p is not None for p in pivots)
+    return [{cols[i]: v for i, v in sorted(u.items())} for u in U[rank:]]
 
 
 def verify_integral(L: Hypergraph, phi: Dict[tuple, int]) -> bool:
@@ -185,28 +194,29 @@ def integral_decomposition(L: Hypergraph, q: int, reduce_support: bool = False
 
 
 def _reduce_l1(n: int, q: int, r: int, x: Dict[tuple, int]) -> Dict[tuple, int]:
+    """Greedy L1 descent: move x in integer steps along each kernel vector
+    while its L1 norm drops, until no step helps."""
     basis = _kernel_basis(n, q, r)
     cur = dict(x)
 
-    def l1(v: Dict[tuple, int]) -> int:
-        return sum(abs(w) for w in v.values())
+    def l1_change(vec: Dict[tuple, int], t: int) -> int:
+        # change in L1 of one step, which only moves vec's support
+        return sum(abs(cur.get(c, 0) + t * w) - abs(cur.get(c, 0))
+                   for c, w in vec.items())
 
     improved = True
     while improved:
         improved = False
         for vec in basis:
-            # move in integer steps along the kernel vector while L1 drops
             for t in (1, -1):
-                while True:
-                    trial = dict(cur)
+                while l1_change(vec, t) < 0:
                     for c, w in vec.items():
-                        trial[c] = trial.get(c, 0) + t * w
-                    trial = {c: w for c, w in trial.items() if w}
-                    if l1(trial) < l1(cur):
-                        cur = trial
-                        improved = True
-                    else:
-                        break
+                        v = cur.get(c, 0) + t * w
+                        if v:
+                            cur[c] = v
+                        else:
+                            del cur[c]
+                    improved = True
     return cur
 
 

@@ -3,10 +3,17 @@ import os
 
 import pytest
 
+from absorbkit import cli
 from absorbkit.cli import main
 from absorbkit.divide import DesignParams
+from absorbkit.errors import ParameterError
 from absorbkit.hypercore import Hypergraph, read_packing, write_graph
 from absorbkit.pipeline import verify_design
+
+
+def cube_q3():
+    return Hypergraph(8, 2, [(u, u ^ b) for u in range(8) for b in (1, 2, 4)
+                             if u < u ^ b])
 
 
 def run(capsys, *argv):
@@ -39,6 +46,24 @@ def test_help_exits_0(capsys):
         main(["divide", "check", "--help"])
     assert exc.value.code == 0
     assert "--params" in capsys.readouterr().out
+
+
+def test_cached_parser_after_usage_error(capsys):
+    """main reuses one parser tree; a usage error leaves nothing behind
+    that changes the next command, and both match fresh parsers."""
+    fresh = cli.build_parser()
+    assert cli._parser() is cli._parser()
+    assert main(["integral", "solve"]) == 3
+    err = capsys.readouterr().err
+    with pytest.raises(ParameterError) as exc:
+        fresh.parse_args(["integral", "solve"])
+    assert err == f"error: {exc.value}\n"
+    argv = ["divide", "check", "--params", "7,3,2,1"]
+    assert vars(cli._parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+    code, out = run(capsys, *argv)
+    assert code == fresh.parse_args(argv).func(fresh.parse_args(argv))
+    assert out == capsys.readouterr().out
+    assert code == 0 and out.count("ok=True") == 2
 
 
 class TestDivideCLI:
@@ -124,6 +149,12 @@ class TestGadgetCLI:
     def test_booster_lift(self, capsys):
         code, out = run(capsys, "gadget", "booster", "--q", "3", "--r", "2")
         assert code == 0 and "edges=12" in out and "disjoint=True" in out
+
+    def test_absorber_searched_out_exit_2(self, tmp_path, capsys):
+        p = str(tmp_path / "q3.graph")
+        write_graph(cube_q3(), p)
+        assert main(["gadget", "absorber", p, "--q", "4"]) == 2
+        assert "no absorber within" in capsys.readouterr().err
 
     def test_absorber(self, tmp_path, capsys):
         g = str(tmp_path / "tri.graph")

@@ -6,8 +6,8 @@ from math import comb, inf
 import pytest
 
 from absorbkit.divide import is_divisible
-from absorbkit.errors import (BudgetError, ConstructionError, ParameterError,
-                              PreconditionError)
+from absorbkit.errors import (BudgetError, CapacityError, ConstructionError,
+                              ParameterError, PreconditionError)
 from absorbkit.exactcover import find_decomposition
 from absorbkit.gadgets import (AbsorberCertificate, _check_absorber,
                                anti_edge, booster_lift,
@@ -368,6 +368,16 @@ class TestSearchAbsorber:
             assert cert.A.n - L.n == reference_fresh_count(L, q), (sorted(L.edges), q)
             assert cert.D1.target.edges == cert.A.edges | L.edges
             assert cert.D2.target.edges == cert.A.edges
+
+    def test_searched_out_is_capacity_not_budget(self):
+        # the cube Q_3 is K_4-divisible with no absorber up to 5 fresh
+        # vertices: every count is searched out well inside the budget
+        Q3 = Hypergraph(8, 2, [(u, u ^ b) for u in range(8) for b in (1, 2, 4)
+                               if u < u ^ b])
+        assert is_divisible(Q3, 4)
+        with pytest.raises(CapacityError, match="within 5 fresh vertices") as exc:
+            search_absorber(Q3, 4)
+        assert not isinstance(exc.value, BudgetError)
 
     def test_budget_error_counts_nodes(self):
         L = Hypergraph(6, 2, [(i, (i + 1) % 6) for i in range(6)])

@@ -1,9 +1,12 @@
 import itertools
+import random
+from functools import lru_cache
 
 import pytest
 
+from absorbkit import integral
 from absorbkit.divide import is_divisible
-from absorbkit.errors import ParameterError, PreconditionError
+from absorbkit.errors import CapacityError, ParameterError, PreconditionError
 from absorbkit.hypercore import Hypergraph
 from absorbkit.integral import (inclusion_matrix, integral_decomposition,
                                 multi_absorber, verify_integral)
@@ -11,6 +14,185 @@ from absorbkit.integral import (inclusion_matrix, integral_decomposition,
 
 def cycle6():
     return Hypergraph(6, 2, [(i, (i + 1) % 6) for i in range(6)])
+
+
+# Reference implementation: the dense row-major triangularization the
+# sparse-column solver replaced, with its solver, kernel basis and L1
+# descent.  The sparse code must reproduce it step for step.
+
+@lru_cache(maxsize=None)
+def dense_triangularization(n, q, r):
+    """(M, H, U, pivots) with M*U = H, H and U dense row-major lists."""
+    M = inclusion_matrix(n, q, r)
+    nrows, ncols = len(M.rows), len(M.cols)
+    H = [list(row) for row in M.entries]
+    U = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def col_addmul(dst, src, f):
+        for i in range(nrows):
+            H[i][dst] += f * H[i][src]
+        for i in range(ncols):
+            U[i][dst] += f * U[i][src]
+
+    def col_swap(a, b):
+        for i in range(nrows):
+            H[i][a], H[i][b] = H[i][b], H[i][a]
+        for i in range(ncols):
+            U[i][a], U[i][b] = U[i][b], U[i][a]
+
+    piv_col = 0
+    pivots = []
+    for i in range(nrows):
+        while True:
+            nz = [k for k in range(piv_col, ncols) if H[i][k] != 0]
+            if not nz:
+                pivots.append(None)
+                break
+            if len(nz) == 1:
+                col_swap(piv_col, nz[0])
+                if H[i][piv_col] < 0:
+                    col_addmul(piv_col, piv_col, -2)  # negate
+                pivots.append(piv_col)
+                piv_col += 1
+                break
+            nz.sort(key=lambda k: abs(H[i][k]))
+            small, big = nz[0], nz[1]
+            col_addmul(big, small, -(H[i][big] // H[i][small]))
+    return M, H, U, pivots
+
+
+def dense_solve_system(T, b):
+    M, H, U, pivots = T
+    nrows, ncols = len(M.rows), len(M.cols)
+    y = [0] * ncols
+    resid = [b.get(e, 0) for e in M.rows]
+    for i in range(nrows):
+        p = pivots[i]
+        val = resid[i] - sum(H[i][k] * y[k] for k in range(ncols) if y[k] and k != p)
+        if p is None:
+            if val != 0:
+                return None
+            continue
+        if val % H[i][p] != 0:
+            return None
+        y[p] = val // H[i][p]
+    x = {}
+    for col in range(ncols):
+        v = sum(U[col][k] * y[k] for k in range(ncols) if y[k])
+        if v:
+            x[M.cols[col]] = v
+    return x
+
+
+def dense_kernel_basis(T):
+    M, H, U, pivots = T
+    ncols = len(M.cols)
+    used = {p for p in pivots if p is not None}
+    basis = []
+    for j in range(ncols):
+        if j in used or any(H[i][j] for i in range(len(M.rows))):
+            continue
+        vec = {M.cols[i]: U[i][j] for i in range(ncols) if U[i][j]}
+        if vec:
+            basis.append(vec)
+    return basis
+
+
+def dense_reduce_l1(basis, x):
+    cur = dict(x)
+
+    def l1(v):
+        return sum(abs(w) for w in v.values())
+
+    improved = True
+    while improved:
+        improved = False
+        for vec in basis:
+            for t in (1, -1):
+                while True:
+                    trial = dict(cur)
+                    for c, w in vec.items():
+                        trial[c] = trial.get(c, 0) + t * w
+                    trial = {c: w for c, w in trial.items() if w}
+                    if l1(trial) < l1(cur):
+                        cur = trial
+                        improved = True
+                    else:
+                        break
+    return cur
+
+
+REFERENCE_PARAMS = [(n, 3, 2) for n in range(3, 13)] + [(7, 4, 2), (8, 4, 3), (7, 5, 2)]
+
+
+def seeded_targets(n, q, r, seed, count):
+    """Seeded targets b: even ones are M x for a random signed clique
+    weighting x (so feasible), odd ones random 0/1 edge sets (mostly not)."""
+    rng = random.Random(seed)
+    pool = list(itertools.combinations(range(n), r))
+    out = []
+    for k in range(count):
+        b = {}
+        if k % 2 == 0:
+            for _ in range(rng.randint(1, 4)):
+                w = rng.choice((-2, -1, 1, 3))
+                for e in itertools.combinations(sorted(rng.sample(range(n), q)), r):
+                    b[e] = b.get(e, 0) + w
+        else:
+            b = {e: 1 for e in rng.sample(pool, rng.randint(1, len(pool)))}
+        out.append(b)
+    return out
+
+
+class TestAgainstDenseReference:
+    @pytest.mark.parametrize("params", REFERENCE_PARAMS)
+    def test_same_pivots_h_and_u(self, params):
+        M, Hd, Ud, pd = dense_triangularization(*params)
+        rows, cols, H, U, pivots = integral._triangularization(*params)
+        assert (rows, cols) == (M.rows, M.cols)
+        assert pivots == pd
+        assert [[H[j].get(i, 0) for j in range(len(cols))]
+                for i in range(len(rows))] == Hd
+        assert [[U[j].get(i, 0) for j in range(len(cols))]
+                for i in range(len(cols))] == Ud
+        # sparse columns store no zeros
+        assert all(v for col in H + U for v in col.values())
+
+    @pytest.mark.parametrize("params", REFERENCE_PARAMS)
+    def test_same_solutions_basis_and_l1_descent(self, params):
+        T = dense_triangularization(*params)
+        n, q, r = params
+        basis, want_basis = integral._kernel_basis(n, q, r), dense_kernel_basis(T)
+        assert basis == want_basis
+        assert [list(v) for v in basis] == [list(v) for v in want_basis]
+        feasible = infeasible = 0
+        for b in seeded_targets(n, q, r, seed=n * 100 + q * 10 + r, count=12):
+            x = integral._solve_system(n, q, r, b)
+            want = dense_solve_system(T, b)
+            assert x == want
+            if x is None:
+                infeasible += 1
+                continue
+            feasible += 1
+            assert list(x) == list(want)      # ascending column order
+            reduced, want_reduced = integral._reduce_l1(n, q, r, x), dense_reduce_l1(basis, x)
+            assert reduced == want_reduced
+            assert list(reduced) == list(want_reduced)
+        assert feasible >= 6
+        if n > q:
+            assert infeasible >= 1
+
+    def test_cache_clear_is_available(self):
+        # the benchmark empties this cache before each pass
+        assert callable(integral._triangularization.cache_clear)
+        integral._triangularization.cache_clear()
+        assert integral._triangularization.cache_info().currsize == 0
+
+    def test_dimension_cap(self):
+        with pytest.raises(CapacityError):
+            integral._triangularization(28, 3, 2)
+        with pytest.raises(CapacityError):
+            inclusion_matrix(28, 3, 2)
 
 
 class TestInclusionMatrix:
