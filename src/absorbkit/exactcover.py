@@ -10,14 +10,24 @@ The engine is Knuth's Algorithm X (TAOCP 7.2.2.1) on integer item ids.
 Each item keeps a static list of the options covering it, in ascending
 option index; a bytearray marks the options killed by the partial solution
 and a list holds each item's live option count.  Covering an item adds a
-constant larger than any count to its entry, so `min` skips it.  The
-search path lives on explicit stacks, so its depth is bounded by memory,
-not by the interpreter's recursion limit.
+constant larger than any count to its entry, so the column choice skips
+it, and a count of uncovered primary items detects a solution without a
+scan.  The search path lives on explicit stacks, so its depth is bounded by
+memory, not by the interpreter's recursion limit.
 
 Column selection is fail-first: branch on the uncovered primary item with
-the fewest live options, the first in item order on ties.  Options are
-tried in construction order, so identical instances give identical first
-solutions.
+the fewest live options, the first in item order on ties.  When every item
+lies on fewer than 128 options (K_n up to n = 129), the constant is 128,
+every entry fits a byte, and the choice is a bytearray copy of the counts
+searched with `find(v)` for v = 0, 1, ...: the first hit is the least count
+at its first item.  Wider instances take `min` and `index` on the list.
+Options are tried in construction order, so identical instances give
+identical first solutions.
+
+Graph hosts (r = 2, multigraphs too) build their rows from a pair-id
+table, pid[a][b] = the item id of edge ab, not from tuple keys; the items,
+rows and columns are those of the {edge: id} lookup that hosts with r >= 3
+keep.
 """
 from __future__ import annotations
 
@@ -53,20 +63,23 @@ class CoverInstance:
     The first len(demand) items are primary: item i must be covered exactly
     demand[i] times.  The rest are secondary: covered at most once.  Option
     k reports payloads[k] in a solution and covers the items rows[k];
-    cols[i] lists the options covering item i in ascending order.
+    cols[i] lists the options covering item i in ascending order, built
+    from the rows unless the caller passes them.
     """
 
     __slots__ = ("items", "demand", "payloads", "rows", "cols")
 
-    def __init__(self, items: list, demand: list, payloads: list, rows: list):
+    def __init__(self, items: list, demand: list, payloads: list, rows: list,
+                 cols: Optional[list] = None):
         self.items = items
         self.demand = demand
         self.payloads = payloads
         self.rows = rows
-        cols: list = [[] for _ in items]
-        for k, row in enumerate(rows):
-            for i in row:
-                cols[i].append(k)
+        if cols is None:
+            cols = [[] for _ in items]
+            for k, row in enumerate(rows):
+                for i in row:
+                    cols[i].append(k)
         self.cols = cols
 
     @classmethod
@@ -82,19 +95,30 @@ class CoverInstance:
             items = list(G.edges)
             demand = [1] * len(items)
             simple = G
-        ids = {e: i for i, e in enumerate(items)}
         r = G.r
         if restrict is None:
-            # every clique of the support has all its r-subsets in `ids`
+            # every clique of the support has all its r-subsets among the items
             cliques = enumerate_cliques(simple, q)
-            rows = [tuple([ids[e] for e in combinations(c, r)]) for c in cliques]
         else:
-            cliques, rows = [], []
-            for c in sorted({tuple(sorted(c)) for c in restrict}):
-                row = [ids.get(e) for e in combinations(c, r)]
-                if None not in row:
-                    cliques.append(c)
-                    rows.append(tuple(row))
+            cliques = [c for c in sorted({tuple(sorted(c)) for c in restrict})
+                       if all(e in simple.edges for e in combinations(c, r))]
+        if r == 2:
+            # pair-id table: pid[a][b] is the item id of the edge (a, b)
+            pid: list = [{} for _ in range(G.n)]
+            for i, (a, b) in enumerate(items):
+                pid[a][b] = i
+            if q == 3 and restrict is None:
+                rows = [(pid[a][b], pid[a][c], pid[b][c]) for a, b, c in cliques]
+                cols: list = [[] for _ in items]
+                for k, (x, y, z) in enumerate(rows):
+                    cols[x].append(k)
+                    cols[y].append(k)
+                    cols[z].append(k)
+                return cls(items, demand, cliques, rows, cols)
+            rows = [tuple([pid[a][b] for a, b in combinations(c, 2)]) for c in cliques]
+        else:
+            ids = {e: i for i, e in enumerate(items)}
+            rows = [tuple([ids[e] for e in combinations(c, r)]) for c in cliques]
         return cls(items, demand, cliques, rows)
 
 
@@ -110,11 +134,12 @@ def _search(inst: CoverInstance, budget: _Budget, cap: Optional[int],
     """
     rows, cols = inst.rows, inst.cols
     npri = len(inst.demand)
-    big = len(rows) + 1
     left = inst.demand + [1] * (len(cols) - npri)
+    # live option counts; covering an item raises its count by `big`
     size = [len(col) for col in cols]
-    for i in range(npri, len(size)):   # secondary items are never branched on
-        size[i] += big
+    # narrow: open counts stay below 128, raised ones below 256, so all fit a byte
+    narrow = max(size, default=0) < 128
+    big = 128 if narrow else len(rows) + 1
     dead = bytearray(len(rows))
     for k in exclude:
         if not dead[k]:
@@ -133,32 +158,31 @@ def _search(inst: CoverInstance, budget: _Budget, cap: Optional[int],
     frames: list = []         # the branch item per level
     poss: list = []           # the next position in its option list
     found = 0
-
-    def unchoose():
-        floor[frames[-1]] = saved.pop()
-        mark = marks.pop()
-        for k in killed[mark:]:
-            dead[k] = 0
-            for i in rows[k]:
-                size[i] += 1
-        del killed[mark:]
-        for i in rows[path.pop()]:
-            if not left[i]:
-                size[i] -= big
-            left[i] += 1
+    unmet = npri              # primary items not yet covered
 
     while True:
-        least = min(size)
-        if least < big:
-            c = size.index(least)
+        if unmet:
+            # fail-first: the least live count, the first item on ties;
+            # in bytes, the first hit of v = 0, 1, ... is that item
+            if narrow:
+                find = bytearray(size).find
+                v = 0
+                c = find(0, 0, npri)
+                while c < 0:
+                    v += 1
+                    c = find(v, 0, npri)
+            else:
+                c = size.index(min(size[:npri]))
             frames.append(c)
             poss.append(bisect_left(cols[c], floor[c]))
         else:
             found += 1
             yield path[:]
-            unchoose()
             if cap is not None and found >= cap:
                 return
+            # item 0's column, past its end: the loop below backtracks
+            frames.append(0)
+            poss.append(len(cols[0]))
         while True:
             c = frames[-1]
             col = cols[c]
@@ -172,9 +196,20 @@ def _search(inst: CoverInstance, budget: _Budget, cap: Optional[int],
             poss.pop()
             if not frames:
                 return
-            unchoose()
-            if cap is not None and found >= cap:
-                return
+            # undo the choice that led to the exhausted frame
+            floor[frames[-1]] = saved.pop()
+            mark = marks.pop()
+            for k in killed[mark:]:
+                dead[k] = 0
+                for i in rows[k]:
+                    size[i] += 1
+            del killed[mark:]
+            for i in rows[path.pop()]:
+                if not left[i]:
+                    size[i] -= big
+                    if i < npri:
+                        unmet += 1
+                left[i] += 1
         opt = col[pos]
         poss[-1] = pos + 1
         spend()
@@ -186,6 +221,8 @@ def _search(inst: CoverInstance, budget: _Budget, cap: Optional[int],
             left[j] -= 1
             if not left[j]:
                 size[j] += big
+                if j < npri:
+                    unmet -= 1
                 for k in cols[j]:
                     if not dead[k]:
                         dead[k] = 1
@@ -271,22 +308,3 @@ def solve_cover(demand: Iterable, options: Sequence, secondary: Iterable = (),
         return [payloads[k] for k in sol]
     return None
 
-
-def naive_decomposition_count(G: AnyGraph, q: int) -> int:
-    """Subset-enumeration oracle for small instances; test use only."""
-    if isinstance(G, MultiHypergraph):
-        raise ParameterError("naive oracle covers simple targets only")
-    inst = CoverInstance.from_graph(G, q)
-    full = (1 << len(inst.items)) - 1
-    masks = [sum(1 << i for i in row) for row in inst.rows]
-    count = 0
-    for pick in range(1 << len(masks)):
-        got = 0
-        for k, mask in enumerate(masks):
-            if pick >> k & 1:
-                if got & mask:
-                    break
-                got |= mask
-        else:
-            count += got == full
-    return count

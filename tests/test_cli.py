@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -132,6 +133,24 @@ class TestCoverCLI:
             P = read_packing(out_pack)
             assert P.host == Hypergraph.complete(n, 2)
             assert verify_design(P, DesignParams(n, 3, 2, 1))["pass"], n
+
+    def test_packs_match_recorded_digests(self, tmp_path, monkeypatch, capsys):
+        # SHA-256 of the packs that the dict-row, min-pick engine wrote for
+        # these hosts: the same items, rows and column choices give the same
+        # first solution, byte for byte
+        want = {
+            69: "a849266795ae2dab37e6577512f119f720ce1d9a1352e5681d0aad2703cb2c0f",
+            75: "36a92a20d5e5de90da15879074c12ba2919b0e02ad5bb6ca4af708d170bb054a",
+            79: "36ef29dbf91190cf8e982cd9e39f0972d3749f2e2009bd8f805c68e0d93c9bea",
+            99: "e0a50b21c18fbd1091be6d48682664ba179dd44b63b7b3a7cce80c657f318da9",
+        }
+        monkeypatch.chdir(tmp_path)
+        for n, digest in want.items():
+            write_graph(Hypergraph.complete(n, 2), f"k{n}.graph")
+            code, _ = run(capsys, "cover", "solve", f"k{n}.graph", "--out", f"sts{n}.pack")
+            assert code == 0, n
+            with open(f"sts{n}.pack", "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, n
 
     def test_spent_budget_exit_2(self, tmp_path, capsys):
         # K_16 has no STS, so the search runs until the budget is gone

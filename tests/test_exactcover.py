@@ -8,7 +8,7 @@ from absorbkit.errors import BudgetError, ParameterError
 from absorbkit.exactcover import (CoverInstance, _Budget, _search,
                                   count_decompositions, enumerate_decompositions,
                                   find_decomposition, find_two_disjoint_decompositions,
-                                  naive_decomposition_count, solve_cover)
+                                  solve_cover)
 from absorbkit.hypercore import (Decomposition, Hypergraph, MultiHypergraph,
                                  clique_edges, decomposition_valid, enumerate_cliques)
 
@@ -135,6 +135,52 @@ def reference_solve_demand(inst, budget, cap, exclude=frozenset()):
                 return
 
     yield from walk([], {})
+
+
+def naive_decomposition_count(G, q):
+    """Subset-enumeration oracle for small simple targets: every subset of
+    the options is tried, and the pairwise-disjoint ones covering every
+    item are counted."""
+    inst = CoverInstance.from_graph(G, q)
+    full = (1 << len(inst.items)) - 1
+    masks = [sum(1 << i for i in row) for row in inst.rows]
+    count = 0
+    for pick in range(1 << len(masks)):
+        got = 0
+        for k, mask in enumerate(masks):
+            if pick >> k & 1:
+                if got & mask:
+                    break
+                got |= mask
+        else:
+            count += got == full
+    return count
+
+
+def dict_instance(G, q, restrict=None):
+    """The instance `from_graph` built before pair-id tables: each row looks
+    its r-subsets up in an {edge: item id} dict, and the columns come from
+    the rows."""
+    if isinstance(G, MultiHypergraph):
+        items = sorted(G.mult)
+        demand = [G.mult[e] for e in items]
+        simple = G.simple()
+    else:
+        items = list(G.edges)
+        demand = [1] * len(items)
+        simple = G
+    ids = {e: i for i, e in enumerate(items)}
+    if restrict is None:
+        cliques = enumerate_cliques(simple, q)
+        rows = [tuple(ids[e] for e in itertools.combinations(c, G.r)) for c in cliques]
+    else:
+        cliques, rows = [], []
+        for c in sorted({tuple(sorted(c)) for c in restrict}):
+            row = [ids.get(e) for e in itertools.combinations(c, G.r)]
+            if None not in row:
+                cliques.append(c)
+                rows.append(tuple(row))
+    return CoverInstance(items, demand, cliques, rows)
 
 
 def run_reference(G, q, cap, restrict=None, nodes=10 ** 7):
@@ -337,6 +383,24 @@ class TestAgainstReference:
             J = MultiHypergraph(n, 2, dict(mult))
             assert run_engine(J, 3, None) == run_reference(J, 3, None), mult
 
+    @staticmethod
+    def check_cover(primary, secondary, options, exclude, cap):
+        """_search and solve_cover against reference_solve_simple; returns
+        the engine's instance."""
+        ref_inst = (Counter({it: 1 for it in primary}), options, set(secondary))
+        b_ref = _Budget(10 ** 6)
+        want = list(reference_solve_simple(ref_inst, b_ref, cap, exclude))
+        items = primary + secondary
+        ids = {it: i for i, it in enumerate(items)}
+        inst = CoverInstance(items, [1] * len(primary), [k for k, _ in options],
+                             [tuple(ids[it] for it in cov) for _, cov in options])
+        b_new = _Budget(10 ** 6)
+        got = list(_search(inst, b_new, cap, exclude))
+        assert got == want and b_new.left == b_ref.left, (options, exclude, cap)
+        if not exclude:
+            assert solve_cover(primary, options, secondary) == (want[0] if want else None)
+        return inst
+
     def test_solve_cover_with_secondary_and_exclude(self):
         rng = random.Random(3)
         for _ in range(150):
@@ -348,18 +412,66 @@ class TestAgainstReference:
                 cov = rng.sample(items, rng.randint(1, min(3, len(items))))
                 options.append((k, cov))
             exclude = frozenset(k for k, _ in options if rng.random() < 0.2)
-            cap = rng.choice([None, 1, 2])
-            ref_inst = (Counter({it: 1 for it in primary}), options, set(secondary))
-            b_ref = _Budget(10 ** 6)
-            want = list(reference_solve_simple(ref_inst, b_ref, cap, exclude))
-            ids = {it: i for i, it in enumerate(items)}
-            inst = CoverInstance(items, [1] * len(primary), [k for k, _ in options],
-                                 [tuple(ids[it] for it in cov) for _, cov in options])
-            b_new = _Budget(10 ** 6)
-            got = list(_search(inst, b_new, cap, exclude))
-            assert got == want and b_new.left == b_ref.left, (options, exclude, cap)
-            if not exclude:
-                assert solve_cover(primary, options, secondary) == (want[0] if want else None)
+            self.check_cover(primary, secondary, options, exclude,
+                             rng.choice([None, 1, 2]))
+
+    @pytest.mark.parametrize("width", [127, 128, 200])
+    def test_wide_column_with_secondary_and_exclude(self, width):
+        """Item p0 lies on `width` options.  Below 128 every live count fits
+        a byte and the search picks its column by memchr; from 128 on it
+        keeps the counts in a list and picks by min."""
+        rng = random.Random(width)
+        primary = [f"p{i}" for i in range(6)]
+        secondary = ["s0", "s1", "s2"]
+        others = primary[1:] + secondary
+        for _ in range(6):
+            options = [(k, ["p0"] + rng.sample(others, rng.randint(0, 2)))
+                       for k in range(width)]
+            options += [(width + k, rng.sample(others, rng.randint(1, 3)))
+                        for k in range(16)]
+            exclude = frozenset(k for k, _ in options if rng.random() < 0.2)
+            for cap in (None, 1, 3):
+                inst = self.check_cover(primary, secondary, options, exclude, cap)
+                assert len(inst.cols[0]) == width
+            self.check_cover(primary, secondary, options, frozenset(), None)
+        # once f is covered its count reads 128 in bytes, which must not be
+        # taken for w on 128 live options
+        forced = [(0, ["f"])] + [(k, ["w"]) for k in range(1, width + 1)]
+        self.check_cover(["f", "w"], [], forced, frozenset(), None)
+
+    def test_pair_id_rows_match_dict_rows(self):
+        """from_graph gives the items, options, rows and columns of the
+        dict-built instance, and so the same search: on random graphs,
+        restrict lists (with sets off the host, repeated vertices and sets
+        of the wrong size), q = 4 hosts, multigraphs and a 3-graph."""
+        rng = random.Random(13)
+        cases = [(Hypergraph.complete(9, 2), 4, None), (Hypergraph.complete(6, 3), 4, None)]
+        for _ in range(30):
+            n = rng.randint(4, 12)
+            G = random_graph(rng, n)
+            cases.append((G, 3, None))
+            sets = [rng.sample(range(n), 3) for _ in range(2 * n)]
+            sets += [(0, 0, 1), (-1, 0, 1), (0, 1, n + 2), (0, 1), (0, 1, 2, 3)]
+            cases.append((G, 3, sets))
+            G = Hypergraph(n, 2, [e for e in itertools.combinations(range(n), 2)
+                                  if rng.random() < 0.8])
+            cases.append((G, 4, None))
+            cases.append((G, 4, [rng.sample(range(n), 4) for _ in range(2 * n)]))
+            mult = Counter()
+            for _ in range(rng.randint(1, 5)):
+                for e in itertools.combinations(sorted(rng.sample(range(n), 3)), 2):
+                    mult[e] += 1
+            J = MultiHypergraph(n, 2, dict(mult))
+            cases.append((J, 3, None))
+            cases.append((J, 3, sets))
+        for G, q, restrict in cases:
+            got = CoverInstance.from_graph(G, q, restrict)
+            want = dict_instance(G, q, restrict)
+            assert ((got.items, got.demand, got.payloads, got.rows, got.cols)
+                    == (want.items, want.demand, want.payloads, want.rows, want.cols))
+            b_got, b_want = _Budget(10 ** 6), _Budget(10 ** 6)
+            assert list(_search(got, b_got, 50)) == list(_search(want, b_want, 50))
+            assert b_got.left == b_want.left
 
     def test_exclude_on_graph_instances(self):
         rng = random.Random(9)
