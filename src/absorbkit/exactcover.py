@@ -24,10 +24,10 @@ at its first item.  Wider instances take `min` and `index` on the list.
 Options are tried in construction order, so identical instances give
 identical first solutions.
 
-Graph hosts (r = 2, multigraphs too) build their rows from a pair-id
-table, pid[a][b] = the item id of edge ab, not from tuple keys; the items,
-rows and columns are those of the {edge: id} lookup that hosts with r >= 3
-keep.
+Triangle instances (r = 2 and q = 3 over every triangle of the host,
+multigraphs too) build their rows from a pair-id table, pid[a][b] = the
+item id of edge ab, not from tuple keys; the items, rows and columns are
+those of the {edge: id} lookup that every other instance keeps.
 """
 from __future__ import annotations
 
@@ -63,23 +63,20 @@ class CoverInstance:
     The first len(demand) items are primary: item i must be covered exactly
     demand[i] times.  The rest are secondary: covered at most once.  Option
     k reports payloads[k] in a solution and covers the items rows[k];
-    cols[i] lists the options covering item i in ascending order, built
-    from the rows unless the caller passes them.
+    cols[i] lists the options covering item i in ascending order.
     """
 
     __slots__ = ("items", "demand", "payloads", "rows", "cols")
 
-    def __init__(self, items: list, demand: list, payloads: list, rows: list,
-                 cols: Optional[list] = None):
+    def __init__(self, items: list, demand: list, payloads: list, rows: list):
         self.items = items
         self.demand = demand
         self.payloads = payloads
         self.rows = rows
-        if cols is None:
-            cols = [[] for _ in items]
-            for k, row in enumerate(rows):
-                for i in row:
-                    cols[i].append(k)
+        cols: list = [[] for _ in items]
+        for k, row in enumerate(rows):
+            for i in row:
+                cols[i].append(k)
         self.cols = cols
 
     @classmethod
@@ -102,20 +99,12 @@ class CoverInstance:
         else:
             cliques = [c for c in sorted({tuple(sorted(c)) for c in restrict})
                        if all(e in simple.edges for e in combinations(c, r))]
-        if r == 2:
+        if r == 2 and q == 3 and restrict is None:
             # pair-id table: pid[a][b] is the item id of the edge (a, b)
             pid: list = [{} for _ in range(G.n)]
             for i, (a, b) in enumerate(items):
                 pid[a][b] = i
-            if q == 3 and restrict is None:
-                rows = [(pid[a][b], pid[a][c], pid[b][c]) for a, b, c in cliques]
-                cols: list = [[] for _ in items]
-                for k, (x, y, z) in enumerate(rows):
-                    cols[x].append(k)
-                    cols[y].append(k)
-                    cols[z].append(k)
-                return cls(items, demand, cliques, rows, cols)
-            rows = [tuple([pid[a][b] for a, b in combinations(c, 2)]) for c in cliques]
+            rows = [(pid[a][b], pid[a][c], pid[b][c]) for a, b, c in cliques]
         else:
             ids = {e: i for i, e in enumerate(items)}
             rows = [tuple([ids[e] for e in combinations(c, r)]) for c in cliques]

@@ -441,9 +441,10 @@ class TestAgainstReference:
 
     def test_pair_id_rows_match_dict_rows(self):
         """from_graph gives the items, options, rows and columns of the
-        dict-built instance, and so the same search: on random graphs,
-        restrict lists (with sets off the host, repeated vertices and sets
-        of the wrong size), q = 4 hosts, multigraphs and a 3-graph."""
+        dict-built instance, and so the same search: on random graphs and
+        multigraphs with q = 3 (the pair-id table), and on restrict lists
+        (with sets off the host, repeated vertices and sets of the wrong
+        size), q = 4 hosts and a 3-graph."""
         rng = random.Random(13)
         cases = [(Hypergraph.complete(9, 2), 4, None), (Hypergraph.complete(6, 3), 4, None)]
         for _ in range(30):
