@@ -37,7 +37,10 @@ EXIT_PARAMETER = 3
 
 
 def _parse_ids(text: str) -> tuple:
-    return tuple(int(t) for t in text.replace(",", " ").split())
+    try:
+        return tuple(int(t) for t in text.replace(",", " ").split())
+    except ValueError:
+        raise ParameterError(f"expected integer vertex ids, got {text!r}") from None
 
 
 def _need(value, message: str) -> None:
@@ -224,18 +227,21 @@ def cmd_embed(args) -> int:
     J = None
     H_family, gadgets = [], []
     with open(args.system) as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             toks = line.split()
             if not toks:
                 continue
-            if toks[0] == "base":
+            if toks[0] == "base" and len(toks) == 2:
                 J = read_graph(os.path.join(base_dir, toks[1]))
-            elif toks[0] == "gadget":
+            elif toks[0] == "gadget" and len(toks) == 4:
                 W = read_graph(os.path.join(base_dir, toks[1]))
                 H = read_graph(os.path.join(base_dir, toks[2]))
                 roots = _parse_ids(toks[3])
                 H_family.append(H.simple())
                 gadgets.append(RootedGadget(W=W.simple(), roots=roots))
+            else:
+                raise ParseError(line_no, "expected 'base <graph>' or "
+                                 f"'gadget <W> <H> <roots>', got {line.strip()!r}")
     if J is None:
         raise ParameterError("system manifest needs a 'base <graph>' line")
     J = J.multi() if isinstance(J, Hypergraph) else J

@@ -11,19 +11,20 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
-from .errors import CapacityError, ParameterError
+from .errors import ParameterError
 from .exactcover import _Budget
 from .gadgets import RootedGadget, is_edge_intersecting
 from .hypercore import (Hypergraph, MultiHypergraph, max_level_degree)
 
-COUNT_FRESH_CAP = 6
 # placements the exhaustive fallback may try in one embed_system call,
 # about a second of search; a hopeless search (a root already over the
 # degree budget) otherwise enumerates every injective assignment
 DFS_BUDGET = 10 ** 5
+SAMPLES_PER_GADGET = 200   # uniform draws per gadget before the fallback
+RESTARTS = 20              # passes over all gadgets before embed_system gives up
 
 
 @dataclass
@@ -38,7 +39,6 @@ class SupergraphSystem:
     J: MultiHypergraph
     H_family: List[Hypergraph]
     gadgets: List[RootedGadget]
-    C: Optional[int] = None
 
     def __post_init__(self):
         if len(self.H_family) != len(self.gadgets):
@@ -56,63 +56,12 @@ class SupergraphSystem:
             for e in W.W.edges:
                 if set(e) <= rs:
                     raise ParameterError(f"gadget edge {e!r} lies inside its roots")
-            if self.C is not None:
-                if max(W.W.m, len(rs | fresh)) > self.C:
-                    raise ParameterError("system is not C-bounded")
 
 
 @dataclass
 class Embedding:
     phi: Dict[int, int]
     image: Hypergraph
-    per_gadget: List[List[tuple]] = field(repr=False, default_factory=list)
-
-
-def check_refined_family(H_family: Sequence[Hypergraph], J: MultiHypergraph, C: int) -> bool:
-    """True iff every edge of J lies in at most C family members."""
-    counts: Counter = Counter()
-    for H in H_family:
-        for e in H.edges:
-            counts[e] += 1
-    return all(v <= C for v in counts.values())
-
-
-def count_rooted_embeddings(W: RootedGadget, G: Hypergraph,
-                            forbidden: frozenset = frozenset(),
-                            cap: Optional[int] = None) -> int:
-    """Exact number of root-fixing embeddings of W into G avoiding the
-    forbidden edges; stops at cap when given."""
-    fresh = W.fresh_vertices()
-    if len(fresh) > COUNT_FRESH_CAP:
-        raise CapacityError(f"{len(fresh)} fresh vertices exceeds the cap {COUNT_FRESH_CAP}")
-    forbidden = frozenset(tuple(sorted(e)) for e in forbidden)
-    roots = set(W.roots)
-    hosts = [v for v in range(G.n) if v not in roots]
-    edges = [tuple(e) for e in W.W.edges]
-    for e in edges:
-        if set(e) <= roots and (tuple(sorted(e)) not in G.edges
-                                or tuple(sorted(e)) in forbidden):
-            return 0
-    count = 0
-
-    def rec(i: int, phi: dict, used: set):
-        nonlocal count
-        if cap is not None and count >= cap:
-            return
-        if i == len(fresh):
-            count += 1
-            return
-        v = fresh[i]
-        for h in hosts:
-            if h in used:
-                continue
-            phi[v] = h
-            if _edges_ok_partial(edges, phi, roots, G, forbidden, v):
-                rec(i + 1, phi, used | {h})
-            del phi[v]
-
-    rec(0, {}, set())
-    return count if cap is None else min(count, cap)
 
 
 def _edges_ok_partial(edges, phi, roots, G, forbidden, just_set) -> bool:
@@ -127,8 +76,7 @@ def _edges_ok_partial(edges, phi, roots, G, forbidden, just_set) -> bool:
 
 
 def embed_system(sys: SupergraphSystem, G: Hypergraph,
-                 degree_budget: Optional[int] = None, seed: int = 0,
-                 samples_per_gadget: int = 200, restarts: int = 20
+                 degree_budget: Optional[int] = None, seed: int = 0
                  ) -> Optional[Embedding]:
     """Embed all gadgets into G, images pairwise edge-disjoint, avoiding
     E(J) \\ E(H) per gadget, with Delta_{r-1} of the union within budget.
@@ -149,7 +97,7 @@ def embed_system(sys: SupergraphSystem, G: Hypergraph,
     j_edges = set(J.mult)
     nodes = _Budget(DFS_BUDGET, "embedding DFS")
 
-    for _ in range(restarts):
+    for _ in range(RESTARTS):
         order = list(range(len(sys.gadgets)))
         rng.shuffle(order)
         phi: Dict[int, int] = {v: v for v in range(J.n)}
@@ -161,8 +109,7 @@ def embed_system(sys: SupergraphSystem, G: Hypergraph,
             W = sys.gadgets[idx]
             own = set(sys.H_family[idx].edges)
             avoid = (j_edges - own) | used_edges
-            assign = _embed_one(W, G, avoid, deg, degree_budget, rng,
-                                samples_per_gadget, nodes)
+            assign = _embed_one(W, G, avoid, deg, degree_budget, rng, nodes)
             if assign is None:
                 ok_all = False
                 break
@@ -179,13 +126,12 @@ def embed_system(sys: SupergraphSystem, G: Hypergraph,
             continue
         image = Hypergraph(G.n, r, used_edges)
         _verify_embedding(sys, G, per_gadget, image, degree_budget)
-        return Embedding(phi=phi, image=image,
-                         per_gadget=[per_gadget[i] for i in range(len(sys.gadgets))])
+        return Embedding(phi=phi, image=image)
     return None
 
 
 def _embed_one(W: RootedGadget, G: Hypergraph, avoid: set, deg: Counter,
-               budget: int, rng: random.Random, samples: int, nodes: _Budget):
+               budget: int, rng: random.Random, nodes: _Budget):
     """One gadget: uniform rejection sampling, then exhaustive fallback in a
     seed-shuffled order so 'no valid embedding' is certain; each placement
     the fallback tries spends one of `nodes`."""
@@ -209,7 +155,7 @@ def _embed_one(W: RootedGadget, G: Hypergraph, avoid: set, deg: Counter,
                     return False
         return True
 
-    for _ in range(samples):
+    for _ in range(SAMPLES_PER_GADGET):
         pick = rng.sample(hosts, len(fresh))
         assign = dict(zip(fresh, pick))
         if valid(assign):

@@ -24,10 +24,10 @@ at its first item.  Wider instances take `min` and `index` on the list.
 Options are tried in construction order, so identical instances give
 identical first solutions.
 
-Triangle instances (r = 2 and q = 3 over every triangle of the host,
-multigraphs too) build their rows from a pair-id table, pid[a][b] = the
-item id of edge ab, not from tuple keys; the items, rows and columns are
-those of the {edge: id} lookup that every other instance keeps.
+Triangle instances (r = 2 and q = 3, multigraphs too) build their rows
+from a pair-id table, pid[a][b] = the item id of edge ab, not from tuple
+keys; the items, rows and columns are those of the {edge: id} lookup that
+every other instance keeps.
 """
 from __future__ import annotations
 
@@ -80,7 +80,7 @@ class CoverInstance:
         self.cols = cols
 
     @classmethod
-    def from_graph(cls, G: AnyGraph, q: int, restrict: Optional[Iterable] = None) -> "CoverInstance":
+    def from_graph(cls, G: AnyGraph, q: int) -> "CoverInstance":
         if q <= G.r:
             raise ParameterError(f"need q > r, got q={q}, r={G.r}")
         if isinstance(G, MultiHypergraph):
@@ -93,13 +93,9 @@ class CoverInstance:
             demand = [1] * len(items)
             simple = G
         r = G.r
-        if restrict is None:
-            # every clique of the support has all its r-subsets among the items
-            cliques = enumerate_cliques(simple, q)
-        else:
-            cliques = [c for c in sorted({tuple(sorted(c)) for c in restrict})
-                       if all(e in simple.edges for e in combinations(c, r))]
-        if r == 2 and q == 3 and restrict is None:
+        # every clique of the support has all its r-subsets among the items
+        cliques = enumerate_cliques(simple, q)
+        if r == 2 and q == 3:
             # pair-id table: pid[a][b] is the item id of the edge (a, b)
             pid: list = [{} for _ in range(G.n)]
             for i, (a, b) in enumerate(items):
@@ -220,17 +216,17 @@ def _search(inst: CoverInstance, budget: _Budget, cap: Optional[int],
                             size[i] -= 1
 
 
-def _solutions(G: AnyGraph, q: int, restrict, budget_nodes: int, cap: Optional[int]):
-    inst = CoverInstance.from_graph(G, q, restrict)
+def _solutions(G: AnyGraph, q: int, budget_nodes: int, cap: Optional[int]):
+    inst = CoverInstance.from_graph(G, q)
     payloads = inst.payloads
     for sol in _search(inst, _Budget(budget_nodes), cap):
         yield [payloads[k] for k in sol]
 
 
-def find_decomposition(G: AnyGraph, q: int, restrict: Optional[Iterable] = None,
-                       budget: int = DEFAULT_BUDGET) -> Optional[Decomposition]:
+def find_decomposition(G: AnyGraph, q: int, budget: int = DEFAULT_BUDGET
+                       ) -> Optional[Decomposition]:
     """First decomposition in search order, or None after a full search."""
-    for sol in _solutions(G, q, restrict, budget, cap=1):
+    for sol in _solutions(G, q, budget, cap=1):
         return Decomposition(G, sol, q)
     return None
 
@@ -242,7 +238,7 @@ def count_decompositions(G: AnyGraph, q: int, cap: int = 10 ** 6,
     if cap < 1:
         raise ParameterError(f"cap must be at least 1, got {cap}")
     n = 0
-    for _ in _solutions(G, q, None, budget, cap=cap):
+    for _ in _solutions(G, q, budget, cap=cap):
         n += 1
     return n, n >= cap
 
@@ -253,7 +249,7 @@ def enumerate_decompositions(G: AnyGraph, q: int, cap: Optional[int] = None,
     1: ParameterError)."""
     if cap is not None and cap < 1:
         raise ParameterError(f"cap must be at least 1, got {cap}")
-    return [sorted(sol) for sol in _solutions(G, q, None, budget, cap=cap)]
+    return [sorted(sol) for sol in _solutions(G, q, budget, cap=cap)]
 
 
 def find_two_disjoint_decompositions(G: AnyGraph, q: int, budget: int = DEFAULT_BUDGET

@@ -24,6 +24,7 @@ from .errors import CapacityError, ParameterError
 from .hypercore import AnyGraph, Hypergraph, clique_edges, enumerate_cliques
 
 VARIABLE_CAP = 20000
+FM_CLIQUE_CAP = 12   # fm_feasible tries every subset of its columns
 
 
 @dataclass
@@ -64,7 +65,6 @@ class BoostFamily:
     c_hat: float
     gamma_hat: float
     clamped: int
-    seed: int
 
 
 def _phase1(rows: List[List[Fraction]], b: List[Fraction], n_struct: int) -> tuple:
@@ -167,14 +167,12 @@ def _phase1(rows: List[List[Fraction]], b: List[Fraction], n_struct: int) -> tup
 
 
 def solve_fractional(G: AnyGraph, q: int,
-                     weight_cap: Optional[Union[Fraction, int, str]] = None,
-                     restrict: Optional[Sequence[tuple]] = None) -> SimplexOutcome:
+                     weight_cap: Optional[Union[Fraction, int, str]] = None) -> SimplexOutcome:
     """Full-output LP solve; `fractional_decomposition` is the thin wrapper."""
     host = G.simple()
     if q <= host.r:
         raise ParameterError(f"need q > r, got q={q}, r={host.r}")
-    cliques = list(restrict) if restrict is not None else enumerate_cliques(host, q)
-    cliques = sorted(tuple(sorted(c)) for c in cliques)
+    cliques = sorted(tuple(sorted(c)) for c in enumerate_cliques(host, q))
     if len(cliques) > VARIABLE_CAP:
         raise CapacityError(f"{len(cliques)} cliques exceeds the solver cap {VARIABLE_CAP}")
     cap = Fraction(weight_cap) if weight_cap is not None else None
@@ -225,15 +223,7 @@ def fractional_decomposition(G: AnyGraph, q: int,
     return out.weighting if out.feasible else None
 
 
-def low_weight_check(psi: FractionalWeighting, C: Union[int, Fraction]) -> bool:
-    """Every positive weight is at most C / n^(q-2)."""
-    n = psi.host.n
-    cap = Fraction(C) / (n ** (psi.q - 2))
-    return all(w <= cap for w in psi.psi.values())
-
-
-def fm_feasible(G: Hypergraph, q: int, restrict: Optional[Sequence[tuple]] = None,
-                clique_cap: int = 12) -> bool:
+def fm_feasible(G: Hypergraph, q: int) -> bool:
     """Independent feasibility oracle for {M psi = 1, psi >= 0}.
 
     Vertex-enumeration style: by Caratheodory the system is feasible iff
@@ -241,10 +231,9 @@ def fm_feasible(G: Hypergraph, q: int, restrict: Optional[Sequence[tuple]] = Non
     solution, so all column subsets are tried with rational elimination.
     Small instances only.
     """
-    cliques = list(restrict) if restrict is not None else enumerate_cliques(G, q)
-    cliques = sorted(tuple(sorted(c)) for c in cliques)
-    if len(cliques) > clique_cap:
-        raise CapacityError(f"{len(cliques)} cliques exceeds the oracle cap {clique_cap}")
+    cliques = sorted(tuple(sorted(c)) for c in enumerate_cliques(G, q))
+    if len(cliques) > FM_CLIQUE_CAP:
+        raise CapacityError(f"{len(cliques)} cliques exceeds the oracle cap {FM_CLIQUE_CAP}")
     edges = sorted(G.edges)
     if not edges:
         return True
@@ -319,7 +308,7 @@ def boost_sample(psi: FractionalWeighting, multiplier: Optional[Fraction] = None
     else:
         c_hat = gamma_hat = 0.0
     return BoostFamily(cliques=chosen, edge_counts=counts, c_hat=c_hat,
-                       gamma_hat=gamma_hat, clamped=clamped, seed=seed)
+                       gamma_hat=gamma_hat, clamped=clamped)
 
 
 def inheritance_stats(G: Hypergraph, s: int, m: int, M: Sequence[int],

@@ -1,4 +1,4 @@
-"""Gadget zoo: anti-edges, fake-edges, boosters, absorbers, girth analyzers.
+"""Gadget zoo: anti-edges, fake-edges, boosters and absorbers.
 
 Fresh vertices come from a monotone counter per construction, so every
 gadget is canonical up to its starting offset and tests are deterministic.
@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from math import comb, inf
 from typing import Dict, Iterable, Optional, Sequence
 
 from .divide import is_divisible
@@ -152,6 +151,27 @@ def is_edge_intersecting(W: RootedGadget, L: Hypergraph) -> bool:
         if not any(t.issubset(f) for f in L.edges):
             return False
     return True
+
+
+def rooted_degeneracy(W: RootedGadget) -> int:
+    """Minimal d such that peeling non-root vertices of degree <= d empties
+    the gadget; 2-uniform only."""
+    if W.W.r != 2:
+        raise ParameterError("rooted degeneracy is defined for 2-uniform gadgets")
+    roots = set(W.roots)
+    adj: dict = defaultdict(set)
+    for a, b in W.W.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    alive = set(adj) | roots
+    removable = {v for v in alive if v not in roots}
+    d = 0
+    while removable:
+        v = min(removable, key=lambda u: (len(adj[u] & alive), u))
+        d = max(d, len(adj[v] & alive))
+        alive.discard(v)
+        removable.discard(v)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -489,109 +509,3 @@ def search_absorber(L: Hypergraph, q: int, base: Optional[int] = None,
             return _certify(L, base + n_fresh, A_edges, pos, neg, q)
     raise CapacityError(f"no absorber within {max_fresh} fresh vertices "
                         f"({nodes.limit - nodes.left} search nodes)")
-
-
-# ---------------------------------------------------------------------------
-# orthogonal (layered) boosters
-# ---------------------------------------------------------------------------
-
-def orthogonal_booster(root: Sequence[int] = (0, 1, 2), base: Optional[int] = None) -> Booster:
-    """Chain of lift boosters layered until the final on-clique ("mirror")
-    shares no vertex with the root; at most binom(q, r) layers, each layer
-    re-verified.  q = 3 only."""
-    root = tuple(sorted(root))
-    if len(root) != 3:
-        raise ParameterError("orthogonal boosters are built for q = 3")
-    if base is None:
-        base = max(root) + 1
-    cap = comb(3, 2)
-    edges: set = set()
-    on: list = []
-    off: list = []
-    cur_root = root          # roles (a, b, u) of the current layer
-    original = set(root)
-    nxt = base
-    for layer in range(cap):
-        a, b, u = cur_root
-        c, d, v = nxt, nxt + 1, nxt + 2
-        nxt += 3
-        layer_edges, layer_on, layer_off = _rooted_q3(a, b, u, c, d, v)
-        mirror = tuple(sorted((a, b, v)))
-        root_clique = tuple(sorted((a, b, u)))
-        if layer == 0:
-            edges.update(layer_edges)
-            off.append(root_clique)
-            off.extend(Q for Q in layer_off if Q != root_clique)
-            on.extend(Q for Q in layer_on if Q != mirror)
-        else:
-            mirror_edges = {tuple(sorted(p)) for p in itertools.combinations(root_clique, 2)}
-            edges.update(e for e in layer_edges if e not in mirror_edges)
-            off.extend(Q for Q in layer_off if Q != root_clique)
-            on.extend(Q for Q in layer_on if Q != mirror)
-        if not (set(mirror) & original):
-            on.append(mirror)
-            B = Hypergraph(nxt, 2, edges)
-            return Booster(B=B, B_on=Decomposition(B, on),
-                           B_off=Decomposition(B, off))
-        # next layer roots: drop one original vertex into the u slot
-        drop = max(set(mirror) & original)
-        keep = sorted(set(mirror) - {drop})
-        cur_root = (keep[0], keep[1], drop)
-    raise ConstructionError("mirror still meets the root after the layer cap")
-
-
-# ---------------------------------------------------------------------------
-# girth analyzers
-# ---------------------------------------------------------------------------
-
-def rooted_girth(P: Iterable[Sequence[int]], S: Iterable[int], q: int, r: int,
-                 cap: int = 20):
-    """Smallest g with a g-subset B' of P spanning < (q-r)*g vertices outside
-    S; inf if none.  Brute force over subsets, pruned by the monotone growth
-    of the spanned set."""
-    cliques = [tuple(sorted(c)) for c in P]
-    if not cliques:
-        raise ParameterError("rooted girth needs a nonempty packing")
-    if len(cliques) > cap:
-        raise CapacityError(f"|P| = {len(cliques)} exceeds the exhaustive cap {cap}")
-    S = set(S)
-    best = inf
-    total = len(cliques)
-
-    def rec(start: int, chosen: int, outside: frozenset):
-        nonlocal best
-        if chosen >= 1 and len(outside) < (q - r) * chosen:
-            best = min(best, chosen)
-            return
-        if chosen + 1 >= best:
-            return
-        # outside only grows, so it must already fit under the best-1 bound
-        if best is not inf and len(outside) >= (q - r) * (best - 1):
-            return
-        for i in range(start, total):
-            extra = outside | frozenset(v for v in cliques[i] if v not in S)
-            rec(i + 1, chosen + 1, extra)
-
-    rec(0, 0, frozenset())
-    return best
-
-
-def rooted_degeneracy(W: RootedGadget) -> int:
-    """Minimal d such that peeling non-root vertices of degree <= d empties
-    the gadget; 2-uniform only."""
-    if W.W.r != 2:
-        raise ParameterError("rooted degeneracy is defined for 2-uniform gadgets")
-    roots = set(W.roots)
-    adj: dict = defaultdict(set)
-    for a, b in W.W.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    alive = set(adj) | roots
-    removable = {v for v in alive if v not in roots}
-    d = 0
-    while removable:
-        v = min(removable, key=lambda u: (len(adj[u] & alive), u))
-        d = max(d, len(adj[v] & alive))
-        alive.discard(v)
-        removable.discard(v)
-    return d

@@ -36,12 +36,11 @@ from .hypercore import (Hypergraph, Packing, clique_edges, enumerate_cliques,
 @dataclass
 class NibbleParams:
     """Engine knobs: the bite fraction (1 is plain random greedy), the RNG
-    seed, a cap on bite rounds, and an optional clique pool that replaces
-    the host's own clique enumeration."""
+    seed, and an optional clique pool that replaces the host's own clique
+    enumeration."""
 
     bite: float = 1.0
     seed: int = 0
-    max_rounds: int = 10 ** 6
     clique_source: Optional[List[tuple]] = None
 
     def __post_init__(self):
@@ -52,10 +51,8 @@ class NibbleParams:
 @dataclass
 class ReserveSet:
     X: Hypergraph
-    p: float
     counts: Dict[tuple, int]
     flags: Dict[str, object]
-    host: Hypergraph
 
 
 def _clique_pool(G: Hypergraph, q: int, params: NibbleParams) -> List[tuple]:
@@ -127,17 +124,16 @@ def random_greedy_pack(G: Hypergraph, q: int,
         rng.shuffle(order)
         chosen = _sweep(order, masks, kbits, bit, r, True)
     else:
+        # every round takes its first sampled clique, so live shrinks
         chosen = []
-        rounds = 0
         live = pool[:]
-        while live and rounds < params.max_rounds:
+        while live:
             remaining = G.m - len(chosen) * per_clique
             k = max(1, math.ceil(params.bite * remaining / per_clique))
             bite = rng.sample(live, min(k, len(live)))
             rng.shuffle(bite)
             chosen += _sweep(bite, masks, kbits, bit, r, True)
             live = _sweep(live, masks, kbits, bit, r, False)
-            rounds += 1
     packing = Packing(G, chosen, q)
     # edge e is uncovered iff the mask of its key e - e[-1] still has e[-1]
     leftover = Hypergraph(G.n, r, [
@@ -147,16 +143,13 @@ def random_greedy_pack(G: Hypergraph, q: int,
     return packing, leftover
 
 
-def generate_reserves(n: int, q: int, r: int, p: float, seed: int = 0,
-                      host: Optional[Hypergraph] = None) -> ReserveSet:
-    """Sample each host edge into X independently with probability p and
-    count, exactly, the reserve cliques available to every remaining edge."""
+def generate_reserves(n: int, q: int, r: int, p: float, seed: int = 0) -> ReserveSet:
+    """Sample each edge of the complete r-graph on n vertices into X
+    independently with probability p and count, exactly, the reserve
+    cliques available to every remaining edge."""
     if not (0 <= p < 1):
         raise ParameterError(f"p must lie in [0, 1), got {p}")
-    if host is None:
-        host = Hypergraph.complete(n, r)
-    if host.n != n or host.r != r:
-        raise ParameterError("host does not match (n, r)")
+    host = Hypergraph.complete(n, r)
     rng = random.Random(seed)
     x_edges = {e for e in sorted(host.edges) if rng.random() < p}
     X = Hypergraph(n, r, x_edges)
@@ -190,7 +183,7 @@ def generate_reserves(n: int, q: int, r: int, p: float, seed: int = 0,
         thr_mindeg = p ** (comb(q, 2) - 1) / (q + 1) ** q * comb(n, q - 2)
         flags["count_ok_high_min_degree"] = mn >= thr_mindeg
         flags["count_threshold_high_min_degree"] = thr_mindeg
-    return ReserveSet(X=X, p=p, counts=counts, flags=flags, host=host)
+    return ReserveSet(X=X, counts=counts, flags=flags)
 
 
 def reserve_candidates(e: tuple, G: Hypergraph, X_avail: set, q: int) -> List[tuple]:
@@ -353,6 +346,7 @@ def complete_with_reserves(G: Hypergraph, X: Hypergraph, partial: Packing,
 # ---------------------------------------------------------------------------
 
 CONFIG_I_CAP = 6
+WITNESS_CAP = 10   # configurations kept as witnesses by `configurations`
 
 
 def _index_clique(idx: int, c: tuple, by_vertex: dict, by_pair: dict) -> None:
@@ -416,15 +410,15 @@ def _config_dfs(cliques: Sequence[tuple], by_vertex: dict, by_pair: dict,
 
 
 def configurations(P: Sequence[Sequence[int]], i: int, j: int,
-                   witness_cap: int = 10, stop_at: Optional[int] = None) -> Tuple[int, List[tuple]]:
+                   stop_at: Optional[int] = None) -> Tuple[int, List[tuple]]:
     """Exact count of i-subsets of P spanning at most j vertices (at most
-    `stop_at` of them), plus witnesses up to a cap."""
+    `stop_at` of them), plus the first WITNESS_CAP of them."""
     cliques = [tuple(sorted(c)) for c in (P.cliques if isinstance(P, Packing) else P)]
     count = 0
     witnesses: List[tuple] = []
     for ts in itertools.islice(_config_dfs(cliques, *_clique_index(cliques), i, j), stop_at):
         count += 1
-        if len(witnesses) < witness_cap:
+        if len(witnesses) < WITNESS_CAP:
             witnesses.append(tuple(cliques[t] for t in ts))
     return count, witnesses
 
@@ -575,10 +569,12 @@ def high_girth_pack(G: Hypergraph, q: int, g: int,
 # spread estimation
 # ---------------------------------------------------------------------------
 
+SUBSETS_PER_SAMPLE = 20   # random s-subsets drawn per sample when s > 1
+
 def spread_estimate(sampler: Callable[[int], Sequence[tuple]], sizes: Sequence[int],
                     trials: int, seed: int = 0,
-                    exact_decompositions: Optional[Sequence[Sequence[tuple]]] = None,
-                    subsets_per_sample: int = 20) -> Dict[int, dict]:
+                    exact_decompositions: Optional[Sequence[Sequence[tuple]]] = None
+                    ) -> Dict[int, dict]:
     """Estimate the spread exponent: for each requested packing size s,
     sigma-hat = max over observed s-packings S of Prob[S in H]^(1/s).
 
@@ -628,7 +624,7 @@ def spread_estimate(sampler: Callable[[int], Sequence[tuple]], sizes: Sequence[i
             if s == 1:
                 cand.update((c,) for c in ds)
             else:
-                for _ in range(subsets_per_sample):
+                for _ in range(SUBSETS_PER_SAMPLE):
                     cand.add(tuple(sorted(rng.sample(ds, s))))
         best, best_S = -1.0, None
         for S in sorted(cand):

@@ -238,8 +238,12 @@ def read_certificate(certdir: str) -> OmniAbsorberCertificate:
             if "=" in line:
                 k, v = line.strip().split("=", 1)
                 manifest[k] = v
-    q = int(manifest["q"])
-    kind = manifest["kind"]
+    try:
+        q, kind = int(manifest["q"]), manifest["kind"]
+        with open(os.path.join(certdir, "family.txt")) as fh:
+            fam = tuple(sorted(tuple(int(t) for t in line.split()) for line in fh if line.strip()))
+    except (KeyError, ValueError) as exc:
+        raise ParameterError(f"malformed certificate {certdir!r}: {exc!r}") from None
     X = read_graph(os.path.join(certdir, "X.graph"))
     if kind == "1d":
         cert = omni_1d(X, q)
@@ -251,8 +255,6 @@ def read_certificate(certdir: str) -> OmniAbsorberCertificate:
     A_stored = read_graph(os.path.join(certdir, "A.graph"))
     if A_stored != cert.A:
         raise ConstructionError("stored A does not match the reconstruction")
-    with open(os.path.join(certdir, "family.txt")) as fh:
-        fam = tuple(sorted(tuple(int(t) for t in line.split()) for line in fh if line.strip()))
     if fam != cert.family:
         raise ConstructionError("stored family does not match the reconstruction")
     return cert

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
@@ -35,6 +36,7 @@ def run(capsys, *argv):
     ["nibble", "complete"],
     ["nibble", "complete", "--graph", "g.graph"],
     ["nibble", "girth"],
+    ["gadget", "anti", "--edge", "0,x"],  # a non-integer vertex id
 ])
 def test_missing_or_malformed_arguments_exit_3(argv, capsys):
     assert main(argv) == 3
@@ -353,3 +355,109 @@ class TestPipelineCLI:
         assert code == 0
         code, out = run(capsys, "verify", pack, "--json")
         assert code == 0 and '"pass": true' in out
+
+
+class TestMalformedInputExit3:
+    """Malformed input exits 3 with an error line, never a traceback."""
+
+    def check(self, capsys, argv):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def embed_files(self, tmp_path):
+        from absorbkit.gadgets import anti_edge
+        write_graph(Hypergraph(2, 2, [(0, 1)]), str(tmp_path / "J.graph"))
+        write_graph(Hypergraph(2, 2, [(0, 1)]), str(tmp_path / "H.graph"))
+        write_graph(anti_edge((0, 1), 3, base=2).W, str(tmp_path / "W.graph"))
+        write_graph(Hypergraph.complete(6, 2), str(tmp_path / "host.graph"))
+
+    def test_non_integer_members(self, tmp_path, capsys):
+        g = str(tmp_path / "k8.graph")
+        write_graph(Hypergraph.complete(8, 2), g)
+        self.check(capsys, ["lp", "inherit", g, "--s", "5", "--members", "0,y"])
+
+    @pytest.mark.parametrize("text", [
+        "base\ngadget W.graph H.graph 0,1\n",           # base with no path
+        "base J.graph\ngadget W.graph H.graph\n",       # gadget without roots
+        "base J.graph\ngadget W.graph H.graph 0,z\n",   # non-integer root
+        "base J.graph\nbogus W.graph\n",                # unknown directive
+    ])
+    def test_embed_manifest(self, tmp_path, capsys, text):
+        self.embed_files(tmp_path)
+        (tmp_path / "system.manifest").write_text(text)
+        self.check(capsys, ["embed", "--system", str(tmp_path / "system.manifest"),
+                            "--host", str(tmp_path / "host.graph")])
+
+    @pytest.mark.parametrize("old, new", [
+        ("q=3\n", ""),          # no q
+        ("q=3\n", "q=x\n"),     # a non-integer q
+    ])
+    def test_certificate_manifest(self, tmp_path, capsys, old, new):
+        cert = tmp_path / "cert"
+        assert main(["omni", "build-1d", "--m", "6", "--q", "3", "--out", str(cert)]) == 0
+        manifest = cert / "manifest"
+        manifest.write_text(manifest.read_text().replace(old, new))
+        self.check(capsys, ["omni", "verify", str(cert)])
+
+    def test_certificate_family(self, tmp_path, capsys):
+        cert = tmp_path / "cert"
+        assert main(["omni", "build-1d", "--m", "6", "--q", "3", "--out", str(cert)]) == 0
+        (cert / "family.txt").write_text("0 1 w\n")
+        self.check(capsys, ["omni", "verify", str(cert)])
+
+
+def mutate(text, rng):
+    """One seeded corruption of a text file: drop, duplicate or truncate a
+    line, or replace one token with a non-integer or an out-of-range id."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    how = rng.randrange(4)
+    if how == 0:
+        del lines[i]
+    elif how == 1:
+        lines.insert(i, lines[i])
+    elif how == 2:
+        lines[i] = lines[i][:rng.randrange(len(lines[i]) + 1)]
+    else:
+        toks = lines[i].split() or [""]
+        toks[rng.randrange(len(toks))] = rng.choice(["x", "-1", "8", "99", "1.5", "0,q"])
+        lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def test_fuzzed_input_files_end_in_an_exit_code(tmp_path, capsys):
+    """Seeded corruptions of valid graph, packing, pipeline-config, embed
+    and certificate files: `main` returns 0/1/2/3 and never raises."""
+    from absorbkit.gadgets import anti_edge
+    write_graph(Hypergraph.complete(7, 2), str(tmp_path / "k7.graph"))
+    write_graph(Hypergraph(2, 2, [(0, 1)]), str(tmp_path / "J.graph"))
+    write_graph(Hypergraph(2, 2, [(0, 1)]), str(tmp_path / "H.graph"))
+    write_graph(anti_edge((0, 1), 3, base=2).W, str(tmp_path / "W.graph"))
+    write_graph(Hypergraph.complete(6, 2), str(tmp_path / "host.graph"))
+    assert main(["oracle", "--n", "7", "--out", str(tmp_path / "sts7.pack")]) == 0
+    assert main(["omni", "build-1d", "--m", "4", "--q", "3",
+                 "--out", str(tmp_path / "cert")]) == 0
+    (tmp_path / "run.cfg").write_text("n=7\nseed=2\nhill_climb_rounds=3\n")
+    (tmp_path / "system.manifest").write_text("base J.graph\ngadget W.graph H.graph 0,1\n")
+    cases = [  # (file to corrupt, argv reading it)
+        ("k7.graph", ["cover", "solve", "{}"]),
+        ("k7.graph", ["divide", "check", "{}"]),
+        ("sts7.pack", ["verify", "{}"]),
+        ("sts7.pack.host.graph", ["nibble", "girth", "--packing", str(tmp_path / "sts7.pack")]),
+        ("run.cfg", ["pipeline", "--config", "{}"]),
+        ("system.manifest", ["embed", "--system", "{}", "--host", str(tmp_path / "host.graph")]),
+        ("cert/manifest", ["omni", "verify", str(tmp_path / "cert")]),
+        ("cert/family.txt", ["omni", "verify", str(tmp_path / "cert")]),
+    ]
+    rng = random.Random(1212)
+    for name, argv in cases:
+        path = tmp_path / name
+        valid = path.read_text()
+        for _ in range(25):
+            bad = mutate(valid, rng)
+            path.write_text(bad)
+            code = main([a.replace("{}", str(path)) for a in argv])
+            assert code in (0, 1, 2, 3), (name, bad)
+            assert "Traceback" not in capsys.readouterr().err
+        path.write_text(valid)

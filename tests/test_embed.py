@@ -1,55 +1,12 @@
-import itertools
-
 import pytest
 
-from absorbkit.embed import (DFS_BUDGET, Embedding, SupergraphSystem,
-                             check_refined_family, count_rooted_embeddings,
-                             embed_system)
+from absorbkit.embed import DFS_BUDGET, SupergraphSystem, embed_system
 from absorbkit.cli import main
 from absorbkit.errors import BudgetError, ParameterError
 from absorbkit.exactcover import find_decomposition
 from absorbkit.gadgets import RootedGadget, anti_edge, fake_edge
 from absorbkit.hypercore import Hypergraph, MultiHypergraph, clique_edges, write_graph
 from absorbkit.omni import omni_small
-
-
-class TestCounting:
-    def test_anti_edge_into_kn(self):
-        for n in (5, 8, 12):
-            W = anti_edge((0, 1), 3, base=n)
-            assert count_rooted_embeddings(W, Hypergraph.complete(n, 2)) == n - 2
-
-    def test_no_candidates(self):
-        W = anti_edge((0, 1), 3, base=6)
-        G = Hypergraph(6, 2, [(0, 1)])  # no other edges at all
-        assert count_rooted_embeddings(W, G) == 0
-
-    def test_fake_edge_matches_brute_force(self):
-        n = 10
-        G = Hypergraph.complete(n, 2)
-        W = fake_edge((0, 1), 3, base=n)
-        fresh = W.fresh_vertices()
-        roots = set(W.roots)
-        hosts = [v for v in range(n) if v not in roots]
-        brute = 0
-        for perm in itertools.permutations(hosts, len(fresh)):
-            phi = dict(zip(fresh, perm))
-            phi.update({v: v for v in roots})
-            if all(tuple(sorted(phi[a] for a in e)) in G.edges for e in W.W.edges):
-                brute += 1
-        assert count_rooted_embeddings(W, G) == brute
-
-    def test_forbidden_respected(self):
-        n = 6
-        W = anti_edge((0, 1), 3, base=n)
-        G = Hypergraph.complete(n, 2)
-        # forbid the pair (0, w) for every w: no embedding survives
-        forb = frozenset((0, w) for w in range(2, n))
-        assert count_rooted_embeddings(W, G, forbidden=forb) == 0
-
-    def test_cap(self):
-        W = anti_edge((0, 1), 3, base=30)
-        assert count_rooted_embeddings(W, Hypergraph.complete(30, 2), cap=5) == 5
 
 
 def fake_clique_system(host_n=30):
@@ -164,24 +121,3 @@ class TestEmbedBudget:
         assert code == 2
         assert "node budget exhausted" in capsys.readouterr().err
 
-
-class TestRefinedFamily:
-    def test_triangles_of_k5_not_2_refined(self):
-        J = Hypergraph.complete(5, 2).multi()
-        fam = [Hypergraph(5, 2, clique_edges(c, 2))
-               for c in itertools.combinations(range(5), 3)]
-        assert not check_refined_family(fam, J, 2)
-        assert check_refined_family(fam, J, 3)
-
-    def test_empty_family(self):
-        assert check_refined_family([], Hypergraph.complete(5, 2).multi(), 1)
-
-    def test_omni_family_matches_refinedness(self):
-        from absorbkit.omni import omni_1d, refinedness
-        X = Hypergraph(6, 1, [(i,) for i in range(6)])
-        cert = omni_1d(X, 3)
-        fam = [Hypergraph(cert.A.n, 1, [(v,) for v in c]) for c in cert.family]
-        J = Hypergraph(cert.A.n, 1,
-                       list(cert.A.edges) + [(v,) for (v,) in cert.X.edges]).multi()
-        assert check_refined_family(fam, J, refinedness(cert))
-        assert check_refined_family(fam, J, 2 * 3)

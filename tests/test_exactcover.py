@@ -18,22 +18,14 @@ from absorbkit.hypercore import (Decomposition, Hypergraph, MultiHypergraph,
 # nodes spent are unchanged.  Instances are (demand Counter, [(payload, items)],
 # secondary set); `exclude` drops options by payload.
 
-def reference_instance(G, q, restrict=None):
+def reference_instance(G, q):
     if isinstance(G, MultiHypergraph):
         demand = Counter(G.mult)
         simple = G.simple()
     else:
         demand = Counter({e: 1 for e in G.edges})
         simple = G
-    if restrict is None:
-        cliques = enumerate_cliques(simple, q)
-    else:
-        cliques = sorted({tuple(sorted(c)) for c in restrict})
-    options = []
-    for c in cliques:
-        cov = list(clique_edges(c, G.r))
-        if all(e in demand for e in cov):
-            options.append((c, cov))
+    options = [(c, list(clique_edges(c, G.r))) for c in enumerate_cliques(simple, q)]
     return demand, options, set()
 
 
@@ -157,7 +149,7 @@ def naive_decomposition_count(G, q):
     return count
 
 
-def dict_instance(G, q, restrict=None):
+def dict_instance(G, q):
     """The instance `from_graph` built before pair-id tables: each row looks
     its r-subsets up in an {edge: item id} dict, and the columns come from
     the rows."""
@@ -170,30 +162,22 @@ def dict_instance(G, q, restrict=None):
         demand = [1] * len(items)
         simple = G
     ids = {e: i for i, e in enumerate(items)}
-    if restrict is None:
-        cliques = enumerate_cliques(simple, q)
-        rows = [tuple(ids[e] for e in itertools.combinations(c, G.r)) for c in cliques]
-    else:
-        cliques, rows = [], []
-        for c in sorted({tuple(sorted(c)) for c in restrict}):
-            row = [ids.get(e) for e in itertools.combinations(c, G.r)]
-            if None not in row:
-                cliques.append(c)
-                rows.append(tuple(row))
+    cliques = enumerate_cliques(simple, q)
+    rows = [tuple(ids[e] for e in itertools.combinations(c, G.r)) for c in cliques]
     return CoverInstance(items, demand, cliques, rows)
 
 
-def run_reference(G, q, cap, restrict=None, nodes=10 ** 7):
+def run_reference(G, q, cap, nodes=10 ** 7):
     budget = _Budget(nodes)
     solver = (reference_solve_demand if isinstance(G, MultiHypergraph)
               else reference_solve_simple)
-    sols = list(solver(reference_instance(G, q, restrict), budget, cap))
+    sols = list(solver(reference_instance(G, q), budget, cap))
     return sols, budget.limit - budget.left
 
 
-def run_engine(G, q, cap, restrict=None, nodes=10 ** 7):
+def run_engine(G, q, cap, nodes=10 ** 7):
     budget = _Budget(nodes)
-    inst = CoverInstance.from_graph(G, q, restrict)
+    inst = CoverInstance.from_graph(G, q)
     sols = [[inst.payloads[k] for k in sol] for sol in _search(inst, budget, cap)]
     return sols, budget.limit - budget.left
 
@@ -232,12 +216,6 @@ class TestFindDecomposition:
     def test_k4_minus_edge_none(self):
         G = Hypergraph.complete(4, 2).without_edges([(0, 1)])
         assert find_decomposition(G, 3) is None
-
-    def test_restrict(self):
-        G = Hypergraph(6, 2, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
-        D = find_decomposition(G, 3, restrict=[(0, 1, 2), (3, 4, 5)])
-        assert D is not None and len(D) == 2
-        assert find_decomposition(G, 3, restrict=[(0, 1, 2)]) is None
 
     def test_multigraph_target(self):
         J = MultiHypergraph(3, 2, {(0, 1): 2, (0, 2): 2, (1, 2): 2})
@@ -353,17 +331,6 @@ class TestAgainstReference:
             G = random_graph(rng, rng.randint(4, 10))
             assert run_engine(G, 3, None) == run_reference(G, 3, None), G.edges
 
-    def test_random_restrict(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            n = rng.randint(5, 9)
-            planted = planted_triangles(rng, n, 3 * n)
-            G = Hypergraph(n, 2, [e for t in planted for e in itertools.combinations(t, 2)])
-            extra = rng.sample(list(itertools.combinations(range(n), 3)), 2 * n)
-            restrict = planted[1:] + extra if rng.random() < 0.3 else planted + extra
-            assert (run_engine(G, 3, None, restrict)
-                    == run_reference(G, 3, None, restrict)), (G.edges, restrict)
-
     def test_three_uniform_targets(self):
         for n in (5, 6, 8):
             G = Hypergraph.complete(n, 3)
@@ -442,32 +409,24 @@ class TestAgainstReference:
     def test_pair_id_rows_match_dict_rows(self):
         """from_graph gives the items, options, rows and columns of the
         dict-built instance, and so the same search: on random graphs and
-        multigraphs with q = 3 (the pair-id table), and on restrict lists
-        (with sets off the host, repeated vertices and sets of the wrong
-        size), q = 4 hosts and a 3-graph."""
+        multigraphs with q = 3 (the pair-id table), q = 4 hosts and a
+        3-graph."""
         rng = random.Random(13)
-        cases = [(Hypergraph.complete(9, 2), 4, None), (Hypergraph.complete(6, 3), 4, None)]
+        cases = [(Hypergraph.complete(9, 2), 4), (Hypergraph.complete(6, 3), 4)]
         for _ in range(30):
             n = rng.randint(4, 12)
-            G = random_graph(rng, n)
-            cases.append((G, 3, None))
-            sets = [rng.sample(range(n), 3) for _ in range(2 * n)]
-            sets += [(0, 0, 1), (-1, 0, 1), (0, 1, n + 2), (0, 1), (0, 1, 2, 3)]
-            cases.append((G, 3, sets))
+            cases.append((random_graph(rng, n), 3))
             G = Hypergraph(n, 2, [e for e in itertools.combinations(range(n), 2)
                                   if rng.random() < 0.8])
-            cases.append((G, 4, None))
-            cases.append((G, 4, [rng.sample(range(n), 4) for _ in range(2 * n)]))
+            cases.append((G, 4))
             mult = Counter()
             for _ in range(rng.randint(1, 5)):
                 for e in itertools.combinations(sorted(rng.sample(range(n), 3)), 2):
                     mult[e] += 1
-            J = MultiHypergraph(n, 2, dict(mult))
-            cases.append((J, 3, None))
-            cases.append((J, 3, sets))
-        for G, q, restrict in cases:
-            got = CoverInstance.from_graph(G, q, restrict)
-            want = dict_instance(G, q, restrict)
+            cases.append((MultiHypergraph(n, 2, dict(mult)), 3))
+        for G, q in cases:
+            got = CoverInstance.from_graph(G, q)
+            want = dict_instance(G, q)
             assert ((got.items, got.demand, got.payloads, got.rows, got.cols)
                     == (want.items, want.demand, want.payloads, want.rows, want.cols))
             b_got, b_want = _Budget(10 ** 6), _Budget(10 ** 6)

@@ -1,7 +1,7 @@
 import itertools
 import random
 from collections import Counter, defaultdict
-from math import comb, inf
+from math import comb
 
 import pytest
 
@@ -14,8 +14,7 @@ from absorbkit.gadgets import (AbsorberCertificate, _check_absorber,
                                build_absorber, fake_edge, find_booster,
                                is_divisibility_equivalent,
                                is_edge_intersecting, lift_booster_q3,
-                               orthogonal_booster, rooted_degeneracy,
-                               rooted_girth, search_absorber,
+                               rooted_degeneracy, search_absorber,
                                trivial_booster_1d)
 from absorbkit.hypercore import (Decomposition, Hypergraph, clique_edges,
                                  decomposition_valid)
@@ -213,57 +212,8 @@ class TestBoosters:
     def test_find_booster_single_triangle_none(self):
         assert find_booster(3, 2, Hypergraph.complete(3, 2)) is None
 
-    def test_orthogonal_booster_far_mirror(self):
-        b = orthogonal_booster((0, 1, 2))
-        root = (0, 1, 2)
-        assert root in set(b.B_off.cliques)
-        far = [Q for Q in b.B_on.cliques if not set(Q) & set(root)]
-        assert far, "on-decomposition must contain a clique avoiding the root"
-
 
 class TestGirthAnalyzers:
-    def test_single_triangle_rooted(self):
-        assert rooted_girth([(0, 1, 2)], {0, 1, 2}, 3, 2) == 1
-
-    def test_single_triangle_unrooted(self):
-        assert rooted_girth([(0, 1, 2)], set(), 3, 2) is inf
-
-    def test_matches_oracle_small(self):
-        rng = random.Random(4)
-        for _ in range(30):
-            cl = set()
-            while len(cl) < rng.randint(2, 6):
-                cl.add(tuple(sorted(rng.sample(range(9), 3))))
-            cl = sorted(cl)
-            S = set(rng.sample(range(9), rng.randint(0, 4)))
-            got = rooted_girth(cl, S, 3, 2)
-            best = inf
-            for g in range(1, len(cl) + 1):
-                for sub in itertools.combinations(cl, g):
-                    span = {v for c in sub for v in c if v not in S}
-                    if len(span) < g:
-                        best = min(best, g)
-                        break
-                if best is not inf:
-                    break
-            assert got == best
-
-    def test_lifted_booster_on_rooted(self):
-        b = lift_booster_q3()
-        cl = list(b.B_on.cliques)
-        S = set(cl[0])
-        got = rooted_girth(cl, S, 3, 2)
-        best = inf
-        for g in range(1, len(cl) + 1):
-            for sub in itertools.combinations(cl, g):
-                span = {v for c in sub for v in c if v not in S}
-                if len(span) < g:
-                    best = min(best, g)
-                    break
-            if best is not inf:
-                break
-        assert got == best
-
     def test_rooted_degeneracy_gadgets(self):
         f = (0, 1)
         assert rooted_degeneracy(fake_edge(f, 3)) == 2
