@@ -13,7 +13,7 @@ from .errors import (AbsorbKitError, BudgetError, CapacityError,
 from .exactcover import (count_decompositions, enumerate_decompositions,
                          find_decomposition, find_two_disjoint_decompositions)
 from .hypercore import (Decomposition, Hypergraph, MultiHypergraph, Packing,
-                        enumerate_cliques, level_degree, max_level_degree,
+                        enumerate_cliques, max_level_degree,
                         read_graph, read_packing, write_graph, write_packing)
 from .pipeline import PipelineConfig, oracle_steiner, pipeline_steiner, verify_design
 
@@ -24,7 +24,7 @@ __all__ = [
     "PipelineConfig", "PreconditionError", "ReliabilityError",
     "count_decompositions", "divisible_subgraphs", "enumerate_cliques",
     "enumerate_decompositions", "find_decomposition",
-    "find_two_disjoint_decompositions", "is_divisible", "level_degree",
+    "find_two_disjoint_decompositions", "is_divisible",
     "max_level_degree", "oracle_steiner", "params_admissible",
     "pipeline_steiner", "read_graph", "read_packing", "verify_design",
     "write_graph", "write_packing",

@@ -232,6 +232,8 @@ def cmd_embed(args) -> int:
             if not toks:
                 continue
             if toks[0] == "base" and len(toks) == 2:
+                if J is not None:
+                    raise ParseError(line_no, "a second 'base' line")
                 J = read_graph(os.path.join(base_dir, toks[1]))
             elif toks[0] == "gadget" and len(toks) == 4:
                 W = read_graph(os.path.join(base_dir, toks[1]))
@@ -374,8 +376,10 @@ def _load_config(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ParseError(line_no, f"expected key=value, got {line!r}")
-            k, v = line.split("=", 1)
-            out[k.strip()] = v.strip()
+            k, v = (t.strip() for t in line.split("=", 1))
+            if k in out:
+                raise ParseError(line_no, f"repeated key {k!r}")
+            out[k] = v
     return out
 
 

@@ -83,7 +83,6 @@ def is_divisible(G: AnyGraph, q: int) -> bool:
 def divisible_subgraphs(
     X: Hypergraph,
     q: int,
-    limit: int | None = None,
     mode: str = "exhaustive",
     trials: int | None = None,
     seed: int = 0,
@@ -104,15 +103,11 @@ def divisible_subgraphs(
         if trials is None:
             raise ParameterError("sampling mode needs a declared trial count")
         rng = random.Random(seed)
-        emitted = 0
         for _ in range(trials):
             sub = [e for e in edges if rng.random() < 0.5]
             H = Hypergraph(X.n, X.r, sub)
             if is_divisible(H, q):
                 yield H
-                emitted += 1
-                if limit is not None and emitted >= limit:
-                    return
         return
     if mode != "exhaustive":
         raise ParameterError(f"unknown mode {mode!r}")
@@ -158,9 +153,4 @@ def divisible_subgraphs(
                 chosen.pop()
                 bump(e, -1)
 
-    emitted = 0
-    for H in rec(0):
-        yield H
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            return
+    yield from rec(0)

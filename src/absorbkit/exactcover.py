@@ -28,6 +28,11 @@ Triangle instances (r = 2 and q = 3, multigraphs too) build their rows
 from a pair-id table, pid[a][b] = the item id of edge ab, not from tuple
 keys; the items, rows and columns are those of the {edge: id} lookup that
 every other instance keeps.
+
+Instances whose items are all covered at most once can be pruned first:
+`_refute` runs failed-literal probing to a fixpoint and returns the options
+that lie in no solution, which `_search` then takes as `exclude`.
+Completion through reserves (`nibble.complete_with_reserves`) uses it.
 """
 from __future__ import annotations
 
@@ -214,6 +219,72 @@ def _search(inst: CoverInstance, budget: _Budget, cap: Optional[int],
                         killed.append(k)
                         for i in rows[k]:
                             size[i] -= 1
+
+
+def _refute(inst: CoverInstance) -> Optional[list]:
+    """Failed-literal probing on an instance whose items are all covered at
+    most once (every demand is 1).
+
+    Choosing an option kills every option that shares an item with it; a
+    primary item left with one live option forces that option.  An option
+    is refuted when this unit propagation kills a primary item's last
+    option or an option already chosen.  A refuted option lies in no
+    solution, so refuting to a fixpoint keeps every solution.  Returns the
+    refuted option ids, or None when a primary item loses every option to
+    refutation, which certifies that the instance has no solution.  Option
+    sets are int bitmasks over option ids.
+    """
+    rows, cols = inst.rows, inst.cols
+    npri = len(inst.demand)
+    by_item = [sum(1 << k for k in col) for col in cols]
+    conflict = []
+    for k, row in enumerate(rows):
+        m = 0
+        for i in row:
+            m |= by_item[i]
+        conflict.append(m & ~(1 << k))
+
+    def fails(k: int, alive: int) -> bool:
+        chosen = dead = 0
+        stack = [k]
+        while stack:
+            j = stack.pop()
+            bit = 1 << j
+            if dead & bit:
+                return True
+            if chosen & bit:
+                continue
+            chosen |= bit
+            kill = conflict[j] & alive & ~dead
+            if kill & chosen:
+                return True
+            dead |= kill
+            hit = set()
+            while kill:
+                low = kill & -kill
+                hit.update(i for i in rows[low.bit_length() - 1] if i < npri)
+                kill ^= low
+            for i in hit:
+                left = by_item[i] & alive & ~dead
+                if not left:
+                    return True
+                if not left & (left - 1):
+                    stack.append(left.bit_length() - 1)
+        return False
+
+    alive = (1 << len(rows)) - 1
+    refuted = []
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(rows)):
+            if alive >> k & 1 and fails(k, alive):
+                alive &= ~(1 << k)
+                refuted.append(k)
+                changed = True
+                if any(not by_item[i] & alive for i in rows[k] if i < npri):
+                    return None
+    return refuted
 
 
 def _solutions(G: AnyGraph, q: int, budget_nodes: int, cap: Optional[int]):

@@ -168,7 +168,8 @@ def _phase1(rows: List[List[Fraction]], b: List[Fraction], n_struct: int) -> tup
 
 def solve_fractional(G: AnyGraph, q: int,
                      weight_cap: Optional[Union[Fraction, int, str]] = None) -> SimplexOutcome:
-    """Full-output LP solve; `fractional_decomposition` is the thin wrapper."""
+    """Exact LP solve: a weighting when feasible, else a verified Farkas
+    certificate."""
     host = G.simple()
     if q <= host.r:
         raise ParameterError(f"need q > r, got q={q}, r={host.r}")
@@ -214,13 +215,6 @@ def solve_fractional(G: AnyGraph, q: int,
         assert col <= 0, "Farkas certificate failed column check"
     assert sum(yi * bi for yi, bi in zip(y, b)) > 0, "Farkas certificate failed rhs check"
     return SimplexOutcome(False, None, y, row_labels, pivots)
-
-
-def fractional_decomposition(G: AnyGraph, q: int,
-                             weight_cap: Optional[Union[Fraction, int, str]] = None
-                             ) -> Optional[FractionalWeighting]:
-    out = solve_fractional(G, q, weight_cap=weight_cap)
-    return out.weighting if out.feasible else None
 
 
 def fm_feasible(G: Hypergraph, q: int) -> bool:

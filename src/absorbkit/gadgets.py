@@ -32,7 +32,7 @@ from .hypercore import (AnyGraph, Decomposition, Hypergraph, clique_edges,
 from .integral import integral_decomposition, multi_absorber
 
 ABSORBER_EDGE_CAP = 12
-SEARCH_FRESH_CAP = 5
+SEARCH_FRESH_CAP = 5   # most fresh vertices `search_absorber` tries
 
 
 @dataclass
@@ -328,8 +328,8 @@ def _is_triangle_component(edges: set) -> bool:
     return len(edges) == 3 and len(verts) == 3
 
 
-def build_absorber(L: Hypergraph, q: int = 3, base: Optional[int] = None,
-                   budget: int = DEFAULT_BUDGET) -> AbsorberCertificate:
+def build_absorber(L: Hypergraph, q: int = 3, base: Optional[int] = None
+                   ) -> AbsorberCertificate:
     """Absorber for a divisible graph L, fully verified before returning.
 
     q=3, r=2 uses the deterministic booster assembly; everything else goes
@@ -345,7 +345,7 @@ def build_absorber(L: Hypergraph, q: int = 3, base: Optional[int] = None,
     if L.m == 0:
         return _certify(L, L.n, [], [], [], q)
     if L.r != 2 or q != 3:
-        return search_absorber(L, q, base=base, budget=budget)
+        return search_absorber(L, q, base=base)
 
     comps = _edge_components(L)
     nxt = base
@@ -483,23 +483,22 @@ def _absorber_instance(L: Hypergraph, q: int, fresh: Sequence[int]) -> CoverInst
 
 
 def search_absorber(L: Hypergraph, q: int, base: Optional[int] = None,
-                    max_fresh: int = SEARCH_FRESH_CAP, budget: int = DEFAULT_BUDGET
-                    ) -> AbsorberCertificate:
+                    budget: int = DEFAULT_BUDGET) -> AbsorberCertificate:
     """Absorber for L by exact cover over V(L) plus the fewest fresh
-    vertices (from q - r up to max_fresh) that admit one.
+    vertices (from q - r up to SEARCH_FRESH_CAP) that admit one.
 
     Each fresh-vertex count is searched exhaustively on the exact-cover
     engine (`_absorber_instance`), and one node budget spans all counts.
     A is the union of the negatives' edges; the certificate is verified.
-    Raises CapacityError when every count up to max_fresh is searched out
-    and BudgetError when the node budget is spent first.
+    Raises CapacityError when every count up to SEARCH_FRESH_CAP is
+    searched out and BudgetError when the node budget is spent first.
     """
     if not is_divisible(L, q):
         raise PreconditionError("L is not divisible; no absorber exists")
     if base is None:
         base = L.n
     nodes = _Budget(budget, "absorber search")
-    for n_fresh in range(q - L.r, max_fresh + 1):
+    for n_fresh in range(q - L.r, SEARCH_FRESH_CAP + 1):
         inst = _absorber_instance(L, q, range(base, base + n_fresh))
         for sol in _search(inst, nodes, cap=1):
             picked = [inst.payloads[k] for k in sol]
@@ -507,5 +506,5 @@ def search_absorber(L: Hypergraph, q: int, base: Optional[int] = None,
             neg = [C for sign, C in picked if sign < 0]
             A_edges = {e for C in neg for e in clique_edges(C, L.r)}
             return _certify(L, base + n_fresh, A_edges, pos, neg, q)
-    raise CapacityError(f"no absorber within {max_fresh} fresh vertices "
+    raise CapacityError(f"no absorber within {SEARCH_FRESH_CAP} fresh vertices "
                         f"({nodes.limit - nodes.left} search nodes)")

@@ -143,21 +143,9 @@ class MultiHypergraph:
 AnyGraph = Union[Hypergraph, MultiHypergraph]
 
 
-def level_degree(G: AnyGraph, S: Iterable[int]) -> int:
-    """Number of edges containing S, with multiplicity for multigraphs."""
-    S = frozenset(S)
-    for v in S:
-        if not (0 <= v < G.n):
-            raise ParameterError(f"vertex {v} outside 0..{G.n - 1}")
-    if len(S) > G.r:
-        raise ParameterError(f"|S|={len(S)} exceeds uniformity r={G.r}")
-    if isinstance(G, MultiHypergraph):
-        return sum(k for e, k in G.mult.items() if S.issubset(e))
-    return sum(1 for e in G.edges if S.issubset(e))
-
-
 def max_level_degree(G: AnyGraph, j: int) -> int:
-    """Max of level_degree over j-subsets occurring in some edge."""
+    """Max over j-subsets S of some edge of the number of edges containing
+    S, with multiplicity for multigraphs."""
     if not (0 <= j <= G.r - 1):
         raise ParameterError(f"j={j} outside 0..r-1")
     counts: Counter = Counter()
@@ -404,7 +392,7 @@ def write_packing(P: Union[Packing, Decomposition], path: str, host_path: str) -
         fh.write("\n".join(lines) + "\n")
 
 
-def read_packing(path: str, as_decomposition: bool = False):
+def read_packing(path: str) -> Packing:
     """Read a packing file; the host graph is loaded from its trailing path
     (relative paths resolve against the packing file's directory)."""
     with open(path) as fh:
@@ -441,7 +429,4 @@ def read_packing(path: str, as_decomposition: bool = False):
     host_path = raw[m + 1][5:].strip()
     if not os.path.isabs(host_path):
         host_path = os.path.join(os.path.dirname(os.path.abspath(path)), host_path)
-    host = read_graph(host_path)
-    if as_decomposition:
-        return Decomposition(host, cliques, q)
-    return Packing(host.simple(), cliques, q)
+    return Packing(read_graph(host_path).simple(), cliques, q)

@@ -9,7 +9,10 @@ holding T and every v with T + v uncovered (the layout of
 mask of every vertex, or (r-1)-set, inside it contains M, and taking it
 clears the rest of M from those masks.  The leftover is read off the final
 masks.  Every engine returns its packing together with the uncovered
-leftover and asserts exact conservation.  One exhaustive configuration
+leftover and asserts exact conservation.  Completion through reserves
+builds one `exactcover.CoverInstance` (leftover edges primary, reserve edges
+secondary, one option per reserve clique) and runs random greedy, then
+failed-literal probing and exact cover, on it.  One exhaustive configuration
 DFS (`_config_dfs`, union-size pruning plus vertex and pair indexes) serves
 configuration counting, girth and the high-girth packer's test of a
 candidate, and agrees with naive enumeration on small inputs.  Girth and
@@ -22,13 +25,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from math import comb, inf
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, ParameterError, ReliabilityError
-from .exactcover import solve_cover
+from .exactcover import CoverInstance, _Budget, _refute, _search
 from .hypercore import (Hypergraph, Packing, clique_edges, enumerate_cliques,
                         max_level_degree)
 
@@ -198,87 +201,28 @@ def reserve_candidates(e: tuple, G: Hypergraph, X_avail: set, q: int) -> List[tu
     return out
 
 
-def _probe_prune(options: List[Tuple[tuple, list]]) -> Optional[List[Tuple[tuple, list]]]:
-    """Failed-literal probing over an exact-cover instance whose options
-    each cover exactly one primary item, listed first, and otherwise only
-    at-most-once items.
-
-    Choosing an option kills every option that shares an item with it; a
-    primary item left with one live option forces that option.  An option
-    is refuted when this unit propagation kills a primary item's last option
-    or a forced option.  Refuted options lie in no solution, so dropping
-    them to a fixpoint keeps every solution.  Returns the surviving options
-    in their input order, or None when a primary item loses all of its
-    options, which certifies that the instance has no solution.
-    """
-    foot = [cov[0] for _, cov in options]
-    by_item: Dict[object, int] = defaultdict(int)
-    for i, (_, cov) in enumerate(options):
-        for it in cov:
-            by_item[it] |= 1 << i
-    conflict = []
-    for i, (_, cov) in enumerate(options):
-        m = 0
-        for it in cov:
-            m |= by_item[it]
-        conflict.append(m & ~(1 << i))
-
-    def refuted(i: int, alive: int) -> bool:
-        chosen = dead = 0
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            bit = 1 << j
-            if dead & bit:
-                return True
-            if chosen & bit:
-                continue
-            chosen |= bit
-            kill = conflict[j] & alive & ~dead
-            if kill & chosen:
-                return True
-            dead |= kill
-            feet = set()
-            while kill:
-                low = kill & -kill
-                feet.add(foot[low.bit_length() - 1])
-                kill ^= low
-            for e in feet:
-                left = by_item[e] & alive & ~dead
-                if not left:
-                    return True
-                if not left & (left - 1):
-                    stack.append(left.bit_length() - 1)
-        return False
-
-    alive = (1 << len(options)) - 1
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(options)):
-            if alive >> i & 1 and refuted(i, alive):
-                alive &= ~(1 << i)
-                changed = True
-                if not by_item[foot[i]] & alive:
-                    return None
-    return [opt for i, opt in enumerate(options) if alive >> i & 1]
+RETRIES = 5                 # random greedy passes before the exact fallback
+FALLBACK_BUDGET = 200_000   # exact-cover nodes the fallback may spend
 
 
 def complete_with_reserves(G: Hypergraph, X: Hypergraph, partial: Packing,
-                           q: int, seed: int = 0, retries: int = 5,
-                           fallback_budget: int = 200_000,
+                           q: int, seed: int = 0,
                            stats: Optional[dict] = None) -> Optional[Packing]:
     """Cover the leftover of a partial packing of G using cliques with one
     foot in G and the rest in X.
 
-    Random greedy with resampling runs first.  If it fails, the conflict
-    instance (each leftover edge covered exactly once, each reserve edge
-    used at most once) is pruned by failed-literal probing and handed to
-    exact cover.  Returns None only for a certified negative and records
-    why in ``stats["reason"]``: "no-candidate" when some leftover edge lies
-    in no reserve clique, "infeasible" when probing or the exhaustive
-    search rules out every completion.  Raises BudgetError when the search
-    spends `fallback_budget` nodes without an answer.
+    Every stage reads one `CoverInstance`: the sorted leftover edges are its
+    primary items (each covered exactly once), the sorted X edges its
+    secondary items (each used at most once), and each reserve candidate
+    clique of a leftover edge, in `reserve_candidates` order, an option.
+    Random greedy with resampling runs first, RETRIES times.  If it fails,
+    failed-literal probing (`exactcover._refute`) drops options that lie in
+    no completion and exact cover searches the rest.  Returns None only for
+    a certified negative and records why in ``stats["reason"]``:
+    "no-candidate" when some leftover edge lies in no reserve clique,
+    "infeasible" when probing or the exhaustive search rules out every
+    completion.  Raises BudgetError when the search spends FALLBACK_BUDGET
+    nodes without an answer.
     """
     if stats is None:
         stats = {}
@@ -289,56 +233,46 @@ def complete_with_reserves(G: Hypergraph, X: Hypergraph, partial: Packing,
     leftover = sorted(G.edges - partial.covered_edges())
     union_host = Hypergraph(max(G.n, X.n), G.r, set(G.edges) | set(X.edges))
     rng = random.Random(seed)
-    all_cands = {e: reserve_candidates(e, G, set(X.edges), q) for e in leftover}
-    usage: Counter = Counter()
-    for cands in all_cands.values():
-        for Q in cands:
-            for f in clique_edges(Q, G.r):
-                if f in X.edges:
-                    usage[f] += 1
-    stats["max_reserve_edge_usage"] = max(usage.values(), default=0)
-    stats["min_candidates"] = min((len(v) for v in all_cands.values()), default=0)
-    if any(not v for v in all_cands.values()):
+    items = leftover + sorted(X.edges)
+    ids = {e: i for i, e in enumerate(items)}
+    payloads, rows = [], []
+    for e in leftover:
+        for Q in reserve_candidates(e, G, X.edges, q):
+            payloads.append(Q)
+            rows.append(tuple(ids[f] for f in clique_edges(Q, G.r)))
+    inst = CoverInstance(items, [1] * len(leftover), payloads, rows)
+    npri = len(leftover)
+    cols = inst.cols
+    stats["max_reserve_edge_usage"] = max(map(len, cols[npri:]), default=0)
+    stats["min_candidates"] = min(map(len, cols[:npri]), default=0)
+    if not all(cols[:npri]):
         stats["reason"] = "no-candidate"
         return None
-    for _ in range(retries):
-        order = leftover[:]
+    for _ in range(RETRIES):
+        order = list(range(npri))
         rng.shuffle(order)
-        avail = set(X.edges)
-        chosen: List[tuple] = []
-        ok = True
-        for e in order:
-            cands = [Q for Q in all_cands[e]
-                     if all(f == e or f in avail for f in clique_edges(Q, G.r))]
+        used = bytearray(len(items))
+        chosen: List[int] = []
+        for i in order:
+            cands = [k for k in cols[i] if not any(used[j] for j in rows[k])]
             if not cands:
-                ok = False
                 break
-            Q = cands[rng.randrange(len(cands))]
-            chosen.append(Q)
-            for f in clique_edges(Q, G.r):
-                if f != e:
-                    avail.discard(f)
-        if ok:
+            k = cands[rng.randrange(len(cands))]
+            chosen.append(k)
+            for j in rows[k]:
+                used[j] = 1
+        else:
             stats["fallback_used"] = False
-            return Packing(union_host, list(partial.cliques) + chosen, q)
-    # exact cover over the conflict instance: leftover edges are demands,
-    # reserve edges are at-most-once side constraints
+            return Packing(union_host, list(partial.cliques) +
+                           [payloads[k] for k in chosen], q)
     stats["fallback_used"] = True
-    options = []
-    for e in leftover:
-        for Q in all_cands[e]:
-            side = [f for f in clique_edges(Q, G.r) if f != e]
-            options.append((Q, [e] + side))
-    pruned = _probe_prune(options)
-    sol = None
-    if pruned is not None:
-        secondary = {f for _, cov in pruned for f in cov[1:]}
-        sol = solve_cover(leftover, pruned, secondary=secondary,
-                          budget=fallback_budget)
-    if sol is None:
-        stats["reason"] = "infeasible"
-        return None
-    return Packing(union_host, list(partial.cliques) + sol, q)
+    refuted = _refute(inst)
+    if refuted is not None:
+        for sol in _search(inst, _Budget(FALLBACK_BUDGET), 1, exclude=refuted):
+            return Packing(union_host, list(partial.cliques) +
+                           [payloads[k] for k in sol], q)
+    stats["reason"] = "infeasible"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +343,13 @@ def _config_dfs(cliques: Sequence[tuple], by_vertex: dict, by_pair: dict,
     return rec(0, frozenset(union))
 
 
-def configurations(P: Sequence[Sequence[int]], i: int, j: int,
-                   stop_at: Optional[int] = None) -> Tuple[int, List[tuple]]:
-    """Exact count of i-subsets of P spanning at most j vertices (at most
-    `stop_at` of them), plus the first WITNESS_CAP of them."""
+def configurations(P: Sequence[Sequence[int]], i: int, j: int) -> Tuple[int, List[tuple]]:
+    """Exact count of i-subsets of P spanning at most j vertices, plus the
+    first WITNESS_CAP of them."""
     cliques = [tuple(sorted(c)) for c in (P.cliques if isinstance(P, Packing) else P)]
     count = 0
     witnesses: List[tuple] = []
-    for ts in itertools.islice(_config_dfs(cliques, *_clique_index(cliques), i, j), stop_at):
+    for ts in _config_dfs(cliques, *_clique_index(cliques), i, j):
         count += 1
         if len(witnesses) < WITNESS_CAP:
             witnesses.append(tuple(cliques[t] for t in ts))

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional
 
 from . import divide
 from .errors import (CapacityError, ConstructionError, DivisibilityError,
-                     ParameterError)
+                     ParameterError, ParseError)
 from .gadgets import build_absorber
 from .hypercore import (Hypergraph, decomposition_valid, max_level_degree,
                         read_graph, write_graph)
@@ -231,15 +231,28 @@ def write_certificate(cert: OmniAbsorberCertificate, outdir: str) -> None:
 
 def read_certificate(certdir: str) -> OmniAbsorberCertificate:
     """Rebuild a certificate from disk; the decomposition procedure is
-    reconstructed by re-running the construction on X."""
+    reconstructed by re-running the construction on X.
+
+    The manifest holds one key=value line each for kind, q and C, plus
+    meta.* lines; any other non-blank line, or a repeated key, is a
+    ParseError.  The stored C, A and family must match the reconstruction.
+    """
     manifest: Dict[str, str] = {}
     with open(os.path.join(certdir, "manifest")) as fh:
-        for line in fh:
-            if "=" in line:
-                k, v = line.strip().split("=", 1)
-                manifest[k] = v
+        for line_no, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            k, eq, v = line.partition("=")
+            if not eq:
+                raise ParseError(line_no, f"manifest: expected key=value, got {line!r}")
+            if k not in ("kind", "q", "C") and not k.startswith("meta."):
+                raise ParseError(line_no, f"manifest: unknown key {k!r}")
+            if k in manifest:
+                raise ParseError(line_no, f"manifest: repeated key {k!r}")
+            manifest[k] = v
     try:
-        q, kind = int(manifest["q"]), manifest["kind"]
+        q, kind, C = int(manifest["q"]), manifest["kind"], int(manifest["C"])
         with open(os.path.join(certdir, "family.txt")) as fh:
             fam = tuple(sorted(tuple(int(t) for t in line.split()) for line in fh if line.strip()))
     except (KeyError, ValueError) as exc:
@@ -252,6 +265,8 @@ def read_certificate(certdir: str) -> OmniAbsorberCertificate:
     else:
         raise ParameterError(f"unknown certificate kind {kind!r}")
     # cross-check the stored artifacts against the reconstruction
+    if C != cert.C:
+        raise ConstructionError(f"stored C={C} does not match the reconstruction's {cert.C}")
     A_stored = read_graph(os.path.join(certdir, "A.graph"))
     if A_stored != cert.A:
         raise ConstructionError("stored A does not match the reconstruction")

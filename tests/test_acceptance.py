@@ -31,7 +31,7 @@ import pytest
 from absorbkit.divide import DesignParams, is_divisible
 from absorbkit.errors import ParameterError
 from absorbkit.exactcover import enumerate_decompositions
-from absorbkit.fraclp import fm_feasible, fractional_decomposition, solve_fractional
+from absorbkit.fraclp import fm_feasible, solve_fractional
 from absorbkit.gadgets import (booster_lift, build_absorber, fake_edge,
                                is_divisibility_equivalent, trivial_booster_1d)
 from absorbkit.hypercore import (Hypergraph, clique_edges, decomposition_valid,
@@ -155,7 +155,7 @@ def test_criterion_05_lp_exactness():
             col = sum(y for y, e in zip(out.farkas, edges) if set(e) <= set(c))
             farkas_ok = farkas_ok and col <= 0
         farkas_ok = farkas_ok and sum(out.farkas) > 0
-    feas_ok = all(fractional_decomposition(Hypergraph.complete(n, 2), 3) is not None
+    feas_ok = all(solve_fractional(Hypergraph.complete(n, 2), 3).feasible
                   for n in (5, 7, 9))
     rng = random.Random(505)
     disagreements = 0
@@ -167,7 +167,7 @@ def test_criterion_05_lp_exactness():
         G = Hypergraph(n, 2, edges)
         if len(enumerate_cliques(G, 3)) > 12 if edges else True:
             continue
-        got = fractional_decomposition(G, 3) is not None
+        got = solve_fractional(G, 3).feasible
         want = fm_feasible(G, 3)
         if got != want:
             disagreements += 1

@@ -269,11 +269,9 @@ class TestMoreNibbleCLI:
 
     def test_complete_budget_exhausted_exit_2(self, tmp_path, capsys,
                                                monkeypatch):
-        import functools
-        from absorbkit import cli
-        from absorbkit.nibble import complete_with_reserves
-        monkeypatch.setattr(cli, "complete_with_reserves", functools.partial(
-            complete_with_reserves, retries=0, fallback_budget=0))
+        from absorbkit import nibble
+        monkeypatch.setattr(nibble, "RETRIES", 0)
+        monkeypatch.setattr(nibble, "FALLBACK_BUDGET", 0)
         g = str(tmp_path / "g.graph")
         write_graph(Hypergraph(6, 2, [(0, 1), (0, 2)]), g)
         x = str(tmp_path / "x.graph")
@@ -345,7 +343,8 @@ class TestPipelineCLI:
                      "n=9\nseed=five\n",            # bad value
                      "n=9\np=0.25\n",               # a key the pipeline lost
                      "n=9\nlam=1\n",                # a single-valued knob, deleted
-                     "n=9\nresidual_cover_budget=5\n"):
+                     "n=9\nresidual_cover_budget=5\n",
+                     "n=7\nn=9\n"):                 # a repeated key
             cfg.write_text(text)
             assert main(["pipeline", "--config", str(cfg)]) == 3, text
 
@@ -382,6 +381,7 @@ class TestMalformedInputExit3:
         "base J.graph\ngadget W.graph H.graph\n",       # gadget without roots
         "base J.graph\ngadget W.graph H.graph 0,z\n",   # non-integer root
         "base J.graph\nbogus W.graph\n",                # unknown directive
+        "base J.graph\nbase J.graph\ngadget W.graph H.graph 0,1\n",  # second base
     ])
     def test_embed_manifest(self, tmp_path, capsys, text):
         self.embed_files(tmp_path)
@@ -390,13 +390,19 @@ class TestMalformedInputExit3:
                             "--host", str(tmp_path / "host.graph")])
 
     @pytest.mark.parametrize("old, new", [
-        ("q=3\n", ""),          # no q
-        ("q=3\n", "q=x\n"),     # a non-integer q
+        ("q=3\n", ""),                 # no q
+        ("q=3\n", "q=x\n"),            # a non-integer q
+        ("q=3\n", "q=3\nq=3\n"),       # a repeated key
+        ("q=3\n", "q=3\njunk\n"),      # a line without '='
+        ("q=3\n", "q=3\nbogus=1\n"),   # an unknown key
+        ("C=6\n", ""),                 # no C
+        ("C=6\n", "C=1\n"),            # a C the reconstruction does not give
     ])
     def test_certificate_manifest(self, tmp_path, capsys, old, new):
         cert = tmp_path / "cert"
         assert main(["omni", "build-1d", "--m", "6", "--q", "3", "--out", str(cert)]) == 0
         manifest = cert / "manifest"
+        assert old in manifest.read_text()
         manifest.write_text(manifest.read_text().replace(old, new))
         self.check(capsys, ["omni", "verify", str(cert)])
 

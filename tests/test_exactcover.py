@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from absorbkit.errors import BudgetError, ParameterError
-from absorbkit.exactcover import (CoverInstance, _Budget, _search,
+from absorbkit.exactcover import (CoverInstance, _Budget, _refute, _search,
                                   count_decompositions, enumerate_decompositions,
                                   find_decomposition, find_two_disjoint_decompositions,
                                   solve_cover)
@@ -460,3 +460,55 @@ class TestAgainstReference:
             pair = find_two_disjoint_decompositions(G, 3)
             assert (pair and tuple(D.cliques for D in pair)) == (
                 want and tuple(Decomposition(G, sol, 3).cliques for sol in want))
+
+
+class TestRefute:
+    @staticmethod
+    def brute_force_solutions(npri, masks):
+        """Every set of pairwise disjoint options (item bitmasks) whose union
+        holds all primary items 0..npri-1, as sorted option-id tuples."""
+        full = (1 << npri) - 1
+        out = []
+
+        def walk(k, used, chosen):
+            if k == len(masks):
+                if used & full == full:
+                    out.append(tuple(chosen))
+                return
+            walk(k + 1, used, chosen)
+            if not used & masks[k]:
+                chosen.append(k)
+                walk(k + 1, used | masks[k], chosen)
+                chosen.pop()
+
+        walk(0, 0, [])
+        return out
+
+    def test_sound_against_brute_force(self):
+        rng = random.Random(29)
+        refuted_some = certified_none = 0
+        for _ in range(400):
+            npri = rng.randint(2, 8)
+            nsec = rng.randint(0, 4)
+            items = list(range(npri + nsec))
+            # every option covers a primary item, so the solutions of
+            # _search are exactly the brute-force ones
+            rows = [tuple(sorted(rng.sample(items[:npri], rng.randint(1, min(3, npri))) +
+                                 rng.sample(items[npri:], rng.randint(0, min(2, nsec)))))
+                    for _ in range(rng.randint(1, 14))]
+            inst = CoverInstance(items, [1] * npri, list(range(len(rows))), rows)
+            sols = self.brute_force_solutions(
+                npri, [sum(1 << i for i in row) for row in rows])
+            refuted = _refute(inst)
+            if refuted is None:
+                assert not sols, rows
+                certified_none += 1
+                continue
+            assert len(set(refuted)) == len(refuted)
+            assert not set(refuted) & {k for sol in sols for k in sol}, rows
+            if sols and refuted:
+                refuted_some += 1
+            got = [tuple(sorted(s)) for s in
+                   _search(inst, _Budget(10 ** 6), None, exclude=refuted)]
+            assert sorted(got) == sorted(sols)
+        assert refuted_some >= 20 and certified_none >= 20

@@ -7,7 +7,7 @@ import pytest
 from absorbkit import fraclp
 from absorbkit.errors import ParameterError
 from absorbkit.fraclp import (BoostFamily, FractionalWeighting, boost_sample,
-                              fm_feasible, fractional_decomposition,
+                              fm_feasible,
                               inheritance_stats, solve_fractional)
 from absorbkit.hypercore import Hypergraph
 
@@ -18,8 +18,7 @@ def k4_minus_edge():
 
 class TestFeasibility:
     def test_k5_feasible_uniform_witness(self):
-        w = fractional_decomposition(Hypergraph.complete(5, 2), 3)
-        assert w is not None
+        assert solve_fractional(Hypergraph.complete(5, 2), 3).feasible
         # uniform 1/3 is one witness; the solver's witness is validated on
         # construction, so only existence matters here
         uniform = {c: Fraction(1, 3)
@@ -33,16 +32,17 @@ class TestFeasibility:
 
     def test_kn_with_cap(self):
         for n in (5, 6):
-            w = fractional_decomposition(Hypergraph.complete(n, 2), 3,
-                                         weight_cap=Fraction(2, n))
-            assert w is not None
+            out = solve_fractional(Hypergraph.complete(n, 2), 3,
+                                   weight_cap=Fraction(2, n))
+            assert out.feasible
+            w = out.weighting
             assert all(v <= Fraction(2, n) for v in w.psi.values())
 
     def test_cap_can_bind(self):
         # a single triangle needs weight 1; a tiny cap forbids it
         G = Hypergraph(3, 2, [(0, 1), (0, 2), (1, 2)])
-        assert fractional_decomposition(G, 3, weight_cap=Fraction(1, 2)) is None
-        assert fractional_decomposition(G, 3) is not None
+        assert not solve_fractional(G, 3, weight_cap=Fraction(1, 2)).feasible
+        assert solve_fractional(G, 3).feasible
 
     def test_decomposition_is_fractional(self):
         from absorbkit.exactcover import find_decomposition
@@ -67,7 +67,7 @@ class TestFeasibility:
                 # an uncoverable edge: trivially infeasible both ways only
                 # when the LP sees it; keep such cases too
                 pass
-            got = fractional_decomposition(G, 3) is not None
+            got = solve_fractional(G, 3).feasible
             want = fm_feasible(G, 3)
             assert got == want, sorted(G.edges)
             done += 1

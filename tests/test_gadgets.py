@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from absorbkit import gadgets
 from absorbkit.divide import is_divisible
 from absorbkit.errors import (BudgetError, CapacityError, ConstructionError,
                               ParameterError, PreconditionError)
@@ -301,9 +302,10 @@ class TestBuildAbsorber:
 
 
 class TestSearchAbsorber:
-    def test_triangle_found(self):
+    def test_triangle_found(self, monkeypatch):
+        monkeypatch.setattr(gadgets, "SEARCH_FRESH_CAP", 3)
         L = Hypergraph(3, 2, [(0, 1), (0, 2), (1, 2)])
-        cert = search_absorber(L, 3, max_fresh=3)
+        cert = search_absorber(L, 3)
         assert decomposition_valid(cert.D1.target, cert.D1.cliques, 3)
         assert decomposition_valid(cert.D2.target, cert.D2.cliques, 3)
         for edge in cert.A.edges:

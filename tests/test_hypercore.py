@@ -6,9 +6,9 @@ import pytest
 from absorbkit.errors import ParameterError, ParseError
 from absorbkit.hypercore import (Decomposition, Hypergraph, MultiHypergraph,
                                  Packing, clique_edges, decomposition_valid,
-                                 enumerate_cliques, level_degree,
-                                 max_level_degree, read_graph, read_packing,
-                                 write_graph, write_packing)
+                                 enumerate_cliques, max_level_degree,
+                                 read_graph, read_packing, write_graph,
+                                 write_packing)
 
 
 def triangle(n=3):
@@ -55,31 +55,26 @@ class TestCliqueEnumeration:
 
 
 class TestDegrees:
+    # max_level_degree(G, j): the most edges through one j-subset of an edge
     def test_vertex_degree_complete(self):
-        assert level_degree(Hypergraph.complete(8, 2), {3}) == 7
+        assert max_level_degree(Hypergraph.complete(8, 2), 1) == 7
 
     def test_pair_degree_k7_3(self):
-        assert level_degree(Hypergraph.complete(7, 3), {1, 2}) == 5
+        assert max_level_degree(Hypergraph.complete(7, 3), 2) == 5
 
     def test_empty_graph(self):
-        assert level_degree(Hypergraph.empty(5, 2), {0}) == 0
+        assert max_level_degree(Hypergraph.empty(5, 2), 1) == 0
 
     def test_multiplicity_counts(self):
         J = MultiHypergraph(4, 2, {(0, 1): 3, (0, 2): 1})
-        assert level_degree(J, {0}) == 4
-        assert level_degree(J, set()) == 4
-
-    def test_invalid_vertex(self):
-        with pytest.raises(ParameterError):
-            level_degree(Hypergraph.complete(4, 2), {9})
+        assert max_level_degree(J, 1) == 4
+        assert max_level_degree(J, 0) == 4
 
     def test_monotone_under_superset(self):
         rng = random.Random(3)
         G = Hypergraph(7, 3, [tuple(sorted(rng.sample(range(7), 3))) for _ in range(18)])
-        for e in G.edges:
-            for i in range(3):
-                small = set(e[:i])
-                assert level_degree(G, small) >= level_degree(G, set(e[:i + 1]))
+        for j in range(2):
+            assert max_level_degree(G, j) >= max_level_degree(G, j + 1)
 
     def test_max_level_degree(self):
         assert max_level_degree(Hypergraph.complete(9, 2), 1) == 8

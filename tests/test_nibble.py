@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from math import comb, inf
 
 import pytest
 
+from absorbkit import nibble
 from absorbkit.errors import BudgetError, CapacityError, ParameterError
+from absorbkit.exactcover import solve_cover
 from absorbkit.hypercore import Hypergraph, Packing, clique_edges
 from absorbkit.nibble import (NibbleParams, _clique_pool, _creates_config,
                               complete_with_reserves, configurations,
@@ -20,7 +22,7 @@ PASCH = [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)]
 def dfs_girth(P, q, r, g_max):
     """Reference girth: the `configurations` DFS for every g in 2..g_max."""
     for g in range(2, g_max + 1):
-        if configurations(P, g, (q - r) * g + r, stop_at=1)[0]:
+        if configurations(P, g, (q - r) * g + r)[0]:
             return g
     return inf
 
@@ -85,6 +87,110 @@ def tuple_set_random_greedy(G, q, params):
             live = [c for c in live
                     if not any(e in covered for e in clique_edges(c, G.r))]
     return chosen, G.edges - covered
+
+
+def probe_prune(options):
+    """Reference probing: failed-literal propagation over (payload,
+    [primary] + side) options, each covering one primary item, listed
+    first, and otherwise only at-most-once items.  Returns the surviving
+    options in input order, or None when a primary item loses them all."""
+    foot = [cov[0] for _, cov in options]
+    by_item = defaultdict(int)
+    for i, (_, cov) in enumerate(options):
+        for it in cov:
+            by_item[it] |= 1 << i
+    conflict = []
+    for i, (_, cov) in enumerate(options):
+        m = 0
+        for it in cov:
+            m |= by_item[it]
+        conflict.append(m & ~(1 << i))
+
+    def refuted(i, alive):
+        chosen = dead = 0
+        stack = [i]
+        while stack:
+            j = stack.pop()
+            bit = 1 << j
+            if dead & bit:
+                return True
+            if chosen & bit:
+                continue
+            chosen |= bit
+            kill = conflict[j] & alive & ~dead
+            if kill & chosen:
+                return True
+            dead |= kill
+            feet = set()
+            while kill:
+                low = kill & -kill
+                feet.add(foot[low.bit_length() - 1])
+                kill ^= low
+            for e in feet:
+                left = by_item[e] & alive & ~dead
+                if not left:
+                    return True
+                if not left & (left - 1):
+                    stack.append(left.bit_length() - 1)
+        return False
+
+    alive = (1 << len(options)) - 1
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(options)):
+            if alive >> i & 1 and refuted(i, alive):
+                alive &= ~(1 << i)
+                changed = True
+                if not by_item[foot[i]] & alive:
+                    return None
+    return [opt for i, opt in enumerate(options) if alive >> i & 1]
+
+
+def tuple_set_completion(G, X, partial, q, seed, retries, fallback_budget,
+                         stats):
+    """Reference completion: candidate lists per leftover edge, greedy on a
+    set of available reserve edges, then `probe_prune` and `solve_cover`."""
+    leftover = sorted(G.edges - partial.covered_edges())
+    union_host = Hypergraph(max(G.n, X.n), G.r, set(G.edges) | set(X.edges))
+    rng = random.Random(seed)
+    all_cands = {e: reserve_candidates(e, G, set(X.edges), q) for e in leftover}
+    usage = Counter(f for cands in all_cands.values() for Q in cands
+                    for f in clique_edges(Q, G.r) if f in X.edges)
+    stats["max_reserve_edge_usage"] = max(usage.values(), default=0)
+    stats["min_candidates"] = min((len(v) for v in all_cands.values()), default=0)
+    if any(not v for v in all_cands.values()):
+        stats["reason"] = "no-candidate"
+        return None
+    for _ in range(retries):
+        order = leftover[:]
+        rng.shuffle(order)
+        avail = set(X.edges)
+        chosen = []
+        for e in order:
+            cands = [Q for Q in all_cands[e]
+                     if all(f == e or f in avail for f in clique_edges(Q, G.r))]
+            if not cands:
+                break
+            Q = cands[rng.randrange(len(cands))]
+            chosen.append(Q)
+            avail.difference_update(clique_edges(Q, G.r))
+        else:
+            stats["fallback_used"] = False
+            return Packing(union_host, list(partial.cliques) + chosen, q)
+    stats["fallback_used"] = True
+    options = [(Q, [e] + [f for f in clique_edges(Q, G.r) if f != e])
+               for e in leftover for Q in all_cands[e]]
+    pruned = probe_prune(options)
+    sol = None
+    if pruned is not None:
+        secondary = {f for _, cov in pruned for f in cov[1:]}
+        sol = solve_cover(leftover, pruned, secondary=secondary,
+                          budget=fallback_budget)
+    if sol is None:
+        stats["reason"] = "infeasible"
+        return None
+    return Packing(union_host, list(partial.cliques) + sol, q)
 
 
 def equivalence_instances():
@@ -197,16 +303,16 @@ class TestCompletion:
         (Q,) = out.cliques
         assert (0, 1) in clique_edges(Q, 2)
 
-    def test_exact_cover_fallback(self):
+    def test_exact_cover_fallback(self, monkeypatch):
         # (0,1) can go through apex 4 or 5, but (0,2) must use 4: only the
-        # assignment (0,1)->5, (0,2)->4 works, and with retries=0 the greedy
+        # assignment (0,1)->5, (0,2)->4 works, and with no retries the greedy
         # phase is skipped so the exact cover fallback must find it
+        monkeypatch.setattr(nibble, "RETRIES", 0)
         G = Hypergraph(6, 2, [(0, 1), (0, 2)])
         X = Hypergraph(6, 2, [(0, 4), (1, 4), (0, 5), (1, 5), (2, 4)])
         partial = Packing(G, [], q=3)
         stats = {}
-        out = complete_with_reserves(G, X, partial, 3, seed=0, retries=0,
-                                     stats=stats)
+        out = complete_with_reserves(G, X, partial, 3, seed=0, stats=stats)
         assert out is not None
         assert stats["fallback_used"]
         assert {tuple(sorted(c)) for c in out.cliques} == {(0, 1, 5), (0, 2, 4)}
@@ -229,17 +335,20 @@ class TestCompletion:
         assert out is None
         assert stats["fallback_used"] and stats["reason"] == "infeasible"
 
-    def test_budget_exhausted_raises(self):
+    def test_budget_exhausted_raises(self, monkeypatch):
         # feasible, but the exact cover fallback gets no nodes to spend
+        monkeypatch.setattr(nibble, "RETRIES", 0)
+        monkeypatch.setattr(nibble, "FALLBACK_BUDGET", 0)
         G = Hypergraph(6, 2, [(0, 1), (0, 2)])
         X = Hypergraph(6, 2, [(0, 4), (1, 4), (0, 5), (1, 5), (2, 4)])
         stats = {}
         with pytest.raises(BudgetError):
             complete_with_reserves(G, X, Packing(G, [], q=3), 3, seed=0,
-                                   retries=0, fallback_budget=0, stats=stats)
+                                   stats=stats)
         assert "reason" not in stats
 
-    def test_fallback_verdict_matches_brute_force(self):
+    def test_fallback_verdict_matches_brute_force(self, monkeypatch):
+        monkeypatch.setattr(nibble, "RETRIES", 0)
         rng = random.Random(61)
         verdicts = set()
         for _ in range(60):
@@ -260,10 +369,47 @@ class TestCompletion:
                     break
             stats = {}
             out = complete_with_reserves(G, X, Packing(G, [], q=3), 3,
-                                         seed=0, retries=0, stats=stats)
+                                         seed=0, stats=stats)
             assert (out is not None) == feasible
             verdicts.add(stats.get("reason", "completed"))
         assert verdicts == {"completed", "no-candidate", "infeasible"}
+
+    def test_matches_tuple_set_reference(self, monkeypatch):
+        # seeded reserve instances, where random greedy leaves many edges,
+        # and small random ones, where the greedy pass often completes;
+        # each runs with RETRIES greedy passes and with none
+        cases = []
+        for n, p in ((25, 0.4), (40, 0.35)):
+            for seed in range(20):
+                rs = generate_reserves(n, 3, 2, p, seed=seed)
+                G = Hypergraph(n, 2, Hypergraph.complete(n, 2).edges - rs.X.edges)
+                partial, _ = random_greedy_pack(G, 3, NibbleParams(seed=seed))
+                cases.append((G, rs.X, partial, seed))
+        rng = random.Random(13)
+        for seed in range(40):
+            n = rng.randint(6, 9)
+            pool = list(itertools.combinations(range(n), 2))
+            rng.shuffle(pool)
+            k = rng.randint(1, 5)
+            G = Hypergraph(n, 2, pool[:k])
+            X = Hypergraph(n, 2, [e for e in pool[k:] if rng.random() < 0.7])
+            cases.append((G, X, Packing(G, [], q=3), seed))
+        seen = Counter()
+        for retries in (nibble.RETRIES, 0):
+            monkeypatch.setattr(nibble, "RETRIES", retries)
+            for G, X, partial, seed in cases:
+                stats, want_stats = {}, {}
+                out = complete_with_reserves(G, X, partial, 3, seed=seed,
+                                             stats=stats)
+                want = tuple_set_completion(G, X, partial, 3, seed, retries,
+                                            nibble.FALLBACK_BUDGET, want_stats)
+                assert stats == want_stats
+                assert (None if out is None else out.cliques) == \
+                    (None if want is None else want.cliques)
+                seen[stats.get("reason", "completed"),
+                     stats.get("fallback_used")] += 1
+        assert set(seen) == {("completed", False), ("completed", True),
+                             ("no-candidate", None), ("infeasible", True)}
 
     def test_one_foot_property(self):
         rs = generate_reserves(25, 3, 2, 0.4, seed=9)
