@@ -43,6 +43,16 @@ def _parse_ids(text: str) -> tuple:
         raise ParameterError(f"expected integer vertex ids, got {text!r}") from None
 
 
+def _parse_fraction(text, option: str):
+    """An optional rational option value such as 2/7; None when absent."""
+    if text is None:
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParameterError(f"{option} expects a rational such as 2/7, got {text!r}") from None
+
+
 def _need(value, message: str) -> None:
     if not value:
         raise ParameterError(message)
@@ -263,7 +273,7 @@ def cmd_embed(args) -> int:
 def cmd_lp(args) -> int:
     if args.action == "solve":
         G = read_graph(args.graph)
-        cap = Fraction(args.cap) if args.cap else None
+        cap = _parse_fraction(args.cap, "--cap")
         out = solve_fractional(G, args.q, weight_cap=cap)
         if not out.feasible:
             print("INFEASIBLE (Farkas certificate verified)")
@@ -280,11 +290,11 @@ def cmd_lp(args) -> int:
         return EXIT_OK
     if args.action == "boost":
         G = read_graph(args.graph)
+        mult = _parse_fraction(args.multiplier, "--multiplier")
         out = solve_fractional(G, args.q)
         if not out.feasible:
             print("INFEASIBLE (no weighting to sample)")
             return EXIT_NEGATIVE
-        mult = Fraction(args.multiplier) if args.multiplier else None
         fam = boost_sample(out.weighting, multiplier=mult, seed=args.seed)
         _emit({"family": len(fam.cliques), "c_hat": fam.c_hat,
                "gamma_hat": fam.gamma_hat, "clamped": fam.clamped}, args.json)

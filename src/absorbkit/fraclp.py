@@ -1,11 +1,14 @@
 """Exact rational linear programming for fractional clique decompositions.
 
 Feasibility of {sum of weights through each edge = 1, weights >= 0 (<= cap)}
-is decided by a fraction-free phase-1 simplex (Dantzig pricing with a
-Bland anti-cycling switch) on an integer tableau: each row holds integer
-numerators over its own positive integer denominator.  Verdicts are exact:
-feasibility comes with the weighting itself, and infeasibility comes with
-a Farkas certificate that is re-verified before being returned.  An
+is decided by a fraction-free revised phase-1 simplex (Dantzig pricing with
+a Bland anti-cycling switch).  Every coefficient of the constraint matrix is
+0 or 1, so each column is kept as the tuple of its rows' ids, and the
+simplex keeps only B^-1 and the right-hand side: each of their rows holds
+integer numerators over its own positive integer denominator.  Verdicts
+are exact: feasibility comes with the weighting itself, and infeasibility
+comes with a Farkas certificate that is re-verified before being returned.
+An
 exhaustive vertex enumeration (`fm_feasible`: every linearly independent
 column subset, solved exactly) doubles as an independent oracle for small
 instances.
@@ -67,55 +70,77 @@ class BoostFamily:
     clamped: int
 
 
-def _phase1(rows: List[List[Fraction]], b: List[Fraction], n_struct: int) -> tuple:
+def _phase1(cols: List[tuple], b: List[Fraction]) -> tuple:
     """Minimize the artificial sum for {Ax = b, x >= 0}; returns
     (objective, x, y, pivots).  One artificial per row; b must be >= 0.
 
-    Each tableau row, the objective row included, is a list of integer
+    Every coefficient of A is 0 or 1, so A arrives as its columns, each
+    the tuple of row ids where it holds a 1.  This is the revised simplex:
+    only the artificial block of the tableau (B^-1) and the right-hand side
+    are kept, as are the artificial part and the right-hand side of the
+    objective row.  The artificial part of that row is 1 - y, for the row
+    prices y; a structural column costs 0, so its reduced cost is minus the
+    sum of y over its rows, and its tableau column is the sum of the B^-1
+    columns of its rows.
+
+    Each kept row, the objective row included, is a list of integer
     numerators over one positive integer denominator, reduced by their gcd
     after each change.  Every entry keeps its exact rational value, so the
-    pivots are those of a Fraction tableau; only x and y become Fractions.
+    pivots are those of a full Fraction tableau; only x and y become
+    Fractions.
     """
-    m = len(rows)
+    m = len(b)
+    n_struct = len(cols)
     ncols = n_struct + m
+    struct = cols
+    cols = cols + [(i,) for i in range(m)]   # artificials: unit columns
+    # row i of [B^-1 | rhs]; B = I at the start
     T: List[List[int]] = []
     den: List[int] = []
-    for i, row in enumerate(rows):
-        d = lcm(*(v.denominator for v in row), b[i].denominator)
-        T.append([v.numerator * (d // v.denominator) for v in row]
-                 + [d if j == i else 0 for j in range(m)]
-                 + [b[i].numerator * (d // b[i].denominator)])
+    for i, bi in enumerate(b):
+        d = bi.denominator
+        row = [0] * (m + 1)
+        row[i], row[m] = d, bi.numerator
+        T.append(row)
         den.append(d)
     basis = [n_struct + i for i in range(m)]
-    # reduced costs: c_j - sum of column entries (artificial costs are 1),
-    # over the common denominator of the rows
+    # objective row over the artificial columns and the right-hand side:
+    # the reduced cost 1 - y_i of artificial i, over one denominator
     oden = lcm(*den)
-    scale = [oden // d for d in den]
-    obj = [(oden if n_struct <= j < ncols else 0)
-           - sum(s * Ti[j] for s, Ti in zip(scale, T)) for j in range(ncols + 1)]
+    obj = [0] * m + [-sum((oden // d) * Ti[m] for d, Ti in zip(den, T))]
     g = gcd(oden, *obj)
     obj, oden = [v // g for v in obj], oden // g
     pivots = 0
     stalled = 0
     bland_after = 4 * (m + ncols)
     while True:
+        # reduced costs of every column over the denominator oden: minus
+        # the sum of y_i = (oden - obj_i) / oden over a structural column's
+        # rows, and obj_i itself for artificial i
+        minus_y = [v - oden for v in obj[:m]].__getitem__
+        red = [sum(map(minus_y, col)) for col in struct] + obj[:m]
         # Dantzig pricing normally; permanent Bland switch once the
-        # objective stalls long enough to suspect cycling.  The objective
-        # entries share one positive denominator: compare numerators.
+        # objective stalls long enough to suspect cycling.  The reduced
+        # costs share one positive denominator: compare numerators.
         if stalled <= bland_after:
-            best = min(obj[:ncols])
-            enter = obj.index(best) if best < 0 else None
+            best = min(red)
+            enter = red.index(best) if best < 0 else None
         else:
-            enter = next((j for j in range(ncols) if obj[j] < 0), None)
+            enter = next((j for j in range(ncols) if red[j] < 0), None)
         if enter is None:
             break
+        # the entering tableau column: the sum of its rows' B^-1 columns
+        first, *rest = cols[enter]
+        a_col = [row[first] for row in T]
+        for i in rest:
+            a_col = [a + row[i] for a, row in zip(a_col, T)]
         # ratio rhs_i / a_i: the row denominator cancels, so compare
         # numerator ratios by cross-multiplying (a_i > 0)
         leave = None
         for i in range(m):
-            a = T[i][enter]
+            a = a_col[i]
             if a > 0:
-                rhs = T[i][ncols]
+                rhs = T[i][m]
                 if leave is None:
                     leave, lrhs, la = i, rhs, a
                     continue
@@ -128,41 +153,38 @@ def _phase1(rows: List[List[Fraction]], b: List[Fraction], n_struct: int) -> tup
         # dividing the leaving row by its pivot keeps its numerators and
         # makes the pivot numerator its denominator
         prow = T[leave]
-        p = prow[enter]
-        g = gcd(*prow)
+        p = a_col[leave]
+        g = gcd(p, *prow)
         if g > 1:
             prow = [v // g for v in prow]
             p //= g
         T[leave], den[leave] = prow, p
         for i in range(m):
-            if i != leave:
-                row = T[i]
-                f = row[enter]
-                if f:
-                    new = [a * p - f * c for a, c in zip(row, prow)]
-                    d = den[i] * p
-                    g = gcd(d, *new)
-                    if g > 1:
-                        new, d = [v // g for v in new], d // g
-                    T[i], den[i] = new, d
-        f = obj[enter]
-        if f:
-            before, before_den = obj[ncols], oden
-            obj = [a * p - f * c for a, c in zip(obj, prow)]
-            oden *= p
-            g = gcd(oden, *obj)
-            if g > 1:
-                obj, oden = [v // g for v in obj], oden // g
-            stalled = stalled + 1 if obj[ncols] * before_den == before * oden else 0
+            f = a_col[i]
+            if f and i != leave:
+                new = [a * p - f * c for a, c in zip(T[i], prow)]
+                d = den[i] * p
+                g = gcd(d, *new)
+                if g > 1:
+                    new, d = [v // g for v in new], d // g
+                T[i], den[i] = new, d
+        f = red[enter]
+        before, before_den = obj[m], oden
+        obj = [a * p - f * c for a, c in zip(obj, prow)]
+        oden *= p
+        g = gcd(oden, *obj)
+        if g > 1:
+            obj, oden = [v // g for v in obj], oden // g
+        stalled = stalled + 1 if obj[m] * before_den == before * oden else 0
         basis[leave] = enter
         pivots += 1
-    objective = Fraction(-obj[ncols], oden)
+    objective = Fraction(-obj[m], oden)
     x = [Fraction(0)] * n_struct
     for i, bi in enumerate(basis):
         if bi < n_struct:
-            x[bi] = Fraction(T[i][ncols], den[i])
+            x[bi] = Fraction(T[i][m], den[i])
     # row prices: y_i = 1 - reduced cost of artificial i
-    y = [1 - Fraction(obj[n_struct + i], oden) for i in range(m)]
+    y = [1 - Fraction(obj[i], oden) for i in range(m)]
     return objective, x, y, pivots
 
 
@@ -173,46 +195,39 @@ def solve_fractional(G: AnyGraph, q: int,
     host = G.simple()
     if q <= host.r:
         raise ParameterError(f"need q > r, got q={q}, r={host.r}")
+    cap = Fraction(weight_cap) if weight_cap is not None else None
+    if cap is not None and cap < 0:
+        # phase 1 starts from the artificial basis, which needs b >= 0
+        raise ParameterError(f"weight cap must be nonnegative, got {cap}")
     cliques = sorted(tuple(sorted(c)) for c in enumerate_cliques(host, q))
     if len(cliques) > VARIABLE_CAP:
         raise CapacityError(f"{len(cliques)} cliques exceeds the solver cap {VARIABLE_CAP}")
-    cap = Fraction(weight_cap) if weight_cap is not None else None
     edges = sorted(host.edges)
     if not edges:
         w = FractionalWeighting(psi={}, host=host, q=q)
         return SimplexOutcome(True, w, None, [], 0)
-    cidx = {c: j for j, c in enumerate(cliques)}
-    nv = len(cliques)
+    # columns of A as the row ids of their 1s: clique j covers its edge
+    # rows (and its cap row), slack j covers cap row j alone
+    eidx = {e: i for i, e in enumerate(edges)}
+    cols = [tuple(eidx[e] for e in clique_edges(c, host.r)) for c in cliques]
     row_labels: List[tuple] = [("edge", e) for e in edges]
-    n_struct = nv + (nv if cap is not None else 0)
-    rows: List[List[Fraction]] = []
-    b: List[Fraction] = []
-    for e in edges:
-        row = [Fraction(0)] * n_struct
-        for c in cliques:
-            if set(e) <= set(c):
-                row[cidx[c]] = Fraction(1)
-        rows.append(row)
-        b.append(Fraction(1))
+    b = [Fraction(1)] * len(edges)
     if cap is not None:
-        for j, c in enumerate(cliques):
-            row = [Fraction(0)] * n_struct
-            row[j] = Fraction(1)
-            row[nv + j] = Fraction(1)      # slack
-            rows.append(row)
-            b.append(cap)
-            row_labels.append(("cap", c))
-    objective, x, y, pivots = _phase1(rows, b, n_struct)
+        first = len(edges)
+        cols = ([col + (first + j,) for j, col in enumerate(cols)]
+                + [(first + j,) for j in range(len(cliques))])
+        row_labels += [("cap", c) for c in cliques]
+        b += [cap] * len(cliques)
+    objective, x, y, pivots = _phase1(cols, b)
     if objective == 0:
-        psi = {c: x[cidx[c]] for c in cliques if x[cidx[c]] != 0}
+        psi = {c: x[j] for j, c in enumerate(cliques) if x[j] != 0}
         w = FractionalWeighting(psi=psi, host=host, q=q)
         if cap is not None:
             assert all(v <= cap for v in psi.values()), "cap violated post-solve"
         return SimplexOutcome(True, w, None, row_labels, pivots)
     # Farkas: y*A <= 0 on every structural column and y*b > 0; verify exactly
-    for j in range(n_struct):
-        col = sum(y[i] * rows[i][j] for i in range(len(rows)))
-        assert col <= 0, "Farkas certificate failed column check"
+    for col in cols:
+        assert sum(y[i] for i in col) <= 0, "Farkas certificate failed column check"
     assert sum(yi * bi for yi, bi in zip(y, b)) > 0, "Farkas certificate failed rhs check"
     return SimplexOutcome(False, None, y, row_labels, pivots)
 

@@ -482,13 +482,13 @@ def _absorber_instance(L: Hypergraph, q: int, fresh: Sequence[int]) -> CoverInst
     return CoverInstance(items, [1] * len(items), payloads, rows)
 
 
-def search_absorber(L: Hypergraph, q: int, base: Optional[int] = None,
-                    budget: int = DEFAULT_BUDGET) -> AbsorberCertificate:
+def search_absorber(L: Hypergraph, q: int, base: Optional[int] = None) -> AbsorberCertificate:
     """Absorber for L by exact cover over V(L) plus the fewest fresh
     vertices (from q - r up to SEARCH_FRESH_CAP) that admit one.
 
     Each fresh-vertex count is searched exhaustively on the exact-cover
-    engine (`_absorber_instance`), and one node budget spans all counts.
+    engine (`_absorber_instance`), and one budget of DEFAULT_BUDGET nodes
+    spans all counts.
     A is the union of the negatives' edges; the certificate is verified.
     Raises CapacityError when every count up to SEARCH_FRESH_CAP is
     searched out and BudgetError when the node budget is spent first.
@@ -497,7 +497,7 @@ def search_absorber(L: Hypergraph, q: int, base: Optional[int] = None,
         raise PreconditionError("L is not divisible; no absorber exists")
     if base is None:
         base = L.n
-    nodes = _Budget(budget, "absorber search")
+    nodes = _Budget(DEFAULT_BUDGET, "absorber search")
     for n_fresh in range(q - L.r, SEARCH_FRESH_CAP + 1):
         inst = _absorber_instance(L, q, range(base, base + n_fresh))
         for sol in _search(inst, nodes, cap=1):

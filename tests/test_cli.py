@@ -376,6 +376,17 @@ class TestMalformedInputExit3:
         write_graph(Hypergraph.complete(8, 2), g)
         self.check(capsys, ["lp", "inherit", g, "--s", "5", "--members", "0,y"])
 
+    @pytest.mark.parametrize("action, option", [
+        ("solve", ["--cap", "abc"]),           # not a rational
+        ("solve", ["--cap", "1/0"]),           # a zero denominator
+        ("solve", ["--cap=-1/2"]),             # a negative cap
+        ("boost", ["--multiplier", "abc"]),    # not a rational
+    ], ids=["cap-abc", "cap-zero-denominator", "cap-negative", "multiplier-abc"])
+    def test_lp_rational_options(self, tmp_path, capsys, action, option):
+        g = str(tmp_path / "k5.graph")
+        write_graph(Hypergraph.complete(5, 2), g)
+        self.check(capsys, ["lp", action, g] + option)
+
     @pytest.mark.parametrize("text", [
         "base\ngadget W.graph H.graph 0,1\n",           # base with no path
         "base J.graph\ngadget W.graph H.graph\n",       # gadget without roots

@@ -130,9 +130,24 @@ def reference_phase1(rows, b, n_struct):
     return objective, x, y, pivots
 
 
+def dense_reference_phase1(cols, b):
+    """`reference_phase1` on the dense Fraction rows that the sparse 0/1
+    columns stand for: row i holds a 1 in every column listing i."""
+    rows = [[Fraction(int(i in col)) for col in cols] for i in range(len(b))]
+    return reference_phase1(rows, b, len(cols))
+
+
+def random_graph(rng):
+    n = rng.randint(4, 8)
+    p = rng.choice((0.5, 0.7, 0.9))
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+    return Hypergraph(n, 2, edges)
+
+
 def equivalence_instances():
     """(id, graph, cap): complete graphs, capped complete graphs, K_4 - e
-    and seeded random graphs on at most 8 vertices, some infeasible."""
+    and seeded random graphs on at most 8 vertices, uncapped and capped,
+    some infeasible."""
     out = [(f"K_{n}", Hypergraph.complete(n, 2), None) for n in range(5, 10)]
     for n in range(5, 8):
         out.append((f"K_{n} cap=2/{n}", Hypergraph.complete(n, 2), Fraction(2, n)))
@@ -140,11 +155,29 @@ def equivalence_instances():
     out.append(("K_4-e", k4_minus_edge(), None))
     rng = random.Random(2024)
     for i in range(30):
-        n = rng.randint(4, 8)
-        p = rng.choice((0.5, 0.7, 0.9))
-        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
-        out.append((f"random #{i} n={n}", Hypergraph(n, 2, edges), None))
+        G = random_graph(rng)
+        out.append((f"random #{i} n={G.n}", G, None))
+    for i in range(10):
+        G = random_graph(rng)
+        cap = Fraction(rng.choice((1, 2)), G.n - 2)
+        out.append((f"random #{i} n={G.n} cap={cap}", G, cap))
     return out
+
+
+def lp_columns(G, cap):
+    """The phase-1 input of `solve_fractional` on a graph, triangles in lex
+    order: edge rows, then one cap row per triangle when capped."""
+    edges = sorted(G.edges)
+    eidx = {e: i for i, e in enumerate(edges)}
+    tris = [c for c in itertools.combinations(range(G.n), 3)
+            if all(e in eidx for e in itertools.combinations(c, 2))]
+    cols = [tuple(eidx[e] for e in itertools.combinations(c, 2)) for c in tris]
+    b = [Fraction(1)] * len(edges)
+    if cap is not None:
+        m = len(edges)
+        cols = [col + (m + j,) for j, col in enumerate(cols)] + [(m + j,) for j in range(len(tris))]
+        b += [cap] * len(tris)
+    return cols, b
 
 
 class TestIntegerTableau:
@@ -152,7 +185,7 @@ class TestIntegerTableau:
                                         for name, G, cap in equivalence_instances()])
     def test_matches_fraction_tableau(self, monkeypatch, G, cap):
         got = solve_fractional(G, 3, weight_cap=cap)
-        monkeypatch.setattr(fraclp, "_phase1", reference_phase1)
+        monkeypatch.setattr(fraclp, "_phase1", dense_reference_phase1)
         want = solve_fractional(G, 3, weight_cap=cap)
         assert got.feasible == want.feasible
         assert (got.weighting is None) == (want.weighting is None)
@@ -161,6 +194,26 @@ class TestIntegerTableau:
         assert got.farkas == want.farkas
         assert got.rows == want.rows
         assert got.pivots == want.pivots
+
+    def test_phase1_matches_reference_on_seeded_instances(self):
+        # capped only up to 6 vertices: on more, the dense reference
+        # pivots a Fraction tableau of 100+ columns and takes seconds
+        rng = random.Random(1414)
+        done = infeasible = 0
+        while done < 200:
+            n = rng.randint(4, 7)
+            p = rng.choice((0.5, 0.7, 0.9))
+            G = Hypergraph(n, 2, [e for e in itertools.combinations(range(n), 2)
+                                  if rng.random() < p])
+            cap = rng.choice((None, Fraction(1, 2), Fraction(2, n), Fraction(0))) if n <= 6 else None
+            cols, b = lp_columns(G, cap)
+            if not b:
+                continue
+            got = fraclp._phase1(cols, b)
+            assert got == dense_reference_phase1(cols, b), (sorted(G.edges), cap)
+            done += 1
+            infeasible += got[0] != 0
+        assert infeasible >= 100
 
     def test_instances_include_infeasible(self):
         verdicts = {solve_fractional(G, 3, weight_cap=cap).feasible

@@ -331,10 +331,11 @@ class TestSearchAbsorber:
             search_absorber(Q3, 4)
         assert not isinstance(exc.value, BudgetError)
 
-    def test_budget_error_counts_nodes(self):
+    def test_budget_error_counts_nodes(self, monkeypatch):
         L = Hypergraph(6, 2, [(i, (i + 1) % 6) for i in range(6)])
+        monkeypatch.setattr(gadgets, "DEFAULT_BUDGET", 50)
         with pytest.raises(BudgetError, match="of 50 nodes"):
-            search_absorber(L, 3, budget=50)
+            search_absorber(L, 3)
 
     def test_build_absorber_search_path(self):
         # two K_4 sharing vertex 3: K_4-divisible, so q = 4 takes the search
