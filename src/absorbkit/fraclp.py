@@ -8,8 +8,7 @@ simplex keeps only B^-1 and the right-hand side: each of their rows holds
 integer numerators over its own positive integer denominator.  Verdicts
 are exact: feasibility comes with the weighting itself, and infeasibility
 comes with a Farkas certificate that is re-verified before being returned.
-An
-exhaustive vertex enumeration (`fm_feasible`: every linearly independent
+An exhaustive vertex enumeration (`fm_feasible`: every linearly independent
 column subset, solved exactly) doubles as an independent oracle for small
 instances.
 """

@@ -137,8 +137,8 @@ def dense_reference_phase1(cols, b):
     return reference_phase1(rows, b, len(cols))
 
 
-def random_graph(rng):
-    n = rng.randint(4, 8)
+def random_graph(rng, max_n=8):
+    n = rng.randint(4, max_n)
     p = rng.choice((0.5, 0.7, 0.9))
     edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
     return Hypergraph(n, 2, edges)
@@ -201,11 +201,9 @@ class TestIntegerTableau:
         rng = random.Random(1414)
         done = infeasible = 0
         while done < 200:
-            n = rng.randint(4, 7)
-            p = rng.choice((0.5, 0.7, 0.9))
-            G = Hypergraph(n, 2, [e for e in itertools.combinations(range(n), 2)
-                                  if rng.random() < p])
-            cap = rng.choice((None, Fraction(1, 2), Fraction(2, n), Fraction(0))) if n <= 6 else None
+            G = random_graph(rng, max_n=7)
+            cap = (rng.choice((None, Fraction(1, 2), Fraction(2, G.n), Fraction(0)))
+                   if G.n <= 6 else None)
             cols, b = lp_columns(G, cap)
             if not b:
                 continue
