@@ -187,6 +187,17 @@ def _phase1(cols: List[tuple], b: List[Fraction]) -> tuple:
     return objective, x, y, pivots
 
 
+def _nonnegative_rational(value, name: str) -> Fraction:
+    """`value` as a Fraction; ParameterError unless it is a rational >= 0."""
+    try:
+        x = Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ParameterError(f"{name} must be a rational, got {value!r}") from None
+    if x < 0:
+        raise ParameterError(f"{name} must be nonnegative, got {x}")
+    return x
+
+
 def solve_fractional(G: AnyGraph, q: int,
                      weight_cap: Optional[Union[Fraction, int, str]] = None) -> SimplexOutcome:
     """Exact LP solve: a weighting when feasible, else a verified Farkas
@@ -194,10 +205,8 @@ def solve_fractional(G: AnyGraph, q: int,
     host = G.simple()
     if q <= host.r:
         raise ParameterError(f"need q > r, got q={q}, r={host.r}")
-    cap = Fraction(weight_cap) if weight_cap is not None else None
-    if cap is not None and cap < 0:
-        # phase 1 starts from the artificial basis, which needs b >= 0
-        raise ParameterError(f"weight cap must be nonnegative, got {cap}")
+    # phase 1 starts from the artificial basis, which needs b >= 0
+    cap = _nonnegative_rational(weight_cap, "weight cap") if weight_cap is not None else None
     cliques = sorted(tuple(sorted(c)) for c in enumerate_cliques(host, q))
     if len(cliques) > VARIABLE_CAP:
         raise CapacityError(f"{len(cliques)} cliques exceeds the solver cap {VARIABLE_CAP}")
@@ -288,13 +297,14 @@ def _solve_exact(cols: List[List[Fraction]], b: List[Fraction]):
 def boost_sample(psi: FractionalWeighting, multiplier: Optional[Fraction] = None,
                  seed: int = 0) -> BoostFamily:
     """Include each clique independently with probability min(1, m * psi);
-    report per-edge counts and their normalized spread."""
+    report per-edge counts and their normalized spread.  A negative or
+    non-rational multiplier m raises ParameterError."""
     host, q = psi.host, psi.q
     n, r = host.n, host.r
     denom = comb(n - r, q - r)
     if multiplier is None:
         multiplier = Fraction(denom, 2)
-    multiplier = Fraction(multiplier)
+    multiplier = _nonnegative_rational(multiplier, "multiplier")
     rng = random.Random(seed)
     chosen: List[tuple] = []
     clamped = 0

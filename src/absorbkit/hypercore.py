@@ -44,7 +44,10 @@ class Hypergraph:
 
     @classmethod
     def complete(cls, n: int, r: int) -> "Hypergraph":
-        return cls(n, r, itertools.combinations(range(n), r))
+        G = cls(n, r)
+        # combinations yields sorted, distinct, in-range r-tuples: no _as_edge
+        G.edges = frozenset(itertools.combinations(range(n), r))
+        return G
 
     @classmethod
     def empty(cls, n: int, r: int) -> "Hypergraph":
@@ -258,16 +261,16 @@ class Packing:
 
 def decomposition_valid(target: AnyGraph, cliques: Iterable[Sequence[int]], q: int) -> bool:
     """Exact multiset test: clique edges partition the target edge set."""
+    cl = list(map(tuple, map(sorted, cliques)))
+    if not (all(map(q.__eq__, map(len, cl)))
+            and all(map(q.__eq__, map(len, map(set, cl))))):
+        return False
     want = target.edge_multiset() if isinstance(target, MultiHypergraph) else Counter(target.edges)
-    got: Counter = Counter()
-    r = target.r
-    for c in cliques:
-        c = tuple(sorted(c))
-        if len(c) != q or len(set(c)) != q:
-            return False
-        for e in clique_edges(c, r):
-            got[e] += 1
-    return got == want
+    got = Counter(itertools.chain.from_iterable(
+        map(itertools.combinations, cl, itertools.repeat(target.r))))
+    # neither Counter holds a zero count, so plain dict equality is exact
+    # (Counter's own == compares key by key in Python)
+    return dict.__eq__(got, want)
 
 
 class Decomposition:
@@ -279,7 +282,7 @@ class Decomposition:
     __slots__ = ("target", "q", "cliques")
 
     def __init__(self, target: AnyGraph, cliques: Iterable[Sequence[int]], q: int | None = None):
-        cl = sorted(tuple(sorted(c)) for c in cliques)
+        cl = sorted(map(tuple, map(sorted, cliques)))
         if q is None:
             if not cl:
                 if (target.m if isinstance(target, MultiHypergraph) else len(target.edges)):

@@ -22,6 +22,7 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, combinations, repeat
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
@@ -64,69 +65,120 @@ def _hill_climb_complete(n: int, rng: random.Random,
     the third point of the triangle on xy, or -1; `live` is a swap-remove
     list of the points with uncovered pairs, and at[x] is x's index in it.
     Every partner list has even length, as n - 1 is even.
+
+    The step loop calls no Python-level function: the list edits are
+    written out in place, and each uniform draw below d is spelled out as
+    the rejection draw `rng.randrange(d)` makes on CPython 3.10-3.12
+    (`Random._randbelow`: getrandbits of d.bit_length() bits until the
+    value is below d).  So the loop consumes the same random bits as the
+    `randrange` calls it replaces, and a seed gives the same triangles,
+    steps and pipeline artifacts.  The removals and appends keep their
+    order for the same reason: every later draw indexes into `live` and
+    the partner lists.
     """
     partners = [[y for y in range(n) if y != x] for x in range(n)]
     pos = [y - (y > x) for x in range(n) for y in range(n)]
     third = [-1] * (n * n)
     live, at = list(range(n)), list(range(n))
-    randrange = rng.randrange
-
-    def drop(x, y):
-        px = partners[x]
-        last = px.pop()
-        if last != y:
-            i = pos[x * n + y]
-            px[i] = last
-            pos[x * n + last] = i
-
-    def add(x, y):
-        px = partners[x]
-        pos[x * n + y] = len(px)
-        px.append(y)
-
-    def kill(x):
-        last = live.pop()
-        if last != x:
-            live[at[x]] = last
-            at[last] = at[x]
+    getrandbits = rng.getrandbits
 
     steps = 0
     while live:
         if steps == max_steps:
             return None
         steps += 1
-        x = live[randrange(len(live))]
+        # x = live[randrange(len(live))]
+        d = len(live)
+        k = d.bit_length()
+        i = getrandbits(k)
+        while i >= d:
+            i = getrandbits(k)
+        x = live[i]
         px = partners[x]
+        # i, j = randrange(d), randrange(d - 1)
         d = len(px)
-        i, j = randrange(d), randrange(d - 1)
-        y, z = px[i], px[j + (j >= i)]
-        w = third[y * n + z]
-        drop(x, y)
-        drop(x, z)
-        drop(y, x)
-        drop(z, x)
+        k = d.bit_length()
+        i = getrandbits(k)
+        while i >= d:
+            i = getrandbits(k)
+        d -= 1
+        k = d.bit_length()
+        j = getrandbits(k)
+        while j >= d:
+            j = getrandbits(k)
+        y = px[i]
+        z = px[j + (j >= i)]
+        xn, yn, zn = x * n, y * n, z * n
+        w = third[yn + z]
+        py, pz = partners[y], partners[z]
+        # swap-remove y and z from x's list, then x from y's and z's
+        last = px.pop()
+        if last != y:
+            i = pos[xn + y]
+            px[i] = last
+            pos[xn + last] = i
+        last = px.pop()
+        if last != z:
+            i = pos[xn + z]
+            px[i] = last
+            pos[xn + last] = i
+        last = py.pop()
+        if last != x:
+            i = pos[yn + x]
+            py[i] = last
+            pos[yn + last] = i
+        last = pz.pop()
+        if last != x:
+            i = pos[zn + x]
+            pz[i] = last
+            pos[zn + last] = i
         if w < 0:
-            drop(y, z)
-            drop(z, y)
-            if not partners[y]:
-                kill(y)
-            if not partners[z]:
-                kill(z)
+            # yz was uncovered: remove it from both lists, retire y, z if done
+            last = py.pop()
+            if last != z:
+                i = pos[yn + z]
+                py[i] = last
+                pos[yn + last] = i
+            last = pz.pop()
+            if last != y:
+                i = pos[zn + y]
+                pz[i] = last
+                pos[zn + last] = i
+            if not py:
+                last = live.pop()
+                if last != y:
+                    live[at[y]] = last
+                    at[last] = at[y]
+            if not pz:
+                last = live.pop()
+                if last != z:
+                    live[at[z]] = last
+                    at[last] = at[z]
         else:
-            if not partners[w]:
+            # yzw is swapped out: yw and zw are uncovered again
+            wn = w * n
+            pw = partners[w]
+            if not pw:
                 at[w] = len(live)
                 live.append(w)
-            add(y, w)
-            add(w, y)
-            add(z, w)
-            add(w, z)
-            third[y * n + w] = third[w * n + y] = -1
-            third[z * n + w] = third[w * n + z] = -1
-        third[x * n + y] = third[y * n + x] = z
-        third[x * n + z] = third[z * n + x] = y
-        third[y * n + z] = third[z * n + y] = x
+            pos[yn + w] = len(py)
+            py.append(w)
+            pos[wn + y] = len(pw)
+            pw.append(y)
+            pos[zn + w] = len(pz)
+            pz.append(w)
+            pos[wn + z] = len(pw)
+            pw.append(z)
+            third[yn + w] = third[wn + y] = -1
+            third[zn + w] = third[wn + z] = -1
+        third[xn + y] = third[yn + x] = z
+        third[xn + z] = third[zn + x] = y
+        third[yn + z] = third[zn + y] = x
         if not px:
-            kill(x)
+            last = live.pop()
+            if last != x:
+                live[at[x]] = last
+                at[last] = at[x]
     triples = [(x, y, w) for x in range(n) for y in range(x + 1, n)
                for w in (third[x * n + y],) if w > y]
     return triples, steps
@@ -238,19 +290,12 @@ def oracle_steiner(n: int) -> Decomposition:
 def verify_design(D, params: DesignParams) -> dict:
     """Exact per-r-subset coverage histogram; passes iff every r-subset of
     the n-set is covered exactly lambda times."""
-    import itertools as _it
     cliques = list(D.cliques if isinstance(D, (Decomposition, Packing)) else D)
-    counts: Counter = Counter()
-    for c in cliques:
-        for e in _it.combinations(tuple(sorted(c)), params.r):
-            counts[e] += 1
-    histogram: Counter = Counter()
-    bad = 0
-    for e in _it.combinations(range(params.n), params.r):
-        c = counts.get(e, 0)
-        histogram[c] += 1
-        if c != params.lam:
-            bad += 1
+    r = params.r
+    counts = Counter(chain.from_iterable(map(combinations, map(sorted, cliques), repeat(r))))
+    # Counter's [] reads a missing r-subset as 0 without storing it
+    histogram = Counter(map(counts.__getitem__, combinations(range(params.n), r)))
+    bad = sum(k for c, k in histogram.items() if c != params.lam)
     return {"pass": bad == 0, "bad_subsets": bad,
             "histogram": dict(sorted(histogram.items())),
             "cliques": len(cliques),

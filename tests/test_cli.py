@@ -381,7 +381,9 @@ class TestMalformedInputExit3:
         ("solve", ["--cap", "1/0"]),           # a zero denominator
         ("solve", ["--cap=-1/2"]),             # a negative cap
         ("boost", ["--multiplier", "abc"]),    # not a rational
-    ], ids=["cap-abc", "cap-zero-denominator", "cap-negative", "multiplier-abc"])
+        ("boost", ["--multiplier=-3"]),        # a negative multiplier
+    ], ids=["cap-abc", "cap-zero-denominator", "cap-negative", "multiplier-abc",
+            "multiplier-negative"])
     def test_lp_rational_options(self, tmp_path, capsys, action, option):
         g = str(tmp_path / "k5.graph")
         write_graph(Hypergraph.complete(5, 2), g)

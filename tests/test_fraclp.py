@@ -44,6 +44,11 @@ class TestFeasibility:
         assert not solve_fractional(G, 3, weight_cap=Fraction(1, 2)).feasible
         assert solve_fractional(G, 3).feasible
 
+    @pytest.mark.parametrize("cap", ["abc", "1/0", float("nan"), Fraction(-1, 2)])
+    def test_bad_cap_rejected(self, cap):
+        with pytest.raises(ParameterError):
+            solve_fractional(Hypergraph.complete(5, 2), 3, weight_cap=cap)
+
     def test_decomposition_is_fractional(self):
         from absorbkit.exactcover import find_decomposition
         D = find_decomposition(Hypergraph.complete(7, 2), 3)
@@ -233,6 +238,11 @@ class TestBoostSample:
         fam = boost_sample(self.make_uniform(8), multiplier=0, seed=1)
         assert fam.cliques == []
         assert all(v == 0 for v in fam.edge_counts.values())
+
+    @pytest.mark.parametrize("multiplier", [-3, Fraction(-1, 2), "abc", "1/0"])
+    def test_bad_multiplier_rejected(self, multiplier):
+        with pytest.raises(ParameterError):
+            boost_sample(self.make_uniform(5), multiplier=multiplier)
 
     def test_seed_reproducible(self):
         a = boost_sample(self.make_uniform(10), seed=42)

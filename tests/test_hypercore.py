@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,19 @@ from absorbkit.hypercore import (Decomposition, Hypergraph, MultiHypergraph,
 
 def triangle(n=3):
     return Hypergraph(n, 2, [(0, 1), (0, 2), (1, 2)])
+
+
+def reference_decomposition_valid(target, cliques, q):
+    """decomposition_valid as a per-clique Python loop with Counter's ==."""
+    want = target.edge_multiset() if isinstance(target, MultiHypergraph) else Counter(target.edges)
+    got = Counter()
+    for c in cliques:
+        c = tuple(sorted(c))
+        if len(c) != q or len(set(c)) != q:
+            return False
+        for e in clique_edges(c, target.r):
+            got[e] += 1
+    return got == want
 
 
 class TestCliqueEnumeration:
@@ -110,6 +124,71 @@ class TestPackingDecomposition:
         D = Decomposition(J, [(0, 1, 2), (0, 1, 2)])
         assert len(D) == 2
         assert not decomposition_valid(J, [(0, 1, 2)], 3)
+
+    def test_decomposition_valid_matches_reference(self):
+        from absorbkit.pipeline import oracle_steiner
+        sts7 = list(oracle_steiner(7).cliques)
+        k7, k7_3 = Hypergraph.complete(7, 2), Hypergraph.complete(7, 3)
+        doubled = MultiHypergraph(7, 2, {e: 2 for e in k7.edges})
+        sqs8 = [c for c in itertools.combinations(range(8), 4)
+                if c[0] ^ c[1] ^ c[2] ^ c[3] == 0]
+        cases = [
+            (k7, sts7, 3, True),
+            (k7, [tuple(reversed(c)) for c in sts7], 3, True),   # unsorted members
+            (k7, sts7[1:], 3, False),                           # a missing triple
+            (k7, sts7 + sts7[:1], 3, False),                    # a doubled triple
+            (k7, sts7[1:] + [(0, 1, 7)], 3, False),             # an out-of-range vertex
+            (k7, sts7[1:] + [(0, 1, 2, 3)], 3, False),          # a wrong-size clique
+            (k7, sts7[1:] + [(2, 2, 5)], 3, False),             # a repeated vertex
+            (k7, sts7[1:] + [(2, 2, 5, 6)], 3, False),          # both at once
+            (doubled, sts7 + sts7, 3, True),                    # multigraph, lambda = 2
+            (doubled, sts7, 3, False),
+            (k7, sts7 + sts7, 3, False),
+            (Hypergraph.complete(8, 3), sqs8, 4, True),         # r = 3
+            (Hypergraph.complete(8, 3), sqs8[1:], 4, False),
+            (k7_3, list(itertools.combinations(range(7), 4)), 4, False),
+            (Hypergraph(3, 1, [(0,), (1,), (2,)]), [(0, 1, 2)], 3, True),  # r = 1
+            (MultiHypergraph(6, 1, {(2,): 2, (5,): 1}), [(2, 2, 5)], 3, False),
+            (Hypergraph(4, 2), [], 3, True),
+            (triangle(), [], 3, False),
+        ]
+        for target, cliques, q, verdict in cases:
+            assert decomposition_valid(target, cliques, q) is verdict, (target, q)
+            assert reference_decomposition_valid(target, cliques, q) is verdict
+
+    def test_decomposition_valid_random_families(self):
+        # random triangle families on random simple and multigraph targets
+        rng = random.Random(15)
+        verdicts = Counter()
+        for _ in range(200):
+            n = rng.randint(4, 8)
+            tri = list(itertools.combinations(range(n), 3))
+            cliques = rng.sample(tri, rng.randint(0, 4))
+            mult = Counter(e for c in cliques for e in itertools.combinations(c, 2))
+            if rng.random() < 0.5:
+                e = rng.choice(list(itertools.combinations(range(n), 2)))
+                mult[e] += rng.choice((-1, 1)) if mult[e] else 1
+            target = (MultiHypergraph(n, 2, mult) if max(mult.values(), default=1) > 1
+                      else Hypergraph(n, 2, [e for e, k in mult.items() if k]))
+            got = decomposition_valid(target, cliques, 3)
+            assert got == reference_decomposition_valid(target, cliques, 3)
+            verdicts[got] += 1
+        assert verdicts[True] > 50 and verdicts[False] > 50
+
+
+class TestComplete:
+    def test_same_edges_as_checked_construction(self):
+        for n in range(0, 9):
+            for r in range(1, 5):
+                G = Hypergraph.complete(n, r)
+                want = Hypergraph(n, r, itertools.combinations(range(n), r))
+                assert G == want and G.edges == want.edges
+                assert G.is_complete() and isinstance(G.edges, frozenset)
+
+    @pytest.mark.parametrize("n, r", [(5, 0), (-1, 2)])
+    def test_bad_order_or_uniformity(self, n, r):
+        with pytest.raises(ParameterError):
+            Hypergraph.complete(n, r)
 
 
 class TestFiles:

@@ -1,5 +1,9 @@
+import itertools
 import json
 import os
+import random
+from collections import Counter
+from math import comb
 
 import pytest
 
@@ -8,9 +12,163 @@ from absorbkit.cli import main
 from absorbkit.divide import DesignParams
 from absorbkit.errors import BudgetError, ParameterError
 from absorbkit.exactcover import find_two_disjoint_decompositions
-from absorbkit.hypercore import Hypergraph
+from absorbkit.hypercore import Decomposition, Hypergraph, MultiHypergraph, Packing
 from absorbkit.pipeline import (PipelineConfig, oracle_steiner, pipeline_steiner,
                                 verify_design)
+
+
+def reference_hill_climb(n, rng, max_steps):
+    """The hill-climb with helper closures and rng.randrange: the reference
+    for the inlined loop and draws of pipeline._hill_climb_complete."""
+    partners = [[y for y in range(n) if y != x] for x in range(n)]
+    pos = [y - (y > x) for x in range(n) for y in range(n)]
+    third = [-1] * (n * n)
+    live, at = list(range(n)), list(range(n))
+    randrange = rng.randrange
+
+    def drop(x, y):
+        px = partners[x]
+        last = px.pop()
+        if last != y:
+            i = pos[x * n + y]
+            px[i] = last
+            pos[x * n + last] = i
+
+    def add(x, y):
+        px = partners[x]
+        pos[x * n + y] = len(px)
+        px.append(y)
+
+    def kill(x):
+        last = live.pop()
+        if last != x:
+            live[at[x]] = last
+            at[last] = at[x]
+
+    steps = 0
+    while live:
+        if steps == max_steps:
+            return None
+        steps += 1
+        x = live[randrange(len(live))]
+        px = partners[x]
+        d = len(px)
+        i, j = randrange(d), randrange(d - 1)
+        y, z = px[i], px[j + (j >= i)]
+        w = third[y * n + z]
+        drop(x, y)
+        drop(x, z)
+        drop(y, x)
+        drop(z, x)
+        if w < 0:
+            drop(y, z)
+            drop(z, y)
+            if not partners[y]:
+                kill(y)
+            if not partners[z]:
+                kill(z)
+        else:
+            if not partners[w]:
+                at[w] = len(live)
+                live.append(w)
+            add(y, w)
+            add(w, y)
+            add(z, w)
+            add(w, z)
+            third[y * n + w] = third[w * n + y] = -1
+            third[z * n + w] = third[w * n + z] = -1
+        third[x * n + y] = third[y * n + x] = z
+        third[x * n + z] = third[z * n + x] = y
+        third[y * n + z] = third[z * n + y] = x
+        if not px:
+            kill(x)
+    triples = [(x, y, w) for x in range(n) for y in range(x + 1, n)
+               for w in (third[x * n + y],) if w > y]
+    return triples, steps
+
+
+def reference_verify_design(D, params):
+    """verify_design as per-clique and per-subset Python loops."""
+    cliques = list(D.cliques if isinstance(D, (Decomposition, Packing)) else D)
+    counts = Counter()
+    for c in cliques:
+        for e in itertools.combinations(tuple(sorted(c)), params.r):
+            counts[e] += 1
+    histogram = Counter()
+    bad = 0
+    for e in itertools.combinations(range(params.n), params.r):
+        c = counts.get(e, 0)
+        histogram[c] += 1
+        if c != params.lam:
+            bad += 1
+    return {"pass": bad == 0, "bad_subsets": bad,
+            "histogram": dict(sorted(histogram.items())),
+            "cliques": len(cliques),
+            "expected_cliques": params.lam * comb(params.n, params.r) // comb(params.q, params.r)}
+
+
+class TestHillClimbReference:
+    def test_same_triples_and_steps(self):
+        # a full budget, and budgets of n and 3n steps that most runs spend
+        runs = nones = 0
+        for n in (n for n in range(7, 122) if n % 6 in (1, 3)):
+            for seed in range(4):
+                for budget in (60 * n * n, n, 3 * n):
+                    got = pipeline._hill_climb_complete(n, random.Random(seed), budget)
+                    want = reference_hill_climb(n, random.Random(seed), budget)
+                    assert got == want, (n, seed, budget)
+                    runs += 1
+                    nones += got is None
+        assert runs == 468 and 0 < nones < runs
+
+    def test_same_draws_consumed(self):
+        # the generator is left in the same state, so restarts see the same bits
+        for n, seed in ((7, 0), (31, 2), (61, 5)):
+            a, b = random.Random(seed), random.Random(seed)
+            for budget in (n, 60 * n * n):
+                assert pipeline._hill_climb_complete(n, a, budget) == \
+                    reference_hill_climb(n, b, budget)
+            assert a.getstate() == b.getstate()
+
+
+class TestVerifyDesignReference:
+    def cases(self):
+        sts7, sts9 = list(oracle_steiner(7).cliques), list(oracle_steiner(9).cliques)
+        d1, d2 = find_two_disjoint_decompositions(Hypergraph.complete(7, 2), 3)
+        union = list(d1.cliques) + list(d2.cliques)
+        sqs8 = [c for c in itertools.combinations(range(8), 4)
+                if c[0] ^ c[1] ^ c[2] ^ c[3] == 0]
+        doubled_k7 = MultiHypergraph(7, 2, {e: 2 for e in itertools.combinations(range(7), 2)})
+        p7, p9, p8 = DesignParams(7, 3, 2, 1), DesignParams(9, 3, 2, 1), DesignParams(8, 4, 3, 1)
+        pipe = pipeline_steiner(PipelineConfig(n=31, seed=4)).decomposition
+        return [
+            (oracle_steiner(13), DesignParams(13, 3, 2, 1)),            # passing
+            (pipe, DesignParams(31, 3, 2, 1)),
+            (sts9, p9),
+            (sts7[1:], p7),                                              # a missing triple
+            (sts7 + sts7[:1], p7),                                       # a doubled triple
+            (sts7[1:] + [(0, 1, 7)], p7),                                # an out-of-range vertex
+            (sts7[1:] + [(0, 1, 2, 3)], p7),                             # a wrong-size clique
+            (sts7[1:] + [(2, 2, 5)], p7),                                # a repeated vertex
+            (union, DesignParams(7, 3, 2, 2)),                           # lambda = 2
+            (union, p7),
+            (sqs8, p8),                                                  # r = 3
+            (sqs8[1:], p8),
+            (list(itertools.combinations(range(5), 4)), DesignParams(5, 4, 3, 2)),
+            (Decomposition(doubled_k7, union, 3), DesignParams(7, 3, 2, 2)),  # multigraph
+            (Decomposition(doubled_k7, union, 3), p7),
+            (Packing(Hypergraph.complete(7, 2), sts7[1:]), p7),        # a packing
+            ([], p7),
+        ]
+
+    def test_same_report(self):
+        verdicts = []
+        for D, params in self.cases():
+            got = verify_design(D, params)
+            assert got == reference_verify_design(D, params), params
+            verdicts.append(got["pass"])
+        assert verdicts == [True] * 3 + [False] * 5 + [True, False, True, False, True,
+                                                      True, False, False, False]
 
 
 class TestOracle:
