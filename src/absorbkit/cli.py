@@ -10,7 +10,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .divide import (DesignParams, admissibility_report, is_divisible,
                      params_admissible)
@@ -43,14 +43,16 @@ def _parse_ids(text: str) -> tuple:
         raise ParameterError(f"expected integer vertex ids, got {text!r}") from None
 
 
-def _parse_fraction(text, option: str):
-    """An optional rational option value such as 2/7; None when absent."""
-    if text is None:
-        return None
+def _parse_fraction(text: str, option: str) -> Fraction:
+    """A nonnegative rational option value such as 2/7, checked while the
+    command line is parsed, before any work starts."""
     try:
-        return Fraction(text)
+        x = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ParameterError(f"{option} expects a rational such as 2/7, got {text!r}") from None
+    if x < 0:
+        raise ParameterError(f"{option} must be nonnegative, got {text!r}")
+    return x
 
 
 def _need(value, message: str) -> None:
@@ -273,8 +275,7 @@ def cmd_embed(args) -> int:
 def cmd_lp(args) -> int:
     if args.action == "solve":
         G = read_graph(args.graph)
-        cap = _parse_fraction(args.cap, "--cap")
-        out = solve_fractional(G, args.q, weight_cap=cap)
+        out = solve_fractional(G, args.q, weight_cap=args.cap)
         if not out.feasible:
             print("INFEASIBLE (Farkas certificate verified)")
             return EXIT_NEGATIVE
@@ -290,12 +291,11 @@ def cmd_lp(args) -> int:
         return EXIT_OK
     if args.action == "boost":
         G = read_graph(args.graph)
-        mult = _parse_fraction(args.multiplier, "--multiplier")
         out = solve_fractional(G, args.q)
         if not out.feasible:
             print("INFEASIBLE (no weighting to sample)")
             return EXIT_NEGATIVE
-        fam = boost_sample(out.weighting, multiplier=mult, seed=args.seed)
+        fam = boost_sample(out.weighting, multiplier=args.multiplier, seed=args.seed)
         _emit({"family": len(fam.cliques), "c_hat": fam.c_hat,
                "gamma_hat": fam.gamma_hat, "clamped": fam.clamped}, args.json)
         return EXIT_OK
@@ -521,8 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     lp.add_argument("action", choices=["solve", "boost", "inherit"])
     lp.add_argument("graph")
     lp.add_argument("--q", type=int, default=3)
-    lp.add_argument("--cap")
-    lp.add_argument("--multiplier")
+    lp.add_argument("--cap", type=partial(_parse_fraction, option="--cap"))
+    lp.add_argument("--multiplier", type=partial(_parse_fraction, option="--multiplier"))
     lp.add_argument("--s", type=int, default=20)
     lp.add_argument("--members")
     lp.add_argument("--threshold", type=float, default=0.0)
@@ -589,10 +589,7 @@ def main(argv=None) -> int:
     except (BudgetError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ParameterError, ParseError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
-    except AbsorbKitError as exc:
+    except (AbsorbKitError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
 

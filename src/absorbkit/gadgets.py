@@ -328,8 +328,7 @@ def _is_triangle_component(edges: set) -> bool:
     return len(edges) == 3 and len(verts) == 3
 
 
-def build_absorber(L: Hypergraph, q: int = 3, base: Optional[int] = None
-                   ) -> AbsorberCertificate:
+def build_absorber(L: Hypergraph, q: int = 3) -> AbsorberCertificate:
     """Absorber for a divisible graph L, fully verified before returning.
 
     q=3, r=2 uses the deterministic booster assembly; everything else goes
@@ -340,15 +339,13 @@ def build_absorber(L: Hypergraph, q: int = 3, base: Optional[int] = None
     cap = ABSORBER_EDGE_CAP if L.r == 2 else min(ABSORBER_EDGE_CAP, 6)
     if L.m > cap:
         raise CapacityError(f"e(L) = {L.m} exceeds the absorber cap {cap}")
-    if base is None:
-        base = L.n
     if L.m == 0:
         return _certify(L, L.n, [], [], [], q)
     if L.r != 2 or q != 3:
-        return search_absorber(L, q, base=base)
+        return search_absorber(L, q)
 
     comps = _edge_components(L)
-    nxt = base
+    nxt = L.n
     A_edges: list = []
     D1: list = []
     D2: list = []
@@ -482,7 +479,7 @@ def _absorber_instance(L: Hypergraph, q: int, fresh: Sequence[int]) -> CoverInst
     return CoverInstance(items, [1] * len(items), payloads, rows)
 
 
-def search_absorber(L: Hypergraph, q: int, base: Optional[int] = None) -> AbsorberCertificate:
+def search_absorber(L: Hypergraph, q: int) -> AbsorberCertificate:
     """Absorber for L by exact cover over V(L) plus the fewest fresh
     vertices (from q - r up to SEARCH_FRESH_CAP) that admit one.
 
@@ -495,16 +492,14 @@ def search_absorber(L: Hypergraph, q: int, base: Optional[int] = None) -> Absorb
     """
     if not is_divisible(L, q):
         raise PreconditionError("L is not divisible; no absorber exists")
-    if base is None:
-        base = L.n
     nodes = _Budget(DEFAULT_BUDGET, "absorber search")
     for n_fresh in range(q - L.r, SEARCH_FRESH_CAP + 1):
-        inst = _absorber_instance(L, q, range(base, base + n_fresh))
+        inst = _absorber_instance(L, q, range(L.n, L.n + n_fresh))
         for sol in _search(inst, nodes, cap=1):
             picked = [inst.payloads[k] for k in sol]
             pos = [C for sign, C in picked if sign > 0]
             neg = [C for sign, C in picked if sign < 0]
             A_edges = {e for C in neg for e in clique_edges(C, L.r)}
-            return _certify(L, base + n_fresh, A_edges, pos, neg, q)
+            return _certify(L, L.n + n_fresh, A_edges, pos, neg, q)
     raise CapacityError(f"no absorber within {SEARCH_FRESH_CAP} fresh vertices "
                         f"({nodes.limit - nodes.left} search nodes)")

@@ -49,10 +49,6 @@ class Hypergraph:
         G.edges = frozenset(itertools.combinations(range(n), r))
         return G
 
-    @classmethod
-    def empty(cls, n: int, r: int) -> "Hypergraph":
-        return cls(n, r)
-
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -63,12 +59,6 @@ class Hypergraph:
     def support(self) -> frozenset:
         """Vertices incident to at least one edge."""
         return frozenset(v for e in self.edges for v in e)
-
-    def with_edges(self, extra: Iterable[Iterable[int]]) -> "Hypergraph":
-        return Hypergraph(self.n, self.r, set(self.edges) | {tuple(sorted(e)) for e in extra})
-
-    def without_edges(self, gone: Iterable[Iterable[int]]) -> "Hypergraph":
-        return Hypergraph(self.n, self.r, set(self.edges) - {tuple(sorted(e)) for e in gone})
 
     def multi(self) -> "MultiHypergraph":
         return MultiHypergraph(self.n, self.r, {e: 1 for e in self.edges})
@@ -124,9 +114,6 @@ class MultiHypergraph:
     def m(self) -> int:
         """Edge count with multiplicity."""
         return sum(self.mult.values())
-
-    def multiplicity(self, e: Iterable[int]) -> int:
-        return self.mult.get(tuple(sorted(e)), 0)
 
     def simple(self) -> Hypergraph:
         """Support set Simple(J)."""
@@ -245,9 +232,6 @@ class Packing:
         for c in self.cliques:
             out.update(clique_edges(c, self.host.r))
         return frozenset(out)
-
-    def leftover(self) -> Hypergraph:
-        return Hypergraph(self.host.n, self.host.r, self.host.edges - self.covered_edges())
 
     def __len__(self) -> int:
         return len(self.cliques)

@@ -33,12 +33,6 @@ class InclusionMatrix:
     cols: list            # q-subsets, lex order
     entries: list         # dense 0/1 rows
 
-    def column_sum(self, j: int) -> int:
-        return sum(row[j] for row in self.entries)
-
-    def row_sum(self, i: int) -> int:
-        return sum(self.entries[i])
-
 
 def _subsets(n: int, q: int, r: int):
     """Row labels (r-subsets) and column labels (q-subsets), lex order."""

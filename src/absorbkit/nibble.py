@@ -1,7 +1,9 @@
 """Randomized packing engines and their analyzers.
 
 Plain random greedy (bite = 1) is the default engine; the bite-rounds
-variant exists for experiments.  Both keep the uncovered edges as int
+variant exists for experiments.  The high-girth packer is plain random
+greedy's sweep with a veto: a free clique is taken only if it closes no
+forbidden configuration.  All three keep the uncovered edges as int
 bitmasks: on a graph host, one mask per vertex u holding u and its
 uncovered neighbours; on an r-uniform host, one mask per (r-1)-set T
 holding T and every v with T + v uncovered (the layout of
@@ -14,11 +16,10 @@ builds one `exactcover.CoverInstance` (leftover edges primary, reserve edges
 secondary, one option per reserve clique) and runs random greedy, then
 failed-literal probing and exact cover, on it.  One exhaustive configuration
 DFS (`_config_dfs`, union-size pruning plus vertex and pair indexes) serves
-configuration counting, girth and the high-girth packer's test of a
-candidate, and agrees with naive enumeration on small inputs.  Girth and
-the high-girth packer decide triangle systems up to g = 4 exactly on a
-pair -> third-point map (a repeated pair, else Pasch) and run the DFS only
-beyond.
+configuration counting, girth and the high-girth veto, and agrees with
+naive enumeration on small inputs.  Girth and the veto decide triangle
+systems up to g = 4 exactly on a pair -> third-point map (a repeated pair,
+else Pasch) and run the DFS only beyond.
 """
 from __future__ import annotations
 
@@ -69,42 +70,8 @@ def _clique_pool(G: Hypergraph, q: int, params: NibbleParams) -> List[tuple]:
     return enumerate_cliques(G, q)
 
 
-def _sweep(batch: List[tuple], masks, kbits, bit: List[int], r: int,
-           commit: bool) -> List[tuple]:
-    """Run the mask test over `batch` in order, in one inline loop.
-
-    A key is a vertex when r = 2 (`masks` and `kbits` are lists) and an
-    (r-1)-set otherwise (they are dicts).  ``masks[k]`` holds the bits of k
-    itself plus every v such that k + v is an uncovered edge, ``kbits[k]``
-    the bits of k, and ``bit[v]`` is 1 << v.  A clique with vertex mask M
-    is free iff every key inside it has all of M.  With `commit`, each free
-    clique is taken at once, its edges are cleared, and the taken cliques
-    are returned; without, the free cliques are returned and nothing
-    changes.
-    """
-    out = []
-    for c in batch:
-        M = 0
-        for v in c:
-            M |= bit[v]
-        ks = c if r == 2 else tuple(itertools.combinations(c, r - 1))
-        for k in ks:
-            if masks[k] & M != M:
-                break
-        else:
-            if commit:
-                for k in ks:
-                    masks[k] ^= M ^ kbits[k]
-            out.append(c)
-    return out
-
-
-def random_greedy_pack(G: Hypergraph, q: int,
-                       params: Optional[NibbleParams] = None) -> Tuple[Packing, Hypergraph]:
-    """Random greedy / bite-rounds packing; returns (packing, leftover)."""
-    params = params or NibbleParams()
-    rng = random.Random(params.seed)
-    pool = _clique_pool(G, q, params)
+def _edge_masks(G: Hypergraph) -> tuple:
+    """(bit, kbits, masks) of `_sweep` for G with every edge uncovered."""
     r = G.r
     bit = [1 << v for v in range(G.n)]
     if r == 2:
@@ -120,6 +87,58 @@ def random_greedy_pack(G: Hypergraph, q: int,
                 if T not in kbits:
                     kbits[T] = masks[T] = sum(bit[v] for v in T)
                 masks[T] |= bit[e[i]]
+    return bit, kbits, masks
+
+
+def _uncovered(G: Hypergraph, masks) -> Hypergraph:
+    """The edges of G left in `masks`: e is iff the mask of its key
+    e - e[-1] still has e[-1]."""
+    return Hypergraph(G.n, G.r, [e for e in G.edges
+                                 if masks[e[0] if G.r == 2 else e[:-1]] >> e[-1] & 1])
+
+
+def _sweep(batch: List[tuple], masks, kbits, bit: List[int], r: int,
+           commit: bool, admit: Optional[Callable[[tuple], bool]] = None
+           ) -> List[tuple]:
+    """Run the mask test over `batch` in order, in one inline loop.
+
+    A key is a vertex when r = 2 (`masks` and `kbits` are lists) and an
+    (r-1)-set otherwise (they are dicts).  ``masks[k]`` holds the bits of k
+    itself plus every v such that k + v is an uncovered edge, ``kbits[k]``
+    the bits of k, and ``bit[v]`` is 1 << v.  A clique with vertex mask M
+    is free iff every key inside it has all of M.  With `commit`, each free
+    clique is taken at once, its edges are cleared, and the taken cliques
+    are returned; without, the free cliques are returned and nothing
+    changes.  `admit`, when given, is asked about each free clique, and
+    one it refuses is passed over as if it were not free.
+    """
+    out = []
+    for c in batch:
+        M = 0
+        for v in c:
+            M |= bit[v]
+        ks = c if r == 2 else tuple(itertools.combinations(c, r - 1))
+        for k in ks:
+            if masks[k] & M != M:
+                break
+        else:
+            if admit is not None and not admit(c):
+                continue
+            if commit:
+                for k in ks:
+                    masks[k] ^= M ^ kbits[k]
+            out.append(c)
+    return out
+
+
+def random_greedy_pack(G: Hypergraph, q: int,
+                       params: Optional[NibbleParams] = None) -> Tuple[Packing, Hypergraph]:
+    """Random greedy / bite-rounds packing; returns (packing, leftover)."""
+    params = params or NibbleParams()
+    rng = random.Random(params.seed)
+    pool = _clique_pool(G, q, params)
+    r = G.r
+    bit, kbits, masks = _edge_masks(G)
     per_clique = comb(q, r)
 
     if params.bite >= 1:
@@ -138,10 +157,7 @@ def random_greedy_pack(G: Hypergraph, q: int,
             chosen += _sweep(bite, masks, kbits, bit, r, True)
             live = _sweep(live, masks, kbits, bit, r, False)
     packing = Packing(G, chosen, q)
-    # edge e is uncovered iff the mask of its key e - e[-1] still has e[-1]
-    leftover = Hypergraph(G.n, r, [
-        e for e in G.edges
-        if masks[e[0] if r == 2 else e[:-1]] >> e[-1] & 1])
+    leftover = _uncovered(G, masks)
     assert len(chosen) * per_clique + leftover.m == G.m, "edge conservation violated"
     return packing, leftover
 
@@ -456,8 +472,10 @@ def _creates_config(cand: tuple, accepted: List[tuple], by_vertex: dict,
 
 def high_girth_pack(G: Hypergraph, q: int, g: int,
                     params: Optional[NibbleParams] = None) -> Tuple[Packing, Hypergraph]:
-    """Random greedy that accepts a clique only if no forbidden
-    configuration appears; the output's girth is re-checked.
+    """Random greedy with a veto: the sweep of `random_greedy_pack` over the
+    shuffled pool, on the same masks, takes a free clique only if it creates
+    no ((q-r)g' + r, g')-configuration with g' <= g; the output's girth is
+    re-checked.
 
     Accepted cliques are edge-disjoint, so for triangles (q = 3, r = 2) a
     candidate can close no configuration with g' <= 3 and only Pasch with
@@ -473,27 +491,28 @@ def high_girth_pack(G: Hypergraph, q: int, g: int,
     rng.shuffle(pool)
     tri = (q, G.r) == (3, 2)
     lo = 5 if tri else 2
-    covered: set = set()
     accepted: List[tuple] = []
     by_vertex, by_pair = _clique_index(accepted)
     third: dict = {}
     star: dict = defaultdict(list)
-    for c in pool:
-        es = list(clique_edges(c, G.r))
-        if any(e in covered for e in es):
-            continue
+
+    def admit(c: tuple) -> bool:
         if tri and g >= 4 and _closes_pasch(c, third, star):
-            continue
+            return False
         if g >= lo and accepted and _creates_config(
                 c, accepted, by_vertex, by_pair, q, G.r, g, lo):
-            continue
+            return False
         if tri:
             _add_triangle(c, third, star)
         _index_clique(len(accepted), c, by_vertex, by_pair)
         accepted.append(c)
-        covered.update(es)
+        return True
+
+    bit, kbits, masks = _edge_masks(G)
+    _sweep(pool, masks, kbits, bit, G.r, True, admit)
     packing = Packing(G, accepted, q)
-    leftover = Hypergraph(G.n, G.r, G.edges - covered)
+    leftover = _uncovered(G, masks)
+    assert len(accepted) * comb(q, G.r) + leftover.m == G.m, "edge conservation violated"
     assert girth(accepted, q, G.r, g_max=g) > g, "forbidden configuration slipped in"
     return packing, leftover
 

@@ -122,7 +122,7 @@ def omni_small(X: Hypergraph, q: int = 3) -> OmniAbsorberCertificate:
         comp = {v: i for i, v in enumerate(sup)}
         Lc = Hypergraph(len(sup), 2,
                         [tuple(sorted((comp[a], comp[b]))) for a, b in L.edges])
-        cert = build_absorber(Lc, q, base=len(sup))
+        cert = build_absorber(Lc, q)
         inv = {i: v for v, i in comp.items()}
         for j in range(cert.A.n - len(sup)):
             inv[len(sup) + j] = base + j

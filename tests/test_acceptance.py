@@ -145,12 +145,12 @@ def test_criterion_04_gadget_certificates():
 
 
 def test_criterion_05_lp_exactness():
-    out = solve_fractional(Hypergraph.complete(4, 2).without_edges([(2, 3)]), 3)
+    out = solve_fractional(Hypergraph(4, 2, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), 3)
     farkas_ok = not out.feasible and out.farkas is not None
     if farkas_ok:
         # independent re-check of the certificate inequalities
         edges = [lbl[1] for lbl in out.rows if lbl[0] == "edge"]
-        cliques = enumerate_cliques(Hypergraph.complete(4, 2).without_edges([(2, 3)]), 3)
+        cliques = enumerate_cliques(Hypergraph(4, 2, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), 3)
         for c in cliques:
             col = sum(y for y, e in zip(out.farkas, edges) if set(e) <= set(c))
             farkas_ok = farkas_ok and col <= 0

@@ -205,7 +205,7 @@ class TestLpCLI:
 
     def test_solve_infeasible_exit_1(self, tmp_path, capsys):
         g = str(tmp_path / "k4e.graph")
-        write_graph(Hypergraph.complete(4, 2).without_edges([(0, 1)]), g)
+        write_graph(Hypergraph(4, 2, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]), g)
         code, out = run(capsys, "lp", "solve", g, "--q", "3")
         assert code == 1 and "INFEASIBLE" in out
 
@@ -384,7 +384,11 @@ class TestMalformedInputExit3:
         ("boost", ["--multiplier=-3"]),        # a negative multiplier
     ], ids=["cap-abc", "cap-zero-denominator", "cap-negative", "multiplier-abc",
             "multiplier-negative"])
-    def test_lp_rational_options(self, tmp_path, capsys, action, option):
+    def test_lp_rational_options(self, tmp_path, capsys, monkeypatch, action, option):
+        # the options are checked while the command line is parsed
+        def solve(*args, **kwargs):
+            raise AssertionError("the LP ran before the options were checked")
+        monkeypatch.setattr(cli, "solve_fractional", solve)
         g = str(tmp_path / "k5.graph")
         write_graph(Hypergraph.complete(5, 2), g)
         self.check(capsys, ["lp", action, g] + option)

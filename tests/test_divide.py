@@ -18,8 +18,8 @@ class TestIsDivisible:
         assert not is_divisible(Hypergraph.complete(6, 2), 3)
 
     def test_empty_graph(self):
-        assert is_divisible(Hypergraph.empty(9, 2), 3)
-        assert is_divisible(Hypergraph.empty(9, 2), 5)
+        assert is_divisible(Hypergraph(9, 2), 3)
+        assert is_divisible(Hypergraph(9, 2), 5)
 
     def test_matches_admissibility_on_complete(self):
         for n in range(4, 16):

@@ -214,7 +214,7 @@ class TestFindDecomposition:
         assert find_decomposition(Hypergraph.complete(6, 2), 3) is None
 
     def test_k4_minus_edge_none(self):
-        G = Hypergraph.complete(4, 2).without_edges([(0, 1)])
+        G = Hypergraph(4, 2, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
         assert find_decomposition(G, 3) is None
 
     def test_multigraph_target(self):

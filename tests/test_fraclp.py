@@ -13,7 +13,7 @@ from absorbkit.hypercore import Hypergraph
 
 
 def k4_minus_edge():
-    return Hypergraph.complete(4, 2).without_edges([(2, 3)])
+    return Hypergraph(4, 2, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
 
 class TestFeasibility:

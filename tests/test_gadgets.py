@@ -113,7 +113,7 @@ class TestAntiEdge:
         for q, r in [(3, 2), (4, 2), (4, 3)]:
             e = tuple(range(r))
             g = anti_edge(e, q)
-            full = g.W.with_edges([e])
+            full = Hypergraph(g.W.n, r, g.W.edges | {e})
             verts = tuple(range(q))
             assert full.edges == frozenset(clique_edges(verts, r))
 
@@ -244,7 +244,7 @@ class TestBuildAbsorber:
                 W=cert.A, roots=(0, 1, 2))) <= 4
 
     def test_empty(self):
-        cert = build_absorber(Hypergraph.empty(4, 2), 3)
+        cert = build_absorber(Hypergraph(4, 2), 3)
         assert cert.A.m == 0 and len(cert.D1) == 0 and len(cert.D2) == 0
 
     def test_two_disjoint_triangles(self):

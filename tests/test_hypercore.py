@@ -34,7 +34,7 @@ class TestCliqueEnumeration:
         assert len(enumerate_cliques(Hypergraph.complete(5, 2), 3)) == 10
 
     def test_k4_minus_edge(self):
-        G = Hypergraph.complete(4, 2).without_edges([(0, 1)])
+        G = Hypergraph(4, 2, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
         assert enumerate_cliques(G, 3) == [(0, 2, 3), (1, 2, 3)]
 
     def test_k7_3uniform(self):
@@ -77,7 +77,7 @@ class TestDegrees:
         assert max_level_degree(Hypergraph.complete(7, 3), 2) == 5
 
     def test_empty_graph(self):
-        assert max_level_degree(Hypergraph.empty(5, 2), 1) == 0
+        assert max_level_degree(Hypergraph(5, 2), 1) == 0
 
     def test_multiplicity_counts(self):
         J = MultiHypergraph(4, 2, {(0, 1): 3, (0, 2): 1})
@@ -102,14 +102,14 @@ class TestPackingDecomposition:
     def test_valid_packing(self):
         P = Packing(Hypergraph.complete(7, 2), [(0, 1, 2), (3, 4, 5)])
         assert len(P) == 2
-        assert P.leftover().m == 21 - 6
+        assert len(P.host.edges - P.covered_edges()) == 21 - 6
 
     def test_overlap_rejected(self):
         with pytest.raises(ParameterError):
             Packing(Hypergraph.complete(7, 2), [(0, 1, 2), (0, 1, 3)])
 
     def test_non_clique_rejected(self):
-        G = Hypergraph.complete(4, 2).without_edges([(0, 1)])
+        G = Hypergraph(4, 2, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
         with pytest.raises(ParameterError):
             Packing(G, [(0, 1, 2)])
 

@@ -563,19 +563,41 @@ class TestHighGirth:
 
     def test_matches_dfs_reference(self):
         rng = random.Random(12)
-        hosts = [Hypergraph.complete(n, 2) for n in (7, 9, 12, 15, 19)]
+        hosts = [(Hypergraph.complete(n, 2), 3, None) for n in (7, 9, 12, 15, 19)]
         for _ in range(6):
             n = rng.randint(8, 14)
-            hosts.append(Hypergraph(n, 2, [e for e in itertools.combinations(range(n), 2)
-                                           if rng.random() < 0.7]))
-        for G in hosts:
-            for g in range(2, 6):
-                for seed in range(2):
-                    params = NibbleParams(seed=seed)
-                    P, left = high_girth_pack(G, 3, g, params)
-                    ref, ref_left = dfs_high_girth_pack(G, 3, g, params)
-                    assert P.cliques == tuple(sorted(ref)), (G.n, g, seed)
-                    assert left.edges == ref_left, (G.n, g, seed)
+            hosts.append((Hypergraph(n, 2, [e for e in itertools.combinations(range(n), 2)
+                                            if rng.random() < 0.7]), 3, None))
+        hosts += [(Hypergraph.complete(n, 3), 4, None) for n in (5, 6, 7)]
+        hosts.append((Hypergraph(8, 3, [e for e in itertools.combinations(range(8), 3)
+                                        if rng.random() < 0.8]), 4, None))
+        pool = rng.sample(list(itertools.combinations(range(13), 3)), 120)
+        hosts.append((Hypergraph.complete(13, 2), 3, pool))
+        cases = [(G, q, g, NibbleParams(seed=seed, clique_source=source))
+                 for G, q, source in hosts for g in range(2, 6) for seed in range(2)]
+        cases += [(Hypergraph.complete(40, 2), 3, 4, NibbleParams(seed=seed))
+                  for seed in range(2)]
+        for G, q, g, params in cases:
+            P, left = high_girth_pack(G, q, g, params)
+            ref, ref_left = dfs_high_girth_pack(G, q, g, params)
+            assert P.cliques == tuple(sorted(ref)), (G, q, g, params.seed)
+            assert left.edges == ref_left, (G, q, g, params.seed)
+
+    def test_no_veto_below_g4_on_triangles(self):
+        # edge-disjoint triangles close no configuration with g <= 3, so the
+        # packer is plain random greedy there
+        rng = random.Random(5)
+        pool = rng.sample(list(itertools.combinations(range(13), 3)), 120)
+        cases = [(Hypergraph.complete(n, 2), NibbleParams(seed=seed))
+                 for n in (9, 16, 31) for seed in range(3)]
+        cases.append((Hypergraph(14, 2, [e for e in itertools.combinations(range(14), 2)
+                                         if rng.random() < 0.6]), NibbleParams(seed=4)))
+        cases.append((Hypergraph.complete(13, 2), NibbleParams(seed=2, clique_source=pool)))
+        for G, params in cases:
+            want = random_greedy_pack(G, 3, params)
+            for g in (2, 3):
+                P, left = high_girth_pack(G, 3, g, params)
+                assert (P.cliques, left) == (want[0].cliques, want[1]), (G, g, params.seed)
 
 
 class TestSpread:

@@ -77,7 +77,7 @@ class TestOmniSmall:
         assert report["failures"] == []
 
     def test_empty_X(self):
-        cert = omni_small(Hypergraph.empty(4, 2), 3)
+        cert = omni_small(Hypergraph(4, 2), 3)
         assert cert.A.m == 0
         report = verify_omni(cert, mode="exhaustive")
         assert report["checked"] == 1 and not report["failures"]

@@ -1,10 +1,13 @@
 """Dead-code guard: every public module-level function and class in
-`src/absorbkit` has a user in `src/` or `perfbench/`.
+`src/absorbkit`, and every public method of a public class, has a user in
+`src/` or `perfbench/`.
 
 Tests do not count as users.  Neither do a definition, the package
 `__init__` re-exports, or a docstring or comment in `src/` that names it,
 so a public name that only its own unit tests call, or only prose
-mentions, fails here; delete it, or give it a caller on a real path.
+mentions, fails here; delete it, or give it a caller on a real path.  A
+method is used by an attribute access of its name in `src/` code or by
+the word in `perfbench/`.
 """
 import ast
 import re
@@ -33,6 +36,17 @@ def public_definitions():
                 yield path, node.name
 
 
+def public_methods():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.name.startswith("_")):
+                        yield path, node.name, item.name
+
+
 def code_words(path: Path) -> set:
     """Words a module's code uses: names, attributes, imported names and
     the words of string constants other than docstrings.  Comments are not
@@ -57,16 +71,36 @@ def code_words(path: Path) -> set:
     return words
 
 
-def user_words() -> set:
-    """Every word that counts as a use: the code of `src/` (the package
-    `__init__` only re-exports, so it is left out) and the full text of
-    `perfbench/`, whose tracer names the functions it wraps in strings."""
+def src_modules():
+    """The modules of `src/` whose code counts; the package `__init__`
+    only re-exports, so it is left out."""
+    return [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+
+
+def perfbench_words() -> set:
+    """The full text of `perfbench/`, whose tracer names the functions it
+    wraps in strings."""
     words = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name != "__init__.py":
-            words |= code_words(path)
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         words.update(re.findall(r"\w+", path.read_text()))
+    return words
+
+
+def user_words() -> set:
+    """Every word that counts as a use of a module-level name."""
+    words = perfbench_words()
+    for path in src_modules():
+        words |= code_words(path)
+    return words
+
+
+def attribute_words() -> set:
+    """Every word that counts as a use of a method."""
+    words = perfbench_words()
+    for path in src_modules():
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                words.add(node.attr)
     return words
 
 
@@ -75,3 +109,10 @@ def test_every_public_name_has_a_user():
     unused = [f"{path.name}: {name}" for path, name in public_definitions()
               if name not in words and name not in ALLOWED]
     assert not unused, "public names with no user outside tests: " + ", ".join(unused)
+
+
+def test_every_public_method_has_a_user():
+    words = attribute_words()
+    unused = [f"{path.name}: {cls}.{name}" for path, cls, name in public_methods()
+              if name not in words]
+    assert not unused, "public methods with no user outside tests: " + ", ".join(unused)
