@@ -44,9 +44,17 @@ class Hypergraph:
 
     @classmethod
     def complete(cls, n: int, r: int) -> "Hypergraph":
+        # combinations yields sorted, distinct, in-range r-tuples
+        return cls._of_edges(n, r, itertools.combinations(range(n), r))
+
+    @classmethod
+    def _of_edges(cls, n: int, r: int, edges: Iterator[Edge]) -> "Hypergraph":
+        """A hypergraph on edges already known to be sorted, distinct,
+        in-range r-tuples: no _as_edge.  Pass an iterator, not a dict:
+        frozenset presizes its table from a dict, which changes the order
+        of `list(G.edges)`, the item order of exact cover."""
         G = cls(n, r)
-        # combinations yields sorted, distinct, in-range r-tuples: no _as_edge
-        G.edges = frozenset(itertools.combinations(range(n), r))
+        G.edges = frozenset(edges)
         return G
 
     @property
@@ -117,10 +125,7 @@ class MultiHypergraph:
 
     def simple(self) -> Hypergraph:
         """Support set Simple(J)."""
-        return Hypergraph(self.n, self.r, self.mult.keys())
-
-    def edge_multiset(self) -> Counter:
-        return Counter(self.mult)
+        return Hypergraph._of_edges(self.n, self.r, iter(self.mult))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MultiHypergraph)
@@ -244,17 +249,29 @@ class Packing:
 
 
 def decomposition_valid(target: AnyGraph, cliques: Iterable[Sequence[int]], q: int) -> bool:
-    """Exact multiset test: clique edges partition the target edge set."""
-    cl = list(map(tuple, map(sorted, cliques)))
+    """Exact partition test: the members are q-sets whose r-subsets cover
+    every target edge exactly as often as its multiplicity.
+
+    On a simple target the members' r-subsets form one set: they partition
+    the edge set iff that set has len(cliques) * C(q, r) elements (no
+    r-subset repeats) and equals the edge set.
+    """
+    return _partitions(target, list(map(tuple, map(sorted, cliques))), q)
+
+
+def _partitions(target: AnyGraph, cl: list, q: int) -> bool:
+    """decomposition_valid on members that are already sorted tuples."""
     if not (all(map(q.__eq__, map(len, cl)))
             and all(map(q.__eq__, map(len, map(set, cl))))):
         return False
-    want = target.edge_multiset() if isinstance(target, MultiHypergraph) else Counter(target.edges)
-    got = Counter(itertools.chain.from_iterable(
-        map(itertools.combinations, cl, itertools.repeat(target.r))))
-    # neither Counter holds a zero count, so plain dict equality is exact
-    # (Counter's own == compares key by key in Python)
-    return dict.__eq__(got, want)
+    subsets = itertools.chain.from_iterable(
+        map(itertools.combinations, cl, itertools.repeat(target.r)))
+    if isinstance(target, MultiHypergraph):
+        # neither side holds a zero count, so plain dict equality is exact
+        # (Counter's own == compares key by key in Python)
+        return dict.__eq__(Counter(subsets), target.mult)
+    seen = set(subsets)
+    return len(seen) == len(cl) * comb(q, target.r) == len(target.edges) and seen == target.edges
 
 
 class Decomposition:
@@ -274,7 +291,7 @@ class Decomposition:
                 q = target.r + 1
             else:
                 q = len(cl[0])
-        if not decomposition_valid(target, cl, q):
+        if not _partitions(target, cl, q):
             raise ParameterError("cliques do not partition the target edge set")
         self.target = target
         self.q = q
@@ -366,7 +383,8 @@ def read_graph(path: str) -> AnyGraph:
             raise ParseError(i + 1, f"unexpected line after the {m} declared edges")
     if any_multi:
         return MultiHypergraph(n, r, mult)
-    return Hypergraph(n, r, mult.keys())
+    # every line above is a sorted, distinct, in-range r-tuple
+    return Hypergraph._of_edges(n, r, iter(mult))
 
 
 def write_packing(P: Union[Packing, Decomposition], path: str, host_path: str) -> None:

@@ -290,9 +290,10 @@ def oracle_steiner(n: int) -> Decomposition:
 def verify_design(D, params: DesignParams) -> dict:
     """Exact per-r-subset coverage histogram; passes iff every r-subset of
     the n-set is covered exactly lambda times."""
-    cliques = list(D.cliques if isinstance(D, (Decomposition, Packing)) else D)
+    # the members of a Decomposition or Packing are sorted tuples already
+    cliques = D.cliques if isinstance(D, (Decomposition, Packing)) else list(map(sorted, D))
     r = params.r
-    counts = Counter(chain.from_iterable(map(combinations, map(sorted, cliques), repeat(r))))
+    counts = Counter(chain.from_iterable(map(combinations, cliques, repeat(r))))
     # Counter's [] reads a missing r-subset as 0 without storing it
     histogram = Counter(map(counts.__getitem__, combinations(range(params.n), r)))
     bad = sum(k for c, k in histogram.items() if c != params.lam)

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -18,7 +19,7 @@ def triangle(n=3):
 
 def reference_decomposition_valid(target, cliques, q):
     """decomposition_valid as a per-clique Python loop with Counter's ==."""
-    want = target.edge_multiset() if isinstance(target, MultiHypergraph) else Counter(target.edges)
+    want = Counter(target.mult) if isinstance(target, MultiHypergraph) else Counter(target.edges)
     got = Counter()
     for c in cliques:
         c = tuple(sorted(c))
@@ -157,23 +158,25 @@ class TestPackingDecomposition:
             assert reference_decomposition_valid(target, cliques, q) is verdict
 
     def test_decomposition_valid_random_families(self):
-        # random triangle families on random simple and multigraph targets
+        # random clique families on random simple and multigraph targets:
+        # triangles on graphs, then K_4^(3)s on 3-graphs
         rng = random.Random(15)
-        verdicts = Counter()
-        for _ in range(200):
-            n = rng.randint(4, 8)
-            tri = list(itertools.combinations(range(n), 3))
-            cliques = rng.sample(tri, rng.randint(0, 4))
-            mult = Counter(e for c in cliques for e in itertools.combinations(c, 2))
-            if rng.random() < 0.5:
-                e = rng.choice(list(itertools.combinations(range(n), 2)))
-                mult[e] += rng.choice((-1, 1)) if mult[e] else 1
-            target = (MultiHypergraph(n, 2, mult) if max(mult.values(), default=1) > 1
-                      else Hypergraph(n, 2, [e for e, k in mult.items() if k]))
-            got = decomposition_valid(target, cliques, 3)
-            assert got == reference_decomposition_valid(target, cliques, 3)
-            verdicts[got] += 1
-        assert verdicts[True] > 50 and verdicts[False] > 50
+        for r, q in ((2, 3), (3, 4)):
+            verdicts = Counter()
+            for _ in range(200):
+                n = rng.randint(q + 1, q + 5)
+                pool = list(itertools.combinations(range(n), q))
+                cliques = rng.sample(pool, rng.randint(0, 4))
+                mult = Counter(e for c in cliques for e in itertools.combinations(c, r))
+                if rng.random() < 0.5:
+                    e = rng.choice(list(itertools.combinations(range(n), r)))
+                    mult[e] += rng.choice((-1, 1)) if mult[e] else 1
+                target = (MultiHypergraph(n, r, mult) if max(mult.values(), default=1) > 1
+                          else Hypergraph(n, r, [e for e, k in mult.items() if k]))
+                got = decomposition_valid(target, cliques, q)
+                assert got == reference_decomposition_valid(target, cliques, q)
+                verdicts[got] += 1
+            assert verdicts[True] > 50 and verdicts[False] > 50, (r, verdicts)
 
 
 class TestComplete:
@@ -209,6 +212,38 @@ class TestFiles:
         p = tmp_path / "m.graph"
         write_graph(J, str(p))
         assert read_graph(str(p)) == J
+
+    def test_same_edge_order_as_checked_construction(self, tmp_path):
+        # list(G.edges) is exact cover's item order: read_graph must order a
+        # file's edges as Hypergraph(n, r, <file lines>) does
+        def checked(path):
+            lines = path.read_text().splitlines()
+            r, n, m = map(int, lines[0].split())
+            return Hypergraph(n, r, [tuple(map(int, ln.split()[:r])) for ln in lines[1:m + 1]])
+
+        rng = random.Random(16)
+
+        def write_shuffled(path, J):
+            lines = [" ".join(map(str, e)) + (f" x {k}" if k > 1 else "")
+                     for e, k in J.mult.items()]
+            rng.shuffle(lines)
+            path.write_text("\n".join([f"{J.r} {J.n} {len(lines)}"] + lines) + "\n")
+
+        p = tmp_path / "g.graph"
+        for n in range(3, 131):
+            write_graph(Hypergraph.complete(n, 2), str(p))
+            assert list(read_graph(str(p)).edges) == list(checked(p).edges), n
+        for i in range(60):
+            n, r = rng.randint(4, 30), rng.randint(1, 3)
+            edges = rng.sample(list(itertools.combinations(range(n), r)),
+                               rng.randint(1, comb(n, r)))
+            J = MultiHypergraph(n, r, {e: rng.choice((1, 1, 2, 3)) if i % 2 else 1
+                                       for e in edges})
+            write_shuffled(p, J)
+            G = read_graph(str(p))
+            assert isinstance(G, MultiHypergraph) == (J.m > len(J.mult)), i
+            assert G == (J if isinstance(G, MultiHypergraph) else J.simple()), i
+            assert list(G.simple().edges) == list(checked(p).edges), i
 
     def test_duplicate_edge_rejected(self, tmp_path):
         p = tmp_path / "dup.graph"

@@ -131,6 +131,14 @@ class TestHillClimbReference:
             assert a.getstate() == b.getstate()
 
 
+def replace_one_triple(D):
+    """D's members with its first triple (a, b, c) replaced by (a, b, d)."""
+    cl = list(D.cliques)
+    a, b, _ = cl[0]
+    cl[0] = (a, b, next(v for v in range(D.target.n) if v not in cl[0]))
+    return cl
+
+
 class TestVerifyDesignReference:
     def cases(self):
         sts7, sts9 = list(oracle_steiner(7).cliques), list(oracle_steiner(9).cliques)
@@ -141,6 +149,10 @@ class TestVerifyDesignReference:
         doubled_k7 = MultiHypergraph(7, 2, {e: 2 for e in itertools.combinations(range(7), 2)})
         p7, p9, p8 = DesignParams(7, 3, 2, 1), DesignParams(9, 3, 2, 1), DesignParams(8, 4, 3, 1)
         pipe = pipeline_steiner(PipelineConfig(n=31, seed=4)).decomposition
+        pipe61 = pipeline_steiner(PipelineConfig(n=61, seed=4)).decomposition
+        pipe105 = pipeline_steiner(PipelineConfig(n=105, seed=4)).decomposition
+        k7 = Hypergraph.complete(7, 2)
+        reversed7 = [c[::-1] for c in sts7]
         return [
             (oracle_steiner(13), DesignParams(13, 3, 2, 1)),            # passing
             (pipe, DesignParams(31, 3, 2, 1)),
@@ -159,6 +171,13 @@ class TestVerifyDesignReference:
             (Decomposition(doubled_k7, union, 3), p7),
             (Packing(Hypergraph.complete(7, 2), sts7[1:]), p7),        # a packing
             ([], p7),
+            (pipe61, DesignParams(61, 3, 2, 1)),                        # pipeline outputs
+            (replace_one_triple(pipe61), DesignParams(61, 3, 2, 1)),
+            (pipe105, DesignParams(105, 3, 2, 1)),
+            (replace_one_triple(pipe105), DesignParams(105, 3, 2, 1)),
+            (Decomposition(k7, reversed7), p7),                          # reversed members
+            (Packing(k7, reversed7[1:]), p7),
+            (reversed7, p7),
         ]
 
     def test_same_report(self):
@@ -168,7 +187,9 @@ class TestVerifyDesignReference:
             assert got == reference_verify_design(D, params), params
             verdicts.append(got["pass"])
         assert verdicts == [True] * 3 + [False] * 5 + [True, False, True, False, True,
-                                                      True, False, False, False]
+                                                      True, False, False, False,
+                                                      True, False, True, False,
+                                                      True, False, True]
 
 
 class TestOracle:

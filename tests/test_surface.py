@@ -6,8 +6,8 @@ Tests do not count as users.  Neither do a definition, the package
 `__init__` re-exports, or a docstring or comment in `src/` that names it,
 so a public name that only its own unit tests call, or only prose
 mentions, fails here; delete it, or give it a caller on a real path.  A
-method is used by an attribute access of its name in `src/` code or by
-the word in `perfbench/`.
+method is used by an attribute access of its name in `src/` code or by a
+code word of `perfbench/` (see `code_words`).
 """
 import ast
 import re
@@ -78,11 +78,12 @@ def src_modules():
 
 
 def perfbench_words() -> set:
-    """The full text of `perfbench/`, whose tracer names the functions it
-    wraps in strings."""
+    """The code words of `perfbench/`; its tracer names the functions it
+    wraps in string constants, which count.  Its prose does not, so a
+    common word in a docstring or comment there keeps no method alive."""
     words = set()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
-        words.update(re.findall(r"\w+", path.read_text()))
+        words |= code_words(path)
     return words
 
 
