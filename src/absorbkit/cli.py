@@ -55,23 +55,24 @@ def _parse_fraction(text: str, option: str) -> Fraction:
     return x
 
 
-def _need(value, message: str) -> None:
-    if not value:
-        raise ParameterError(message)
-
-
-def _host_or_complete(args) -> Hypergraph:
-    if getattr(args, "graph", None):
-        return read_graph(args.graph).simple()
-    return Hypergraph.complete(args.n, args.r)
-
-
 def _emit(data: dict, as_json: bool):
     if as_json:
         print(json.dumps(data, sort_keys=True, default=str))
     else:
         for k, v in data.items():
             print(f"{k}={v}")
+
+
+def _write_lines(lines: list, out) -> None:
+    """A weighting, one clique a line: to the file `out` with a summary
+    line, or else to stdout."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write("\n".join(lines) + ("\n" if lines else ""))
+        print(f"weighting={out} support={len(lines)}")
+    else:
+        for ln in lines:
+            print(ln)
 
 
 # --------------------------------------------------------------- divide ----
@@ -89,7 +90,6 @@ def cmd_divide_check(args) -> int:
             print(f"i={row['i']} divisor={row['divisor']} value={row['value']} "
                   f"ok={row['ok']}")
         return EXIT_OK if params_admissible(p) else EXIT_NEGATIVE
-    _need(args.graph, "divide check needs a graph file or --params n,q,r,lam")
     G = read_graph(args.graph)
     ok = is_divisible(G, args.q)
     _emit({"divisible": ok}, args.json)
@@ -127,106 +127,94 @@ def cmd_integral_solve(args) -> int:
     if phi is None:
         print("NONE (integrally infeasible)")
         return EXIT_NEGATIVE
-    lines = [f"{w:+d} " + " ".join(map(str, c)) for c, w in sorted(phi.items())]
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
-        print(f"weighting={args.out} support={len(lines)}")
-    else:
-        for ln in lines:
-            print(ln)
+    _write_lines([f"{w:+d} " + " ".join(map(str, c)) for c, w in sorted(phi.items())],
+                 args.out)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- gadget ----
 
-def cmd_gadget(args) -> int:
-    if args.kind in ("anti", "fake"):
-        _need(args.edge, f"gadget {args.kind} needs --edge <ids>")
-        e = _parse_ids(args.edge)
-        g = anti_edge(e, args.q) if args.kind == "anti" else fake_edge(e, args.q)
-        print(f"kind={args.kind} roots={','.join(map(str, g.roots))} "
-              f"edges={g.W.m} fresh={len(g.fresh_vertices())}")
-        if g.W.r == 2:
-            print(f"rooted_degeneracy={rooted_degeneracy(g)}")
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            write_graph(g.W, os.path.join(args.out, f"{args.kind}.graph"))
-        return EXIT_OK
-    if args.kind == "booster":
-        if args.search:
-            _need(args.host, "gadget booster --search needs --host <graph>")
-            host = read_graph(args.host)
-            b = find_booster(args.q, args.r, host, budget=args.budget)
-            if b is None:
-                print("NONE (exhaustive)")
-                return EXIT_NEGATIVE
-        elif args.r == 1:
-            b = trivial_booster_1d(args.q)
-        elif (args.q, args.r) == (3, 2):
-            b = lift_booster_q3()
-        else:
-            raise ParameterError("direct boosters: r=1 any q, or (q, r) = (3, 2); "
-                                 "use --search with --host otherwise")
-        print(f"vertices={b.B.n} edges={b.B.m} on={len(b.B_on)} off={len(b.B_off)} "
-              f"disjoint={not set(b.B_on.cliques) & set(b.B_off.cliques)}")
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            write_graph(b.B, os.path.join(args.out, "booster.graph"))
-            write_packing(b.B_on, os.path.join(args.out, "on.pack"), "booster.graph")
-            write_packing(b.B_off, os.path.join(args.out, "off.pack"), "booster.graph")
-        return EXIT_OK
-    if args.kind == "absorber":
-        _need(args.graph, "gadget absorber needs a graph file")
-        L = read_graph(args.graph)
-        cert = build_absorber(L, args.q)
-        print(f"A_edges={cert.A.m} D1={len(cert.D1)} D2={len(cert.D2)} "
-              f"edge_intersecting={cert.edge_intersecting} verified=True")
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            write_graph(cert.A, os.path.join(args.out, "A.graph"))
-            al = Hypergraph(cert.A.n, cert.A.r, set(cert.A.edges) | set(L.edges))
-            write_graph(al, os.path.join(args.out, "AL.graph"))
-            write_packing(cert.D1, os.path.join(args.out, "D1.pack"), "AL.graph")
-            write_packing(cert.D2, os.path.join(args.out, "D2.pack"), "A.graph")
-        return EXIT_OK
-    raise ParameterError(f"unknown gadget kind {args.kind!r}")
+def cmd_gadget_edge(args, kind: str, build) -> int:
+    g = build(args.edge, args.q)
+    print(f"kind={kind} roots={','.join(map(str, g.roots))} "
+          f"edges={g.W.m} fresh={len(g.fresh_vertices())}")
+    if g.W.r == 2:
+        print(f"rooted_degeneracy={rooted_degeneracy(g)}")
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        write_graph(g.W, os.path.join(args.out, f"{kind}.graph"))
+    return EXIT_OK
+
+
+def cmd_gadget_booster(args) -> int:
+    if args.host:
+        b = find_booster(args.q, args.r, read_graph(args.host), budget=args.budget)
+        if b is None:
+            print("NONE (exhaustive)")
+            return EXIT_NEGATIVE
+    elif args.r == 1:
+        b = trivial_booster_1d(args.q)
+    elif (args.q, args.r) == (3, 2):
+        b = lift_booster_q3()
+    else:
+        raise ParameterError("direct boosters: r=1 any q, or (q, r) = (3, 2); "
+                             "give --host <graph> to search otherwise")
+    print(f"vertices={b.B.n} edges={b.B.m} on={len(b.B_on)} off={len(b.B_off)} "
+          f"disjoint={not set(b.B_on.cliques) & set(b.B_off.cliques)}")
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        write_graph(b.B, os.path.join(args.out, "booster.graph"))
+        write_packing(b.B_on, os.path.join(args.out, "on.pack"), "booster.graph")
+        write_packing(b.B_off, os.path.join(args.out, "off.pack"), "booster.graph")
+    return EXIT_OK
+
+
+def cmd_gadget_absorber(args) -> int:
+    L = read_graph(args.graph)
+    cert = build_absorber(L, args.q)
+    print(f"A_edges={cert.A.m} D1={len(cert.D1)} D2={len(cert.D2)} "
+          f"edge_intersecting={cert.edge_intersecting} verified=True")
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        write_graph(cert.A, os.path.join(args.out, "A.graph"))
+        al = Hypergraph(cert.A.n, cert.A.r, set(cert.A.edges) | set(L.edges))
+        write_graph(al, os.path.join(args.out, "AL.graph"))
+        write_packing(cert.D1, os.path.join(args.out, "D1.pack"), "AL.graph")
+        write_packing(cert.D2, os.path.join(args.out, "D2.pack"), "A.graph")
+    return EXIT_OK
 
 
 # ----------------------------------------------------------------- omni ----
 
-def cmd_omni(args) -> int:
-    if args.action in ("build-1d", "build-small") and not args.out:
-        raise ParameterError("build actions need --out <certificate-dir>")
-    if args.action == "build-1d":
-        X = Hypergraph(args.m, 1, [(i,) for i in range(args.m)])
-        cert = omni_1d(X, args.q)
-        write_certificate(cert, args.out)
-        print(f"certificate={args.out} family={len(cert.family)} C={cert.C}")
-        return EXIT_OK
-    if args.action == "build-small":
-        if not args.graph:
-            raise ParameterError("build-small needs --graph <X-file>")
-        X = read_graph(args.graph)
-        cert = omni_small(X, args.q)
-        write_certificate(cert, args.out)
-        print(f"certificate={args.out} family={len(cert.family)} C={cert.C} "
-              f"A_edges={cert.A.m}")
-        return EXIT_OK
-    if not args.certdir:
-        raise ParameterError(f"{args.action} needs a certificate directory")
+def cmd_omni_build_1d(args) -> int:
+    X = Hypergraph(args.m, 1, [(i,) for i in range(args.m)])
+    cert = omni_1d(X, args.q)
+    write_certificate(cert, args.out)
+    print(f"certificate={args.out} family={len(cert.family)} C={cert.C}")
+    return EXIT_OK
+
+
+def cmd_omni_build_small(args) -> int:
+    cert = omni_small(read_graph(args.graph), args.q)
+    write_certificate(cert, args.out)
+    print(f"certificate={args.out} family={len(cert.family)} C={cert.C} "
+          f"A_edges={cert.A.m}")
+    return EXIT_OK
+
+
+def cmd_omni_verify(args) -> int:
+    report = verify_omni(read_certificate(args.certdir), mode=args.mode,
+                         trials=args.trials, seed=args.seed)
+    print(f"checked={report['checked']} failures={len(report['failures'])}")
+    for f in report["failures"]:
+        print(f"FAIL L={f['L']} error={f['error']}")
+    return EXIT_OK if not report["failures"] else EXIT_NEGATIVE
+
+
+def cmd_omni_refinedness(args) -> int:
     cert = read_certificate(args.certdir)
-    if args.action == "verify":
-        report = verify_omni(cert, mode=args.mode, trials=args.trials,
-                             seed=args.seed)
-        print(f"checked={report['checked']} failures={len(report['failures'])}")
-        for f in report["failures"]:
-            print(f"FAIL L={f['L']} error={f['error']}")
-        return EXIT_OK if not report["failures"] else EXIT_NEGATIVE
-    if args.action == "refinedness":
-        print(f"refinedness={refinedness(cert)} claimed_C={cert.C}")
-        return EXIT_OK
-    raise ParameterError(f"unknown omni action {args.action!r}")
+    print(f"refinedness={refinedness(cert)} claimed_C={cert.C}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------- embed ----
@@ -272,107 +260,110 @@ def cmd_embed(args) -> int:
 
 # ------------------------------------------------------------------- lp ----
 
-def cmd_lp(args) -> int:
-    if args.action == "solve":
-        G = read_graph(args.graph)
-        out = solve_fractional(G, args.q, weight_cap=args.cap)
-        if not out.feasible:
-            print("INFEASIBLE (Farkas certificate verified)")
-            return EXIT_NEGATIVE
-        lines = [f"{w} " + " ".join(map(str, c))
-                 for c, w in sorted(out.weighting.psi.items())]
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write("\n".join(lines) + ("\n" if lines else ""))
-            print(f"weighting={args.out} support={len(lines)}")
-        else:
-            for ln in lines:
-                print(ln)
-        return EXIT_OK
-    if args.action == "boost":
-        G = read_graph(args.graph)
-        out = solve_fractional(G, args.q)
-        if not out.feasible:
-            print("INFEASIBLE (no weighting to sample)")
-            return EXIT_NEGATIVE
-        fam = boost_sample(out.weighting, multiplier=args.multiplier, seed=args.seed)
-        _emit({"family": len(fam.cliques), "c_hat": fam.c_hat,
-               "gamma_hat": fam.gamma_hat, "clamped": fam.clamped}, args.json)
-        return EXIT_OK
-    if args.action == "inherit":
-        G = read_graph(args.graph)
-        M = _parse_ids(args.members) if args.members else ()
-        frac = args.threshold
-        stats = inheritance_stats(G.simple(), s=args.s, m=len(M), M=M,
-                                  trials=args.trials, seed=args.seed,
-                                  threshold=lambda s: frac * (s - 1))
-        _emit(stats, args.json)
-        return EXIT_OK
-    raise ParameterError(f"unknown lp action {args.action!r}")
+def cmd_lp_solve(args) -> int:
+    out = solve_fractional(read_graph(args.graph), args.q, weight_cap=args.cap)
+    if not out.feasible:
+        print("INFEASIBLE (Farkas certificate verified)")
+        return EXIT_NEGATIVE
+    _write_lines([f"{w} " + " ".join(map(str, c))
+                  for c, w in sorted(out.weighting.psi.items())], args.out)
+    return EXIT_OK
+
+
+def cmd_lp_boost(args) -> int:
+    out = solve_fractional(read_graph(args.graph), args.q)
+    if not out.feasible:
+        print("INFEASIBLE (no weighting to sample)")
+        return EXIT_NEGATIVE
+    fam = boost_sample(out.weighting, multiplier=args.multiplier, seed=args.seed)
+    _emit({"family": len(fam.cliques), "c_hat": fam.c_hat,
+           "gamma_hat": fam.gamma_hat, "clamped": fam.clamped}, args.json)
+    return EXIT_OK
+
+
+def cmd_lp_inherit(args) -> int:
+    G = read_graph(args.graph)
+    frac = args.threshold
+    stats = inheritance_stats(G.simple(), s=args.s, M=args.members,
+                              trials=args.trials, seed=args.seed,
+                              threshold=lambda s: frac * (s - 1))
+    _emit(stats, args.json)
+    return EXIT_OK
 
 
 # --------------------------------------------------------------- nibble ----
 
-def cmd_nibble(args) -> int:
-    stats: dict = {}
-    code = EXIT_OK
-    if args.action == "run":
-        G = _host_or_complete(args)
-        P, left = random_greedy_pack(G, args.q, NibbleParams(
-            bite=args.bite, seed=args.seed))
-        stats = {"packed": len(P), "leftover": left.m, "edges": G.m,
-                 "leftover_fraction": left.m / G.m if G.m else 0.0}
-        if args.out:
-            gpath = args.out + ".host.graph"
-            write_graph(G, gpath)
-            write_packing(P, args.out, os.path.basename(gpath))
-    elif args.action == "reserve":
-        rs = generate_reserves(args.n, args.q, args.r, args.p, seed=args.seed)
-        stats = {"X_edges": rs.X.m, **{k: v for k, v in rs.flags.items()}}
-    elif args.action == "complete":
-        _need(args.graph and args.reserves,
-              "nibble complete needs --graph <graph> and --reserves <graph>")
-        G = read_graph(args.graph).simple()
-        X = read_graph(args.reserves).simple()
-        partial = read_packing(args.packing) if args.packing else Packing(G, [], q=args.q)
-        out = complete_with_reserves(G, X, partial, args.q, seed=args.seed,
-                                     stats=stats)
-        if out is None:
-            stats["completed"] = False
-            code = EXIT_NEGATIVE
-        else:
-            stats.update(completed=True, cliques=len(out))
-    elif args.action == "highgirth":
-        G = _host_or_complete(args)
-        P, left = high_girth_pack(G, args.q, args.g, NibbleParams(seed=args.seed))
-        stats = {"packed": len(P), "leftover": left.m,
-                 "coverage": 1 - left.m / G.m if G.m else 1.0,
-                 "girth_check": str(girth(P.cliques, args.q, G.r, g_max=args.g))}
-    elif args.action == "girth":
-        _need(args.packing, "nibble girth needs --packing <file>")
-        P = read_packing(args.packing)
-        g = girth(P.cliques, args.q, args.r, g_max=args.gmax)
-        cnt4, _ = configurations(P.cliques, 2, 4)
-        stats = {"girth": str(g), "config_4_2": cnt4}
-    elif args.action == "spread":
-        from .exactcover import enumerate_decompositions
-        host = Hypergraph.complete(args.n, 2)
-        if args.exact:
-            sols = enumerate_decompositions(host, args.q)
-            res = spread_estimate(None, [1], trials=0, exact_decompositions=sols)
-        else:
-            def sampler(seed):
-                P, left = random_greedy_pack(host, args.q, NibbleParams(seed=seed))
-                return list(P.cliques) if left.m == 0 else None
-            res = spread_estimate(sampler, [1], trials=args.trials, seed=args.seed)
-        stats = {f"sigma_hat_{s}": r["sigma_hat"] for s, r in res.items()}
-    else:
-        raise ParameterError(f"unknown nibble action {args.action!r}")
+def _report(args, stats: dict, code: int = EXIT_OK) -> int:
+    """Print a nibble action's stats, and write them to --json-stats."""
     _emit(stats, args.json)
     if args.json_stats:
         with open(args.json_stats, "w") as fh:
             json.dump(stats, fh, indent=2, sort_keys=True, default=str)
     return code
+
+
+def _host(args) -> Hypergraph:
+    if args.graph:
+        return read_graph(args.graph).simple()
+    return Hypergraph.complete(args.n, args.r)
+
+
+def cmd_nibble_run(args) -> int:
+    G = _host(args)
+    P, left = random_greedy_pack(G, args.q, NibbleParams(bite=args.bite, seed=args.seed))
+    if args.out:
+        gpath = args.out + ".host.graph"
+        write_graph(G, gpath)
+        write_packing(P, args.out, os.path.basename(gpath))
+    return _report(args, {"packed": len(P), "leftover": left.m, "edges": G.m,
+                          "leftover_fraction": left.m / G.m if G.m else 0.0})
+
+
+def cmd_nibble_reserve(args) -> int:
+    rs = generate_reserves(args.n, args.q, args.r, args.p, seed=args.seed)
+    return _report(args, {"X_edges": rs.X.m, **rs.flags})
+
+
+def cmd_nibble_complete(args) -> int:
+    stats: dict = {}
+    G = read_graph(args.graph).simple()
+    X = read_graph(args.reserves).simple()
+    part = read_packing(args.packing) if args.packing else Packing(G, [], q=args.q)
+    out = complete_with_reserves(G, X, part, args.q, seed=args.seed, stats=stats)
+    if out is None:
+        stats["completed"] = False
+        return _report(args, stats, EXIT_NEGATIVE)
+    stats.update(completed=True, cliques=len(out))
+    return _report(args, stats)
+
+
+def cmd_nibble_highgirth(args) -> int:
+    G = _host(args)
+    P, left = high_girth_pack(G, args.q, args.g, NibbleParams(seed=args.seed))
+    return _report(args, {"packed": len(P), "leftover": left.m,
+                          "coverage": 1 - left.m / G.m if G.m else 1.0,
+                          "girth_check": str(girth(P.cliques, args.q, G.r, g_max=args.g))})
+
+
+def cmd_nibble_girth(args) -> int:
+    P = read_packing(args.packing)
+    g = girth(P.cliques, P.q, P.host.r, g_max=args.gmax)
+    cnt4, _ = configurations(P.cliques, 2, 4)
+    return _report(args, {"girth": str(g), "config_4_2": cnt4})
+
+
+def cmd_nibble_spread(args) -> int:
+    from .exactcover import enumerate_decompositions
+    host = Hypergraph.complete(args.n, 2)
+    if args.exact:
+        sols = enumerate_decompositions(host, args.q)
+        res = spread_estimate(None, [1], trials=0, exact_decompositions=sols)
+    else:
+        def sampler(seed):
+            P, left = random_greedy_pack(host, args.q, NibbleParams(seed=seed))
+            return list(P.cliques) if left.m == 0 else None
+        res = spread_estimate(sampler, [1], trials=args.trials, seed=args.seed)
+    return _report(args, {f"sigma_hat_{s}": r["sigma_hat"] for s, r in res.items()})
 
 
 # ------------------------------------------------------------- pipeline ----
@@ -449,129 +440,127 @@ def cmd_verify(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ParameterError (exit 3) instead of exiting 2,
-    which is the budget code; subparsers inherit the class."""
+    which is the budget code; subparsers inherit the class.  Options are
+    taken by their full names only, so an action rejects an option it does
+    not read even where that is a prefix of one it does (--g of --gmax)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ParameterError(f"{self.prog}: {message}")
+
+
+# add_argument keywords of every option, the same for each action that reads it
+_OPTIONS = {
+    "graph": {}, "certdir": {}, "packing": {},
+    "--graph": {}, "--packing": {}, "--reserves": {}, "--host": {},
+    "--system": {}, "--params": {}, "--config": {}, "--out": {},
+    "--edge": dict(type=_parse_ids),
+    "--members": dict(type=_parse_ids, default=()),
+    "--n": dict(type=int),
+    "--q": dict(type=int, default=3),
+    "--r": dict(type=int, default=2),
+    "--m": dict(type=int, default=6),
+    "--s": dict(type=int, default=20),
+    "--g": dict(type=int, default=4),
+    "--gmax": dict(type=int, default=6),
+    "--lam": dict(type=int, default=1),
+    "--count": dict(type=int),
+    "--budget": dict(type=int, default=DEFAULT_BUDGET),
+    "--seed": dict(type=int, default=0),
+    "--trials": dict(type=int, default=100),
+    "--p": dict(type=float, default=0.3),
+    "--bite": dict(type=float, default=1.0),
+    "--threshold": dict(type=float, default=0.0),
+    "--cap": dict(type=partial(_parse_fraction, option="--cap")),
+    "--multiplier": dict(type=partial(_parse_fraction, option="--multiplier")),
+    "--mode": dict(default="exhaustive", choices=["exhaustive", "sample"]),
+    "--exact": dict(action="store_true"),
+    "--reduce": dict(action="store_true"),
+    "--json": dict(action="store_true"),
+    "--json-stats": dict(dest="json_stats"),
+}
+
+
+def _group(sub, name: str):
+    """A command group: each of its actions is a subparser of its own."""
+    return sub.add_parser(name).add_subparsers(dest="action", required=True)
+
+
+def _command(sub, name: str, func, *options: str, required=(), one_of=()):
+    """The subparser `name` of `sub`, which runs `func`.  It takes exactly
+    `options` (keys of _OPTIONS), the ones in `required` as required, and
+    exactly one of `one_of`, if given."""
+    p = sub.add_parser(name)
+    for opt in options:
+        kwargs = dict(_OPTIONS[opt], required=True) if opt in required else _OPTIONS[opt]
+        p.add_argument(opt, **kwargs)
+    if one_of:
+        group = p.add_mutually_exclusive_group(required=True)
+        for opt in one_of:
+            # a positional in the group is one that may be left out
+            kwargs = _OPTIONS[opt] if opt.startswith("-") else dict(_OPTIONS[opt], nargs="?")
+            group.add_argument(opt, **kwargs)
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="absorb-kit")
     sub = ap.add_subparsers(dest="group", required=True)
 
-    d = sub.add_parser("divide").add_subparsers(dest="action", required=True)
-    dc = d.add_parser("check")
-    dc.add_argument("graph", nargs="?")
-    dc.add_argument("--q", type=int, default=3)
-    dc.add_argument("--params")
-    dc.add_argument("--json", action="store_true")
-    dc.set_defaults(func=cmd_divide_check)
+    _command(_group(sub, "divide"), "check", cmd_divide_check, "--q", "--json",
+             one_of=("graph", "--params"))
+    _command(_group(sub, "cover"), "solve", cmd_cover_solve,
+             "graph", "--q", "--count", "--budget", "--out", "--json")
+    _command(_group(sub, "integral"), "solve", cmd_integral_solve,
+             "graph", "--q", "--reduce", "--out")
 
-    c = sub.add_parser("cover").add_subparsers(dest="action", required=True)
-    cs = c.add_parser("solve")
-    cs.add_argument("graph")
-    cs.add_argument("--q", type=int, default=3)
-    cs.add_argument("--count", type=int)
-    cs.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    cs.add_argument("--out")
-    cs.add_argument("--json", action="store_true")
-    cs.set_defaults(func=cmd_cover_solve)
+    g = _group(sub, "gadget")
+    for kind, build in (("anti", anti_edge), ("fake", fake_edge)):
+        _command(g, kind, partial(cmd_gadget_edge, kind=kind, build=build),
+                 "--edge", "--q", "--out", required=["--edge"])
+    _command(g, "booster", cmd_gadget_booster, "--q", "--r", "--host", "--budget", "--out")
+    _command(g, "absorber", cmd_gadget_absorber, "graph", "--q", "--out")
 
-    i = sub.add_parser("integral").add_subparsers(dest="action", required=True)
-    isv = i.add_parser("solve")
-    isv.add_argument("graph")
-    isv.add_argument("--q", type=int, default=3)
-    isv.add_argument("--reduce", action="store_true")
-    isv.add_argument("--out")
-    isv.set_defaults(func=cmd_integral_solve)
+    o = _group(sub, "omni")
+    _command(o, "build-1d", cmd_omni_build_1d, "--m", "--q", "--out", required=["--out"])
+    _command(o, "build-small", cmd_omni_build_small, "--graph", "--q", "--out",
+             required=["--graph", "--out"])
+    _command(o, "verify", cmd_omni_verify, "certdir", "--mode", "--trials", "--seed")
+    _command(o, "refinedness", cmd_omni_refinedness, "certdir")
 
-    g = sub.add_parser("gadget")
-    g.add_argument("kind", choices=["anti", "fake", "booster", "absorber"])
-    g.add_argument("graph", nargs="?")
-    g.add_argument("--edge")
-    g.add_argument("--q", type=int, default=3)
-    g.add_argument("--r", type=int, default=2)
-    g.add_argument("--search", action="store_true")
-    g.add_argument("--host")
-    g.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    g.add_argument("--out")
-    g.set_defaults(func=cmd_gadget)
+    # embed's --budget is a degree budget, derived from the base graph unless given
+    _command(sub, "embed", cmd_embed, "--system", "--host", "--seed", "--budget", "--out",
+             required=["--system", "--host"]).set_defaults(budget=None)
 
-    o = sub.add_parser("omni")
-    o.add_argument("action", choices=["build-1d", "build-small", "verify", "refinedness"])
-    o.add_argument("certdir", nargs="?")
-    o.add_argument("--graph")
-    o.add_argument("--m", type=int, default=6)
-    o.add_argument("--q", type=int, default=3)
-    o.add_argument("--mode", default="exhaustive", choices=["exhaustive", "sample"])
-    o.add_argument("--trials", type=int, default=100)
-    o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--out")
-    o.set_defaults(func=cmd_omni)
+    lp = _group(sub, "lp")
+    _command(lp, "solve", cmd_lp_solve, "graph", "--q", "--cap", "--out")
+    _command(lp, "boost", cmd_lp_boost, "graph", "--q", "--multiplier", "--seed", "--json")
+    _command(lp, "inherit", cmd_lp_inherit, "graph", "--s", "--members", "--threshold",
+             "--trials", "--seed", "--json")
 
-    e = sub.add_parser("embed")
-    e.add_argument("--system", required=True)
-    e.add_argument("--host", required=True)
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--budget", type=int)
-    e.add_argument("--out")
-    e.set_defaults(func=cmd_embed)
+    nb = _group(sub, "nibble")
+    stats = ("--json", "--json-stats")
+    _command(nb, "run", cmd_nibble_run, "--r", "--q", "--bite", "--seed", "--out", *stats,
+             one_of=("--graph", "--n"))
+    _command(nb, "reserve", cmd_nibble_reserve, "--n", "--q", "--r", "--p", "--seed", *stats,
+             required=["--n"])
+    _command(nb, "complete", cmd_nibble_complete, "--graph", "--reserves", "--packing",
+             "--q", "--seed", *stats, required=["--graph", "--reserves"])
+    _command(nb, "highgirth", cmd_nibble_highgirth, "--r", "--q", "--g", "--seed", *stats,
+             one_of=("--graph", "--n"))
+    _command(nb, "girth", cmd_nibble_girth, "--packing", "--gmax", *stats,
+             required=["--packing"])
+    _command(nb, "spread", cmd_nibble_spread, "--n", "--q", "--exact", "--trials", "--seed",
+             *stats, required=["--n"])
 
-    lp = sub.add_parser("lp")
-    lp.add_argument("action", choices=["solve", "boost", "inherit"])
-    lp.add_argument("graph")
-    lp.add_argument("--q", type=int, default=3)
-    lp.add_argument("--cap", type=partial(_parse_fraction, option="--cap"))
-    lp.add_argument("--multiplier", type=partial(_parse_fraction, option="--multiplier"))
-    lp.add_argument("--s", type=int, default=20)
-    lp.add_argument("--members")
-    lp.add_argument("--threshold", type=float, default=0.0)
-    lp.add_argument("--trials", type=int, default=100)
-    lp.add_argument("--seed", type=int, default=0)
-    lp.add_argument("--out")
-    lp.add_argument("--json", action="store_true")
-    lp.set_defaults(func=cmd_lp)
-
-    nb = sub.add_parser("nibble")
-    nb.add_argument("action", choices=["run", "reserve", "complete",
-                                       "highgirth", "girth", "spread"])
-    nb.add_argument("--graph")
-    nb.add_argument("--packing")
-    nb.add_argument("--reserves")
-    nb.add_argument("--n", type=int, default=0)
-    nb.add_argument("--q", type=int, default=3)
-    nb.add_argument("--r", type=int, default=2)
-    nb.add_argument("--p", type=float, default=0.3)
-    nb.add_argument("--g", type=int, default=4)
-    nb.add_argument("--gmax", type=int, default=6)
-    nb.add_argument("--bite", type=float, default=1.0)
-    nb.add_argument("--seed", type=int, default=0)
-    nb.add_argument("--trials", type=int, default=100)
-    nb.add_argument("--exact", action="store_true")
-    nb.add_argument("--out")
-    nb.add_argument("--json", action="store_true")
-    nb.add_argument("--json-stats", dest="json_stats")
-    nb.set_defaults(func=cmd_nibble)
-
-    pl = sub.add_parser("pipeline")
-    pl.add_argument("--n", type=int)
-    pl.add_argument("--seed", type=int)
-    pl.add_argument("--config")
-    pl.add_argument("--out")
-    pl.add_argument("--json", action="store_true")
-    pl.set_defaults(func=cmd_pipeline)
-
-    orc = sub.add_parser("oracle")
-    orc.add_argument("--n", type=int, required=True)
-    orc.add_argument("--out")
-    orc.set_defaults(func=cmd_oracle)
-
-    v = sub.add_parser("verify")
-    v.add_argument("packing")
-    v.add_argument("--lam", type=int, default=1)
-    v.add_argument("--json", action="store_true")
-    v.set_defaults(func=cmd_verify)
-
+    # a seed or n left out here is taken from the config file
+    _command(sub, "pipeline", cmd_pipeline, "--n", "--seed", "--config", "--out",
+             "--json").set_defaults(seed=None)
+    _command(sub, "oracle", cmd_oracle, "--n", "--out", required=["--n"])
+    _command(sub, "verify", cmd_verify, "packing", "--lam", "--json")
     return ap
 
 

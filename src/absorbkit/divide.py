@@ -100,8 +100,8 @@ def divisible_subgraphs(
     m = len(edges)
 
     if mode == "sample":
-        if trials is None:
-            raise ParameterError("sampling mode needs a declared trial count")
+        if trials is None or trials < 1:
+            raise ParameterError(f"sampling mode needs a trial count of at least 1, got {trials}")
         rng = random.Random(seed)
         for _ in range(trials):
             sub = [e for e in edges if rng.random() < 0.5]

@@ -329,16 +329,19 @@ def boost_sample(psi: FractionalWeighting, multiplier: Optional[Fraction] = None
                        gamma_hat=gamma_hat, clamped=clamped)
 
 
-def inheritance_stats(G: Hypergraph, s: int, m: int, M: Sequence[int],
+def inheritance_stats(G: Hypergraph, s: int, M: Sequence[int],
                       trials: int, seed: int = 0,
                       threshold: Optional[Callable[[int], float]] = None) -> dict:
     """Sample s-sets containing M; report how often the induced subgraph
     keeps minimum degree above the caller's threshold."""
     if G.r != 2:
         raise ParameterError("inheritance sampling is implemented for graphs")
-    M = tuple(sorted(set(M)))
-    if len(M) != m or m > s or s > G.n:
-        raise ParameterError(f"need |M| = m <= s <= n, got m={m}, s={s}, n={G.n}")
+    if len(set(M)) != len(M) or not all(0 <= v < G.n for v in M):
+        raise ParameterError(f"M needs distinct vertices of G, got {tuple(M)}")
+    M = tuple(sorted(M))
+    m = len(M)
+    if not max(m, 1) <= s <= G.n:
+        raise ParameterError(f"need max(|M|, 1) <= s <= n, got |M|={m}, s={s}, n={G.n}")
     if trials <= 0:
         return {"trials": 0, "hits": 0, "fraction": None, "min_seen": None}
     if threshold is None:

@@ -94,8 +94,8 @@ def anti_edge(e: Sequence[int], q: int, base: Optional[int] = None) -> RootedGad
     """Clique on e plus q-r fresh vertices, with the edge e removed."""
     e = tuple(sorted(e))
     r = len(e)
-    if q <= r:
-        raise ParameterError(f"need q > |e| = {r}")
+    if len(set(e)) != r or not 0 < r < q:
+        raise ParameterError(f"need 0 < |e| < q distinct vertices, got e = {e}, q = {q}")
     if base is None:
         base = max(e) + 1
     fresh = tuple(range(base, base + q - r))
@@ -109,8 +109,8 @@ def fake_edge(f: Sequence[int], q: int, base: Optional[int] = None) -> RootedGad
     f u {x_i}; divisibility-equivalent to the edge f itself."""
     f = tuple(sorted(f))
     r = len(f)
-    if q <= r:
-        raise ParameterError(f"need q > |f| = {r}")
+    if len(set(f)) != r or not 0 < r < q:
+        raise ParameterError(f"need 0 < |f| < q distinct vertices, got f = {f}, q = {q}")
     if base is None:
         base = max(f) + 1
     core = tuple(range(base, base + q - r))

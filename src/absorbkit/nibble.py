@@ -166,6 +166,8 @@ def generate_reserves(n: int, q: int, r: int, p: float, seed: int = 0) -> Reserv
     """Sample each edge of the complete r-graph on n vertices into X
     independently with probability p and count, exactly, the reserve
     cliques available to every remaining edge."""
+    if not n >= q > r >= 1:
+        raise ParameterError(f"need n >= q > r >= 1, got n={n}, q={q}, r={r}")
     if not (0 <= p < 1):
         raise ParameterError(f"p must lie in [0, 1), got {p}")
     host = Hypergraph.complete(n, r)

@@ -37,9 +37,57 @@ def run(capsys, *argv):
     ["nibble", "complete", "--graph", "g.graph"],
     ["nibble", "girth"],
     ["gadget", "anti", "--edge", "0,x"],  # a non-integer vertex id
+    ["gadget", "anti", "--edge="],        # an empty edge
+    ["gadget", "fake", "--edge", ""],
+    ["gadget", "anti", "--edge", "1,1"],  # a repeated vertex
 ])
 def test_missing_or_malformed_arguments_exit_3(argv, capsys):
     assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.fixture
+def cli_files(tmp_path, monkeypatch):
+    """Valid input files in the working directory, so that only the
+    command line can make a command fail."""
+    monkeypatch.chdir(tmp_path)
+    write_graph(Hypergraph.complete(5, 2), "k5.graph")
+    write_graph(Hypergraph(3, 2, [(0, 1), (0, 2), (1, 2)]), "tri.graph")
+    write_graph(Hypergraph(4, 2, [(0, 1)]), "g.graph")
+    write_graph(Hypergraph(4, 2, [(0, 2), (1, 2)]), "x.graph")
+    assert main(["oracle", "--n", "7", "--out", "sts7.pack"]) == 0
+    assert main(["omni", "build-1d", "--m", "4", "--out", "cert"]) == 0
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv", [
+    # each action, given an option that only another action reads
+    "gadget anti --edge 0,1 --host k5.graph",
+    "gadget fake --edge 0,1 --r 3",
+    "gadget booster --edge 0,1",
+    "gadget absorber tri.graph --r 2",
+    "omni build-1d --graph tri.graph --out d",
+    "omni build-small --graph tri.graph --out d --m 4",
+    "omni verify cert --q 4",
+    "omni refinedness cert --mode sample",
+    "lp solve k5.graph --multiplier 3",
+    "lp boost k5.graph --cap 1/2",
+    "lp inherit k5.graph --s 3 --q 4",
+    "nibble run --n 9 --gmax 3",
+    "nibble reserve --n 9 --bite 0.5",
+    "nibble complete --graph g.graph --reserves x.graph --n 4",
+    "nibble highgirth --n 9 --bite 0.5",
+    "nibble girth --packing sts7.pack --g 5",
+    "nibble spread --n 7 --exact --graph k5.graph",
+    # a host graph needs exactly one of --graph and --n
+    "nibble run",
+    "nibble run --graph k5.graph --n 9",
+    "nibble highgirth",
+    "nibble highgirth --graph k5.graph --n 9",
+])
+def test_option_the_action_does_not_read_exits_3(argv, cli_files, capsys):
+    assert main(argv.split()) == 3
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
 
@@ -171,6 +219,19 @@ class TestGadgetCLI:
         code, out = run(capsys, "gadget", "booster", "--q", "3", "--r", "2")
         assert code == 0 and "edges=12" in out and "disjoint=True" in out
 
+    def test_booster_host_is_searched(self, tmp_path, capsys):
+        k7, tri = str(tmp_path / "k7.graph"), str(tmp_path / "tri.graph")
+        write_graph(Hypergraph.complete(7, 2), k7)
+        write_graph(Hypergraph.complete(3, 2), tri)
+        code, out = run(capsys, "gadget", "booster", "--host", k7)
+        assert code == 0 and "vertices=7 edges=21" in out and "disjoint=True" in out
+        code, out = run(capsys, "gadget", "booster", "--host", tri)
+        assert code == 1 and "NONE (exhaustive)" in out
+
+    def test_booster_without_a_direct_construction_exit_3(self, capsys):
+        assert main(["gadget", "booster", "--q", "4", "--r", "2"]) == 3
+        assert "--host" in capsys.readouterr().err
+
     def test_absorber_searched_out_exit_2(self, tmp_path, capsys):
         p = str(tmp_path / "q3.graph")
         write_graph(cube_q3(), p)
@@ -194,6 +255,16 @@ class TestOmniCLI:
         assert code == 0 and "checked=22 failures=0" in out
         code, out = run(capsys, "omni", "refinedness", cert)
         assert code == 0 and "refinedness=" in out
+
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_sampled_verify_without_trials_exit_3(self, tmp_path, capsys, trials):
+        cert = str(tmp_path / "cert")
+        assert main(["omni", "build-1d", "--m", "6", "--out", cert]) == 0
+        capsys.readouterr()
+        code, out = run(capsys, "omni", "verify", cert, "--mode", "sample",
+                        "--trials", trials)
+        assert code == 3 and "checked=" not in out
 
 
 class TestLpCLI:
@@ -232,6 +303,16 @@ class TestNibbleCLI:
         code, out = run(capsys, "nibble", "reserve", "--n", "20", "--p", "0.3",
                         "--seed", "1")
         assert code == 0 and "degree_ok=" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "1"],              # fewer vertices than a clique
+        ["--n", "9", "--q", "2"],  # q <= r
+        [],                        # no --n
+    ])
+    def test_reserve_bad_parameters_exit_3(self, capsys, argv):
+        assert main(["nibble", "reserve"] + argv) == 3
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
     def test_spread_exact(self, capsys):
         code, out = run(capsys, "nibble", "spread", "--n", "7", "--exact")
@@ -299,6 +380,14 @@ class TestMoreNibbleCLI:
         code, out = run(capsys, "nibble", "girth", "--packing", pack,
                         "--gmax", "4")
         assert code == 0 and "config_4_2=0" in out
+
+    def test_girth_reads_q_and_r_from_the_packing(self, tmp_path, capsys):
+        pack = str(tmp_path / "sts7.pack")
+        assert main(["oracle", "--n", "7", "--out", pack]) == 0
+        capsys.readouterr()
+        code, out = run(capsys, "nibble", "girth", "--packing", pack)
+        assert code == 0 and "girth=4" in out   # the Fano plane has a Pasch
+        assert main(["nibble", "girth", "--packing", pack, "--q", "4"]) == 3
 
     def test_highgirth(self, capsys):
         code, out = run(capsys, "nibble", "highgirth", "--n", "15", "--g", "4",

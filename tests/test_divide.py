@@ -124,6 +124,12 @@ class TestDivisibleSubgraphs:
         with pytest.raises(CapacityError):
             list(divisible_subgraphs(X, 3))
 
+    def test_sampling_mode_needs_a_trial(self):
+        X = Hypergraph(3, 2, [(0, 1), (0, 2), (1, 2)])
+        for trials in (None, 0, -5):
+            with pytest.raises(ParameterError):
+                list(divisible_subgraphs(X, 3, mode="sample", trials=trials))
+
     def test_sampling_mode(self):
         X = Hypergraph(6, 2, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
         subs = list(divisible_subgraphs(X, 3, mode="sample", trials=200, seed=1))

@@ -264,13 +264,13 @@ class TestBoostSample:
 
 class TestInheritance:
     def test_complete_graph_always(self):
-        stats = inheritance_stats(Hypergraph.complete(30, 2), s=10, m=2,
-                                  M=(0, 1), trials=50, seed=2,
+        stats = inheritance_stats(Hypergraph.complete(30, 2), s=10, M=(0, 1),
+                                  trials=50, seed=2,
                                   threshold=lambda s: s - 1)
         assert stats["fraction"] == 1.0
 
     def test_zero_trials(self):
-        stats = inheritance_stats(Hypergraph.complete(10, 2), s=4, m=0, M=(),
+        stats = inheritance_stats(Hypergraph.complete(10, 2), s=4, M=(),
                                   trials=0)
         assert stats["trials"] == 0 and stats["fraction"] is None
 
@@ -287,11 +287,15 @@ class TestInheritance:
         edges = [e for e in itertools.combinations(range(n), 2)
                  if e not in missing]
         G = Hypergraph(n, 2, edges)
-        stats = inheritance_stats(G, s=60, m=0, M=(), trials=60, seed=11,
+        stats = inheritance_stats(G, s=60, M=(), trials=60, seed=11,
                                   threshold=lambda s: 0.8 * (s - 1))
         assert stats["fraction"] >= 0.9
 
     def test_bad_args(self):
-        with pytest.raises(ParameterError):
-            inheritance_stats(Hypergraph.complete(10, 2), s=4, m=3, M=(0, 1),
-                              trials=5)
+        for M, s in (((0, 1, 1), 4),     # a repeated member
+                     ((0, 10), 4),       # a member outside G
+                     ((0, 1, 2), 2),     # more members than the sample size
+                     ((), 0),            # an empty sample
+                     ((), 11)):          # a sample larger than G
+            with pytest.raises(ParameterError):
+                inheritance_stats(Hypergraph.complete(10, 2), s=s, M=M, trials=5)

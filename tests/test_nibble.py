@@ -266,6 +266,11 @@ class TestReserves:
         assert rs.X.m == 0
         assert all(v == 0 for v in rs.counts.values())
 
+    def test_needs_n_at_least_q_above_r(self):
+        for n, q, r in ((1, 3, 2), (0, 3, 2), (9, 2, 2), (9, 3, 0), (2, 3, 2)):
+            with pytest.raises(ParameterError):
+                generate_reserves(n, q, r, 0.3, seed=1)
+
     def test_counts_exact_small(self):
         rs = generate_reserves(8, 3, 2, 0.5, seed=3)
         assert set(rs.counts) == Hypergraph.complete(8, 2).edges - rs.X.edges
