@@ -22,9 +22,8 @@ from .gadgets import (anti_edge, build_absorber, fake_edge, find_booster,
                       lift_booster_q3, rooted_degeneracy, trivial_booster_1d)
 from .hypercore import (Hypergraph, Packing, read_graph, read_packing,
                         write_graph, write_packing)
-from .nibble import (NibbleParams, complete_with_reserves, configurations,
-                     generate_reserves, girth, high_girth_pack,
-                     random_greedy_pack, spread_estimate)
+from .nibble import (complete_with_reserves, configurations, generate_reserves,
+                     girth, high_girth_pack, random_greedy_pack, spread_estimate)
 from .omni import (omni_1d, omni_small, read_certificate, refinedness,
                    verify_omni, write_certificate)
 from .pipeline import (PipelineConfig, oracle_steiner, pipeline_steiner,
@@ -99,6 +98,10 @@ def cmd_divide_check(args) -> int:
 # ---------------------------------------------------------------- cover ----
 
 def cmd_cover_solve(args) -> int:
+    if args.count is not None and args.out:
+        raise ParameterError("--out writes a decomposition, which --count does not find")
+    if args.json and args.count is None:
+        raise ParameterError("--json formats the --count report only")
     G = read_graph(args.graph)
     if args.count is not None:
         cnt, overflow = count_decompositions(G, args.q, cap=args.count,
@@ -303,14 +306,17 @@ def _report(args, stats: dict, code: int = EXIT_OK) -> int:
 
 
 def _host(args) -> Hypergraph:
+    """The --graph file, or K_n on --r-sets (r = 2 unless given)."""
     if args.graph:
+        if args.r is not None:
+            raise ParameterError("--r is read from the --graph file; give it only with --n")
         return read_graph(args.graph).simple()
-    return Hypergraph.complete(args.n, args.r)
+    return Hypergraph.complete(args.n, 2 if args.r is None else args.r)
 
 
 def cmd_nibble_run(args) -> int:
     G = _host(args)
-    P, left = random_greedy_pack(G, args.q, NibbleParams(bite=args.bite, seed=args.seed))
+    P, left = random_greedy_pack(G, args.q, seed=args.seed)
     if args.out:
         gpath = args.out + ".host.graph"
         write_graph(G, gpath)
@@ -339,7 +345,7 @@ def cmd_nibble_complete(args) -> int:
 
 def cmd_nibble_highgirth(args) -> int:
     G = _host(args)
-    P, left = high_girth_pack(G, args.q, args.g, NibbleParams(seed=args.seed))
+    P, left = high_girth_pack(G, args.q, args.g, seed=args.seed)
     return _report(args, {"packed": len(P), "leftover": left.m,
                           "coverage": 1 - left.m / G.m if G.m else 1.0,
                           "girth_check": str(girth(P.cliques, args.q, G.r, g_max=args.g))})
@@ -360,7 +366,7 @@ def cmd_nibble_spread(args) -> int:
         res = spread_estimate(None, [1], trials=0, exact_decompositions=sols)
     else:
         def sampler(seed):
-            P, left = random_greedy_pack(host, args.q, NibbleParams(seed=seed))
+            P, left = random_greedy_pack(host, args.q, seed=seed)
             return list(P.cliques) if left.m == 0 else None
         res = spread_estimate(sampler, [1], trials=args.trials, seed=args.seed)
     return _report(args, {f"sigma_hat_{s}": r["sigma_hat"] for s, r in res.items()})
@@ -471,7 +477,6 @@ _OPTIONS = {
     "--seed": dict(type=int, default=0),
     "--trials": dict(type=int, default=100),
     "--p": dict(type=float, default=0.3),
-    "--bite": dict(type=float, default=1.0),
     "--threshold": dict(type=float, default=0.0),
     "--cap": dict(type=partial(_parse_fraction, option="--cap")),
     "--multiplier": dict(type=partial(_parse_fraction, option="--multiplier")),
@@ -543,14 +548,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     nb = _group(sub, "nibble")
     stats = ("--json", "--json-stats")
-    _command(nb, "run", cmd_nibble_run, "--r", "--q", "--bite", "--seed", "--out", *stats,
-             one_of=("--graph", "--n"))
+    # --r goes with --n only: a --graph file carries its own r
+    _command(nb, "run", cmd_nibble_run, "--r", "--q", "--seed", "--out", *stats,
+             one_of=("--graph", "--n")).set_defaults(r=None)
     _command(nb, "reserve", cmd_nibble_reserve, "--n", "--q", "--r", "--p", "--seed", *stats,
              required=["--n"])
     _command(nb, "complete", cmd_nibble_complete, "--graph", "--reserves", "--packing",
              "--q", "--seed", *stats, required=["--graph", "--reserves"])
     _command(nb, "highgirth", cmd_nibble_highgirth, "--r", "--q", "--g", "--seed", *stats,
-             one_of=("--graph", "--n"))
+             one_of=("--graph", "--n")).set_defaults(r=None)
     _command(nb, "girth", cmd_nibble_girth, "--packing", "--gmax", *stats,
              required=["--packing"])
     _command(nb, "spread", cmd_nibble_spread, "--n", "--q", "--exact", "--trials", "--seed",

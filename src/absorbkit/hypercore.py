@@ -286,7 +286,7 @@ class Decomposition:
         cl = sorted(map(tuple, map(sorted, cliques)))
         if q is None:
             if not cl:
-                if (target.m if isinstance(target, MultiHypergraph) else len(target.edges)):
+                if target.m:
                     raise ParameterError("empty clique list cannot decompose a nonempty target")
                 q = target.r + 1
             else:
@@ -381,9 +381,12 @@ def read_graph(path: str) -> AnyGraph:
     for i in range(m + 1, len(raw)):
         if raw[i].strip():
             raise ParseError(i + 1, f"unexpected line after the {m} declared edges")
+    # every line above is a sorted, distinct, in-range r-tuple with a
+    # multiplicity >= 1, so neither graph checks its edges again
     if any_multi:
-        return MultiHypergraph(n, r, mult)
-    # every line above is a sorted, distinct, in-range r-tuple
+        J = MultiHypergraph(n, r)
+        J.mult = mult
+        return J
     return Hypergraph._of_edges(n, r, iter(mult))
 
 

@@ -1,25 +1,25 @@
 """Randomized packing engines and their analyzers.
 
-Plain random greedy (bite = 1) is the default engine; the bite-rounds
-variant exists for experiments.  The high-girth packer is plain random
-greedy's sweep with a veto: a free clique is taken only if it closes no
-forbidden configuration.  All three keep the uncovered edges as int
-bitmasks: on a graph host, one mask per vertex u holding u and its
-uncovered neighbours; on an r-uniform host, one mask per (r-1)-set T
+Random greedy is one seeded engine, `_greedy`: it shuffles the host's
+q-cliques with `random.Random(seed)` and sweeps them once, taking each
+clique that is still free.  `random_greedy_pack` is the engine as it is;
+the high-girth packer passes it a veto, so that a free clique is taken only
+if it closes no forbidden configuration.  The engine keeps the uncovered
+edges as int bitmasks: on a graph host, one mask per vertex u holding u and
+its uncovered neighbours; on an r-uniform host, one mask per (r-1)-set T
 holding T and every v with T + v uncovered (the layout of
 `Hypergraph.neighbor_mask`).  A clique with vertex mask M is free iff the
 mask of every vertex, or (r-1)-set, inside it contains M, and taking it
 clears the rest of M from those masks.  The leftover is read off the final
-masks.  Every engine returns its packing together with the uncovered
-leftover and asserts exact conservation.  Completion through reserves
-builds one `exactcover.CoverInstance` (leftover edges primary, reserve edges
-secondary, one option per reserve clique) and runs random greedy, then
-failed-literal probing and exact cover, on it.  One exhaustive configuration
-DFS (`_config_dfs`, union-size pruning plus vertex and pair indexes) serves
-configuration counting, girth and the high-girth veto, and agrees with
-naive enumeration on small inputs.  Girth and the veto decide triangle
-systems up to g = 4 exactly on a pair -> third-point map (a repeated pair,
-else Pasch) and run the DFS only beyond.
+masks, and the engine asserts exact edge conservation.  Completion through
+reserves builds one `exactcover.CoverInstance` (leftover edges primary,
+reserve edges secondary, one option per reserve clique) and runs random
+greedy, then failed-literal probing and exact cover, on it.  One exhaustive
+configuration DFS (`_config_dfs`, union-size pruning plus vertex and pair
+indexes) serves configuration counting, girth and the high-girth veto, and
+agrees with naive enumeration on small inputs.  Girth and the veto decide
+triangle systems up to g = 4 exactly on a pair -> third-point map (a
+repeated pair, else Pasch) and run the DFS only beyond.
 """
 from __future__ import annotations
 
@@ -38,36 +38,10 @@ from .hypercore import (Hypergraph, Packing, clique_edges, enumerate_cliques,
 
 
 @dataclass
-class NibbleParams:
-    """Engine knobs: the bite fraction (1 is plain random greedy), the RNG
-    seed, and an optional clique pool that replaces the host's own clique
-    enumeration."""
-
-    bite: float = 1.0
-    seed: int = 0
-    clique_source: Optional[List[tuple]] = None
-
-    def __post_init__(self):
-        if not (0 < self.bite <= 1):
-            raise ParameterError(f"bite must lie in (0, 1], got {self.bite}")
-
-
-@dataclass
 class ReserveSet:
     X: Hypergraph
     counts: Dict[tuple, int]
     flags: Dict[str, object]
-
-
-def _clique_pool(G: Hypergraph, q: int, params: NibbleParams) -> List[tuple]:
-    if params.clique_source is not None:
-        pool = [tuple(sorted(c)) for c in params.clique_source]
-        for c in pool:
-            for e in clique_edges(c, G.r):
-                if e not in G.edges:
-                    raise ParameterError(f"source clique {c!r} leaves the host")
-        return pool
-    return enumerate_cliques(G, q)
 
 
 def _edge_masks(G: Hypergraph) -> tuple:
@@ -98,18 +72,16 @@ def _uncovered(G: Hypergraph, masks) -> Hypergraph:
 
 
 def _sweep(batch: List[tuple], masks, kbits, bit: List[int], r: int,
-           commit: bool, admit: Optional[Callable[[tuple], bool]] = None
-           ) -> List[tuple]:
+           admit: Optional[Callable[[tuple], bool]] = None) -> List[tuple]:
     """Run the mask test over `batch` in order, in one inline loop.
 
     A key is a vertex when r = 2 (`masks` and `kbits` are lists) and an
     (r-1)-set otherwise (they are dicts).  ``masks[k]`` holds the bits of k
     itself plus every v such that k + v is an uncovered edge, ``kbits[k]``
     the bits of k, and ``bit[v]`` is 1 << v.  A clique with vertex mask M
-    is free iff every key inside it has all of M.  With `commit`, each free
-    clique is taken at once, its edges are cleared, and the taken cliques
-    are returned; without, the free cliques are returned and nothing
-    changes.  `admit`, when given, is asked about each free clique, and
+    is free iff every key inside it has all of M.  Each free clique is
+    taken at once and its edges are cleared; the taken cliques are
+    returned.  `admit`, when given, is asked about each free clique, and
     one it refuses is passed over as if it were not free.
     """
     out = []
@@ -124,42 +96,32 @@ def _sweep(batch: List[tuple], masks, kbits, bit: List[int], r: int,
         else:
             if admit is not None and not admit(c):
                 continue
-            if commit:
-                for k in ks:
-                    masks[k] ^= M ^ kbits[k]
+            for k in ks:
+                masks[k] ^= M ^ kbits[k]
             out.append(c)
     return out
 
 
-def random_greedy_pack(G: Hypergraph, q: int,
-                       params: Optional[NibbleParams] = None) -> Tuple[Packing, Hypergraph]:
-    """Random greedy / bite-rounds packing; returns (packing, leftover)."""
-    params = params or NibbleParams()
-    rng = random.Random(params.seed)
-    pool = _clique_pool(G, q, params)
-    r = G.r
+def _greedy(G: Hypergraph, q: int, seed: int,
+            admit: Optional[Callable[[tuple], bool]] = None
+            ) -> Tuple[List[tuple], Hypergraph]:
+    """Random greedy: G's q-cliques in the order of one
+    `random.Random(seed)` shuffle, each taken if it is free (and `admit`,
+    when given, accepts it) when its turn comes.  Returns the taken cliques
+    and the uncovered leftover."""
+    pool = enumerate_cliques(G, q)
+    random.Random(seed).shuffle(pool)
     bit, kbits, masks = _edge_masks(G)
-    per_clique = comb(q, r)
-
-    if params.bite >= 1:
-        order = pool[:]
-        rng.shuffle(order)
-        chosen = _sweep(order, masks, kbits, bit, r, True)
-    else:
-        # every round takes its first sampled clique, so live shrinks
-        chosen = []
-        live = pool[:]
-        while live:
-            remaining = G.m - len(chosen) * per_clique
-            k = max(1, math.ceil(params.bite * remaining / per_clique))
-            bite = rng.sample(live, min(k, len(live)))
-            rng.shuffle(bite)
-            chosen += _sweep(bite, masks, kbits, bit, r, True)
-            live = _sweep(live, masks, kbits, bit, r, False)
-    packing = Packing(G, chosen, q)
+    chosen = _sweep(pool, masks, kbits, bit, G.r, admit)
     leftover = _uncovered(G, masks)
-    assert len(chosen) * per_clique + leftover.m == G.m, "edge conservation violated"
-    return packing, leftover
+    assert len(chosen) * comb(q, G.r) + leftover.m == G.m, "edge conservation violated"
+    return chosen, leftover
+
+
+def random_greedy_pack(G: Hypergraph, q: int, *, seed: int = 0) -> Tuple[Packing, Hypergraph]:
+    """Random greedy packing; returns (packing, leftover)."""
+    chosen, leftover = _greedy(G, q, seed)
+    return Packing(G, chosen, q), leftover
 
 
 def generate_reserves(n: int, q: int, r: int, p: float, seed: int = 0) -> ReserveSet:
@@ -472,12 +434,11 @@ def _creates_config(cand: tuple, accepted: List[tuple], by_vertex: dict,
         for gp in range(lo, g + 1))
 
 
-def high_girth_pack(G: Hypergraph, q: int, g: int,
-                    params: Optional[NibbleParams] = None) -> Tuple[Packing, Hypergraph]:
-    """Random greedy with a veto: the sweep of `random_greedy_pack` over the
-    shuffled pool, on the same masks, takes a free clique only if it creates
-    no ((q-r)g' + r, g')-configuration with g' <= g; the output's girth is
-    re-checked.
+def high_girth_pack(G: Hypergraph, q: int, g: int, *,
+                    seed: int = 0) -> Tuple[Packing, Hypergraph]:
+    """Random greedy with a veto: `_greedy`'s draws and sweep, taking a
+    free clique only if it creates no ((q-r)g' + r, g')-configuration with
+    g' <= g; the output's girth is re-checked.
 
     Accepted cliques are edge-disjoint, so for triangles (q = 3, r = 2) a
     candidate can close no configuration with g' <= 3 and only Pasch with
@@ -487,10 +448,6 @@ def high_girth_pack(G: Hypergraph, q: int, g: int,
     """
     if g > 6:
         raise CapacityError("g <= 6 for the exhaustive configuration check")
-    params = params or NibbleParams()
-    rng = random.Random(params.seed)
-    pool = _clique_pool(G, q, params)
-    rng.shuffle(pool)
     tri = (q, G.r) == (3, 2)
     lo = 5 if tri else 2
     accepted: List[tuple] = []
@@ -510,13 +467,9 @@ def high_girth_pack(G: Hypergraph, q: int, g: int,
         accepted.append(c)
         return True
 
-    bit, kbits, masks = _edge_masks(G)
-    _sweep(pool, masks, kbits, bit, G.r, True, admit)
-    packing = Packing(G, accepted, q)
-    leftover = _uncovered(G, masks)
-    assert len(accepted) * comb(q, G.r) + leftover.m == G.m, "edge conservation violated"
+    _, leftover = _greedy(G, q, seed, admit)
     assert girth(accepted, q, G.r, g_max=g) > g, "forbidden configuration slipped in"
-    return packing, leftover
+    return Packing(G, accepted, q), leftover
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,10 @@ from absorbkit.gadgets import (booster_lift, build_absorber, fake_edge,
 from absorbkit.hypercore import (Hypergraph, clique_edges, decomposition_valid,
                                  enumerate_cliques)
 from absorbkit.integral import integral_decomposition, verify_integral
-from absorbkit.nibble import (NibbleParams, complete_with_reserves,
-                              configurations, generate_reserves, girth,
-                              high_girth_pack, random_greedy_pack,
-                              reserve_candidates, spread_estimate)
+from absorbkit.nibble import (complete_with_reserves, configurations,
+                              generate_reserves, girth, high_girth_pack,
+                              random_greedy_pack, reserve_candidates,
+                              spread_estimate)
 from absorbkit.omni import omni_1d, omni_small, refinedness, verify_omni
 from absorbkit.pipeline import PipelineConfig, pipeline_steiner, verify_design
 
@@ -197,7 +197,7 @@ def test_criterion_06_nibble_behavior():
         fracs = []
         for seed in range(20):
             G = Hypergraph.complete(n, 2)
-            _, left = random_greedy_pack(G, 3, NibbleParams(seed=seed))
+            _, left = random_greedy_pack(G, 3, seed=seed)
             fracs.append(left.m / G.m)
         medians[n] = statistics.median(fracs)
     decreasing = medians[51] > medians[101] > medians[201]
@@ -210,7 +210,7 @@ def test_criterion_06_nibble_behavior():
     for seed in range(runs):
         rs = generate_reserves(61, 3, 2, 0.3, seed=seed)
         G = Hypergraph(61, 2, Hypergraph.complete(61, 2).edges - rs.X.edges)
-        partial, _ = random_greedy_pack(G, 3, NibbleParams(seed=seed))
+        partial, _ = random_greedy_pack(G, 3, seed=seed)
         stats: dict = {}
         out = complete_with_reserves(G, rs.X, partial, 3, seed=seed, stats=stats)
         if out is not None:
@@ -308,8 +308,7 @@ def test_criterion_08_girth_machinery():
     hg_hits = 0
     seeds = 20
     for seed in range(seeds):
-        P, left = high_girth_pack(Hypergraph.complete(50, 2), 3, 4,
-                                  NibbleParams(seed=seed))
+        P, left = high_girth_pack(Hypergraph.complete(50, 2), 3, 4, seed=seed)
         covered = 1 - left.m / Hypergraph.complete(50, 2).m
         if girth(P.cliques, 3, 2, g_max=4) > 4 and covered >= 0.5:
             hg_hits += 1

@@ -75,9 +75,10 @@ def cli_files(tmp_path, monkeypatch):
     "lp boost k5.graph --cap 1/2",
     "lp inherit k5.graph --s 3 --q 4",
     "nibble run --n 9 --gmax 3",
-    "nibble reserve --n 9 --bite 0.5",
+    "nibble run --n 9 --bite 0.5",
+    "nibble reserve --n 9 --g 4",
     "nibble complete --graph g.graph --reserves x.graph --n 4",
-    "nibble highgirth --n 9 --bite 0.5",
+    "nibble highgirth --n 9 --p 0.5",
     "nibble girth --packing sts7.pack --g 5",
     "nibble spread --n 7 --exact --graph k5.graph",
     # a host graph needs exactly one of --graph and --n
@@ -85,6 +86,13 @@ def cli_files(tmp_path, monkeypatch):
     "nibble run --graph k5.graph --n 9",
     "nibble highgirth",
     "nibble highgirth --graph k5.graph --n 9",
+    # --r names the r of K_n; a --graph file carries its own
+    "nibble run --graph k5.graph --r 3",
+    "nibble highgirth --graph k5.graph --r 3",
+    # --out writes a decomposition, which --count does not find, and
+    # --json formats only the count
+    "cover solve k5.graph --count 5 --out x.pack",
+    "cover solve k5.graph --json",
 ])
 def test_option_the_action_does_not_read_exits_3(argv, cli_files, capsys):
     assert main(argv.split()) == 3

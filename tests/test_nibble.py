@@ -1,20 +1,18 @@
 import itertools
-import math
 import random
 from collections import Counter, defaultdict
-from math import comb, inf
+from math import inf
 
 import pytest
 
 from absorbkit import nibble
 from absorbkit.errors import BudgetError, CapacityError, ParameterError
 from absorbkit.exactcover import solve_cover
-from absorbkit.hypercore import Hypergraph, Packing, clique_edges
-from absorbkit.nibble import (NibbleParams, _clique_pool, _creates_config,
-                              complete_with_reserves, configurations,
-                              generate_reserves, girth, high_girth_pack,
-                              random_greedy_pack, reserve_candidates,
-                              spread_estimate)
+from absorbkit.hypercore import Hypergraph, Packing, clique_edges, enumerate_cliques
+from absorbkit.nibble import (_creates_config, complete_with_reserves,
+                              configurations, generate_reserves, girth,
+                              high_girth_pack, random_greedy_pack,
+                              reserve_candidates, spread_estimate)
 
 PASCH = [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)]
 
@@ -27,12 +25,11 @@ def dfs_girth(P, q, r, g_max):
     return inf
 
 
-def dfs_high_girth_pack(G, q, g, params):
+def dfs_high_girth_pack(G, q, g, seed):
     """Reference engine: the high-girth greedy with every g' in 2..g decided
     by the `_creates_config` DFS, with the same pool and RNG calls."""
-    rng = random.Random(params.seed)
-    pool = _clique_pool(G, q, params)
-    rng.shuffle(pool)
+    pool = enumerate_cliques(G, q)
+    random.Random(seed).shuffle(pool)
     covered = set()
     accepted = []
     by_vertex = defaultdict(list)
@@ -54,38 +51,18 @@ def dfs_high_girth_pack(G, q, g, params):
     return accepted, G.edges - covered
 
 
-def tuple_set_random_greedy(G, q, params):
+def tuple_set_random_greedy(G, q, seed):
     """Reference engine: random greedy on a set of covered edge tuples,
     with the RNG calls of the mask engine in the same order."""
-    rng = random.Random(params.seed)
-    pool = _clique_pool(G, q, params)
+    pool = enumerate_cliques(G, q)
+    random.Random(seed).shuffle(pool)
     covered = set()
     chosen = []
-
-    def try_commit(c):
+    for c in pool:
         es = list(clique_edges(c, G.r))
-        if any(e in covered for e in es):
-            return False
-        covered.update(es)
-        chosen.append(c)
-        return True
-
-    if params.bite >= 1:
-        order = pool[:]
-        rng.shuffle(order)
-        for c in order:
-            try_commit(c)
-    else:
-        live = pool[:]
-        while live:
-            remaining = G.m - len(covered)
-            k = max(1, math.ceil(params.bite * remaining / comb(q, G.r)))
-            bite = rng.sample(live, min(k, len(live)))
-            rng.shuffle(bite)
-            for c in bite:
-                try_commit(c)
-            live = [c for c in live
-                    if not any(e in covered for e in clique_edges(c, G.r))]
+        if not any(e in covered for e in es):
+            covered.update(es)
+            chosen.append(c)
     return chosen, G.edges - covered
 
 
@@ -194,68 +171,50 @@ def tuple_set_completion(G, X, partial, q, seed, retries, fallback_budget,
 
 
 def equivalence_instances():
-    """(label, host, q, params) at bite 1 and 0.3: complete graphs, random
-    graphs, 3-uniform hosts and one clique-source pool."""
+    """(label, host, q, seed) at two seeds per host: complete graphs,
+    random graphs and 3-uniform hosts."""
     rng = random.Random(2024)
     base = []
     for n in (7, 9, 13, 21, 31, 61):
-        base.append((f"K{n}", Hypergraph.complete(n, 2), 3, None))
+        base.append((f"K{n}", Hypergraph.complete(n, 2), 3))
     for i in range(10):
         n = rng.randint(6, 16)
         p = rng.choice((0.5, 0.7, 0.9))
         G = Hypergraph(n, 2, [e for e in itertools.combinations(range(n), 2)
                               if rng.random() < p])
-        base.append((f"G{i}-n{n}", G, 3 + i % 2, None))
+        base.append((f"G{i}-n{n}", G, 3 + i % 2))
     for n in (6, 7, 8):
-        base.append((f"K{n}^3", Hypergraph.complete(n, 3), 4, None))
+        base.append((f"K{n}^3", Hypergraph.complete(n, 3), 4))
     G = Hypergraph(9, 3, [e for e in itertools.combinations(range(9), 3)
                           if rng.random() < 0.8])
-    base.append(("G-n9^3", G, 4, None))
-    fam = [c for c in itertools.combinations(range(11), 3) if 0 in c or 1 in c]
-    base.append(("K11-source", Hypergraph.complete(11, 2), 3, fam))
-    out = []
-    for j, (label, G, q, source) in enumerate(base):
-        for bite in (1.0, 0.3):
-            out.append((f"{label}-bite{bite}", G, q,
-                        NibbleParams(bite=bite, seed=j, clique_source=source)))
-    return out
+    base.append(("G-n9^3", G, 4))
+    return [(f"{label}-seed{seed}", G, q, seed)
+            for j, (label, G, q) in enumerate(base) for seed in (j, j + 50)]
 
 
 class TestRandomGreedy:
     def test_conservation_k7(self):
-        P, left = random_greedy_pack(Hypergraph.complete(7, 2), 3,
-                                     NibbleParams(seed=1))
+        P, left = random_greedy_pack(Hypergraph.complete(7, 2), 3, seed=1)
         assert len(P) <= 7
         assert P.covered_edges() | left.edges == Hypergraph.complete(7, 2).edges
         assert not P.covered_edges() & left.edges
 
-    def test_boost_family_containment(self):
-        G = Hypergraph.complete(9, 2)
-        fam = [c for c in itertools.combinations(range(9), 3) if 0 in c or 1 in c]
-        P, _ = random_greedy_pack(G, 3, NibbleParams(seed=2, clique_source=fam))
-        assert set(P.cliques) <= set(fam)
-
     def test_determinism(self):
-        a, _ = random_greedy_pack(Hypergraph.complete(13, 2), 3, NibbleParams(seed=5))
-        b, _ = random_greedy_pack(Hypergraph.complete(13, 2), 3, NibbleParams(seed=5))
+        a, _ = random_greedy_pack(Hypergraph.complete(13, 2), 3, seed=5)
+        b, _ = random_greedy_pack(Hypergraph.complete(13, 2), 3, seed=5)
         assert a.cliques == b.cliques
-
-    def test_bite_rounds_engine(self):
-        G = Hypergraph.complete(13, 2)
-        P, left = random_greedy_pack(G, 3, NibbleParams(seed=3, bite=0.2))
-        assert P.covered_edges() | left.edges == G.edges
 
     def test_leftover_small_at_n51(self):
         G = Hypergraph.complete(51, 2)
-        _, left = random_greedy_pack(G, 3, NibbleParams(seed=7))
+        _, left = random_greedy_pack(G, 3, seed=7)
         assert left.m / G.m < 0.2
 
     def test_same_cliques_and_leftover_as_tuple_sets(self):
         instances = equivalence_instances()
         assert len(instances) >= 40
-        for label, G, q, params in instances:
-            P, left = random_greedy_pack(G, q, params)
-            chosen, uncovered = tuple_set_random_greedy(G, q, params)
+        for label, G, q, seed in instances:
+            P, left = random_greedy_pack(G, q, seed=seed)
+            chosen, uncovered = tuple_set_random_greedy(G, q, seed)
             assert P.cliques == tuple(sorted(chosen)), label
             assert left.edges == uncovered, label
 
@@ -388,7 +347,7 @@ class TestCompletion:
             for seed in range(20):
                 rs = generate_reserves(n, 3, 2, p, seed=seed)
                 G = Hypergraph(n, 2, Hypergraph.complete(n, 2).edges - rs.X.edges)
-                partial, _ = random_greedy_pack(G, 3, NibbleParams(seed=seed))
+                partial, _ = random_greedy_pack(G, 3, seed=seed)
                 cases.append((G, rs.X, partial, seed))
         rng = random.Random(13)
         for seed in range(40):
@@ -419,7 +378,7 @@ class TestCompletion:
     def test_one_foot_property(self):
         rs = generate_reserves(25, 3, 2, 0.4, seed=9)
         G = Hypergraph(25, 2, Hypergraph.complete(25, 2).edges - rs.X.edges)
-        partial, _ = random_greedy_pack(G, 3, NibbleParams(seed=9))
+        partial, _ = random_greedy_pack(G, 3, seed=9)
         out = complete_with_reserves(G, rs.X, partial, 3, seed=9)
         if out is not None:
             new = set(out.cliques) - set(partial.cliques)
@@ -502,7 +461,7 @@ class TestGirth:
         rng = random.Random(6)
         for _ in range(10):
             G = Hypergraph.complete(9, 2)
-            P, _ = random_greedy_pack(G, 3, NibbleParams(seed=rng.randrange(999)))
+            P, _ = random_greedy_pack(G, 3, seed=rng.randrange(999))
             cnt, _ = configurations(P.cliques, 2, 4)
             assert cnt == 0
 
@@ -555,54 +514,47 @@ class TestGirth:
 class TestHighGirth:
     def test_g2_equals_plain_packing(self):
         G = Hypergraph.complete(10, 2)
-        P, left = high_girth_pack(G, 3, 2, NibbleParams(seed=4))
+        P, left = high_girth_pack(G, 3, 2, seed=4)
         assert P.covered_edges() | left.edges == G.edges
         cnt, _ = configurations(P.cliques, 2, 4)
         assert cnt == 0
 
     def test_pasch_free_k15(self):
         G = Hypergraph.complete(15, 2)
-        P, left = high_girth_pack(G, 3, 4, NibbleParams(seed=1))
+        P, left = high_girth_pack(G, 3, 4, seed=1)
         assert girth(P.cliques, 3, 2, g_max=4) is inf
         assert P.covered_edges() | left.edges == G.edges
 
     def test_matches_dfs_reference(self):
         rng = random.Random(12)
-        hosts = [(Hypergraph.complete(n, 2), 3, None) for n in (7, 9, 12, 15, 19)]
+        hosts = [(Hypergraph.complete(n, 2), 3) for n in (7, 9, 12, 15, 19)]
         for _ in range(6):
             n = rng.randint(8, 14)
             hosts.append((Hypergraph(n, 2, [e for e in itertools.combinations(range(n), 2)
-                                            if rng.random() < 0.7]), 3, None))
-        hosts += [(Hypergraph.complete(n, 3), 4, None) for n in (5, 6, 7)]
+                                            if rng.random() < 0.7]), 3))
+        hosts += [(Hypergraph.complete(n, 3), 4) for n in (5, 6, 7)]
         hosts.append((Hypergraph(8, 3, [e for e in itertools.combinations(range(8), 3)
-                                        if rng.random() < 0.8]), 4, None))
-        pool = rng.sample(list(itertools.combinations(range(13), 3)), 120)
-        hosts.append((Hypergraph.complete(13, 2), 3, pool))
-        cases = [(G, q, g, NibbleParams(seed=seed, clique_source=source))
-                 for G, q, source in hosts for g in range(2, 6) for seed in range(2)]
-        cases += [(Hypergraph.complete(40, 2), 3, 4, NibbleParams(seed=seed))
-                  for seed in range(2)]
-        for G, q, g, params in cases:
-            P, left = high_girth_pack(G, q, g, params)
-            ref, ref_left = dfs_high_girth_pack(G, q, g, params)
-            assert P.cliques == tuple(sorted(ref)), (G, q, g, params.seed)
-            assert left.edges == ref_left, (G, q, g, params.seed)
+                                        if rng.random() < 0.8]), 4))
+        cases = [(G, q, g, seed) for G, q in hosts for g in range(2, 6) for seed in range(2)]
+        cases += [(Hypergraph.complete(40, 2), 3, 4, seed) for seed in range(2)]
+        for G, q, g, seed in cases:
+            P, left = high_girth_pack(G, q, g, seed=seed)
+            ref, ref_left = dfs_high_girth_pack(G, q, g, seed)
+            assert P.cliques == tuple(sorted(ref)), (G, q, g, seed)
+            assert left.edges == ref_left, (G, q, g, seed)
 
     def test_no_veto_below_g4_on_triangles(self):
         # edge-disjoint triangles close no configuration with g <= 3, so the
         # packer is plain random greedy there
         rng = random.Random(5)
-        pool = rng.sample(list(itertools.combinations(range(13), 3)), 120)
-        cases = [(Hypergraph.complete(n, 2), NibbleParams(seed=seed))
-                 for n in (9, 16, 31) for seed in range(3)]
+        cases = [(Hypergraph.complete(n, 2), seed) for n in (9, 16, 31) for seed in range(3)]
         cases.append((Hypergraph(14, 2, [e for e in itertools.combinations(range(14), 2)
-                                         if rng.random() < 0.6]), NibbleParams(seed=4)))
-        cases.append((Hypergraph.complete(13, 2), NibbleParams(seed=2, clique_source=pool)))
-        for G, params in cases:
-            want = random_greedy_pack(G, 3, params)
+                                         if rng.random() < 0.6]), 4))
+        for G, seed in cases:
+            want = random_greedy_pack(G, 3, seed=seed)
             for g in (2, 3):
-                P, left = high_girth_pack(G, 3, g, params)
-                assert (P.cliques, left) == (want[0].cliques, want[1]), (G, g, params.seed)
+                P, left = high_girth_pack(G, 3, g, seed=seed)
+                assert (P.cliques, left) == (want[0].cliques, want[1]), (G, g, seed)
 
 
 class TestSpread:
