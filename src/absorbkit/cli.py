@@ -1,7 +1,7 @@
 """absorb-kit command line interface.
 
-Exit codes: 0 success, 1 verified-negative, 2 budget/capacity exhausted,
-3 parameter or input error.
+Exit codes: 0 success, 1 verified-negative, 2 budget/capacity exhausted or
+a sampler that failed too often, 3 parameter or input error.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from functools import lru_cache, partial
 from .divide import (DesignParams, admissibility_report, is_divisible,
                      params_admissible)
 from .errors import (AbsorbKitError, BudgetError, CapacityError,
-                     ParameterError, ParseError)
+                     ParameterError, ParseError, ReliabilityError)
 from .exactcover import DEFAULT_BUDGET, count_decompositions, find_decomposition
 from .fraclp import boost_sample, inheritance_stats, solve_fractional
 from .gadgets import (anti_edge, build_absorber, fake_edge, find_booster,
@@ -52,6 +52,19 @@ def _parse_fraction(text: str, option: str) -> Fraction:
     if x < 0:
         raise ParameterError(f"{option} must be nonnegative, got {text!r}")
     return x
+
+
+def _conditional_options(args, holds: bool, condition: str, *options: str) -> None:
+    """Options that an action reads only under `condition` default to None
+    in its subparser.  Given where the condition fails, they are a
+    ParameterError; left out where it holds, they take their _OPTIONS
+    defaults."""
+    for opt in options:
+        dest = opt[2:].replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, _OPTIONS[opt].get("default"))
+        elif not holds:
+            raise ParameterError(f"{opt} is read only {condition}")
 
 
 def _emit(data: dict, as_json: bool):
@@ -150,6 +163,7 @@ def cmd_gadget_edge(args, kind: str, build) -> int:
 
 
 def cmd_gadget_booster(args) -> int:
+    _conditional_options(args, bool(args.host), "with --host", "--budget")
     if args.host:
         b = find_booster(args.q, args.r, read_graph(args.host), budget=args.budget)
         if b is None:
@@ -206,6 +220,8 @@ def cmd_omni_build_small(args) -> int:
 
 
 def cmd_omni_verify(args) -> int:
+    _conditional_options(args, args.mode == "sample", "with --mode sample",
+                         "--trials", "--seed")
     report = verify_omni(read_certificate(args.certdir), mode=args.mode,
                          trials=args.trials, seed=args.seed)
     print(f"checked={report['checked']} failures={len(report['failures'])}")
@@ -360,6 +376,7 @@ def cmd_nibble_girth(args) -> int:
 
 def cmd_nibble_spread(args) -> int:
     from .exactcover import enumerate_decompositions
+    _conditional_options(args, not args.exact, "without --exact", "--trials", "--seed")
     host = Hypergraph.complete(args.n, 2)
     if args.exact:
         sols = enumerate_decompositions(host, args.q)
@@ -526,14 +543,18 @@ def build_parser() -> argparse.ArgumentParser:
     for kind, build in (("anti", anti_edge), ("fake", fake_edge)):
         _command(g, kind, partial(cmd_gadget_edge, kind=kind, build=build),
                  "--edge", "--q", "--out", required=["--edge"])
-    _command(g, "booster", cmd_gadget_booster, "--q", "--r", "--host", "--budget", "--out")
+    # an option read only under another one defaults to None here, and its
+    # handler checks it with _conditional_options
+    _command(g, "booster", cmd_gadget_booster, "--q", "--r", "--host", "--budget",
+             "--out").set_defaults(budget=None)
     _command(g, "absorber", cmd_gadget_absorber, "graph", "--q", "--out")
 
     o = _group(sub, "omni")
     _command(o, "build-1d", cmd_omni_build_1d, "--m", "--q", "--out", required=["--out"])
     _command(o, "build-small", cmd_omni_build_small, "--graph", "--q", "--out",
              required=["--graph", "--out"])
-    _command(o, "verify", cmd_omni_verify, "certdir", "--mode", "--trials", "--seed")
+    _command(o, "verify", cmd_omni_verify, "certdir", "--mode", "--trials",
+             "--seed").set_defaults(trials=None, seed=None)
     _command(o, "refinedness", cmd_omni_refinedness, "certdir")
 
     # embed's --budget is a degree budget, derived from the base graph unless given
@@ -560,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     _command(nb, "girth", cmd_nibble_girth, "--packing", "--gmax", *stats,
              required=["--packing"])
     _command(nb, "spread", cmd_nibble_spread, "--n", "--q", "--exact", "--trials", "--seed",
-             *stats, required=["--n"])
+             *stats, required=["--n"]).set_defaults(trials=None, seed=None)
 
     # a seed or n left out here is taken from the config file
     _command(sub, "pipeline", cmd_pipeline, "--n", "--seed", "--config", "--out",
@@ -581,7 +602,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except (BudgetError, CapacityError) as exc:
+    except (BudgetError, CapacityError, ReliabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (AbsorbKitError, FileNotFoundError) as exc:

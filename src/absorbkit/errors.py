@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all absorb-kit modules.
 
 Exit-code mapping used by the CLI: ParameterError -> 3,
-CapacityError/BudgetError -> 2, verified-negative results -> 1.
+CapacityError/BudgetError/ReliabilityError -> 2, verified-negative
+results -> 1.
 """
 
 

@@ -5,12 +5,13 @@ is decided by a fraction-free revised phase-1 simplex (Dantzig pricing with
 a Bland anti-cycling switch).  Every coefficient of the constraint matrix is
 0 or 1, so each column is kept as the tuple of its rows' ids, and the
 simplex keeps only B^-1 and the right-hand side: each of their rows holds
-integer numerators over its own positive integer denominator.  Verdicts
-are exact: feasibility comes with the weighting itself, and infeasibility
-comes with a Farkas certificate that is re-verified before being returned.
-An exhaustive vertex enumeration (`fm_feasible`: every linearly independent
-column subset, solved exactly) doubles as an independent oracle for small
-instances.
+integer numerators over its own positive integer denominator, and is
+reduced by its gcd only once that denominator outgrows a machine word (the
+pivot row on every pivot).  Verdicts are exact: feasibility comes with the
+weighting itself, and infeasibility comes with a Farkas certificate that is
+re-verified before being returned.  An exhaustive vertex enumeration
+(`fm_feasible`: every linearly independent column subset, solved exactly)
+doubles as an independent oracle for small instances.
 """
 from __future__ import annotations
 
@@ -27,6 +28,9 @@ from .hypercore import AnyGraph, Hypergraph, clique_edges, enumerate_cliques
 
 VARIABLE_CAP = 20000
 FM_CLIQUE_CAP = 12   # fm_feasible tries every subset of its columns
+# _phase1 reduces a non-pivot row by its gcd only once its denominator has
+# more bits than this: about one machine word
+REDUCE_BITS = 62
 
 
 @dataclass
@@ -83,10 +87,14 @@ def _phase1(cols: List[tuple], b: List[Fraction]) -> tuple:
     columns of its rows.
 
     Each kept row, the objective row included, is a list of integer
-    numerators over one positive integer denominator, reduced by their gcd
-    after each change.  Every entry keeps its exact rational value, so the
-    pivots are those of a full Fraction tableau; only x and y become
-    Fractions.
+    numerators over one positive integer denominator.  The objective row
+    and the pivot row are reduced by their gcd on every pivot (p scales
+    every other row); any other row only once its denominator has more
+    than REDUCE_BITS bits: on word-sized integers the gcd costs about half
+    as much as the update and saves little.  Every entry keeps its exact
+    rational value, and every comparison cross-multiplies or shares one
+    positive denominator, so the pivots are those of a full Fraction
+    tableau; only x and y become (normalised) Fractions.
     """
     m = len(b)
     n_struct = len(cols)
@@ -163,9 +171,10 @@ def _phase1(cols: List[tuple], b: List[Fraction]) -> tuple:
             if f and i != leave:
                 new = [a * p - f * c for a, c in zip(T[i], prow)]
                 d = den[i] * p
-                g = gcd(d, *new)
-                if g > 1:
-                    new, d = [v // g for v in new], d // g
+                if d.bit_length() > REDUCE_BITS:
+                    g = gcd(d, *new)
+                    if g > 1:
+                        new, d = [v // g for v in new], d // g
                 T[i], den[i] = new, d
         f = red[enter]
         before, before_den = obj[m], oden

@@ -93,6 +93,14 @@ def cli_files(tmp_path, monkeypatch):
     # --json formats only the count
     "cover solve k5.graph --count 5 --out x.pack",
     "cover solve k5.graph --json",
+    # an option read only under another one, given without it
+    "gadget booster --budget 100",
+    "gadget booster --q 3 --r 2 --budget 100",
+    "omni verify cert --trials 5",
+    "omni verify cert --seed 1",
+    "omni verify cert --mode exhaustive --trials 5",
+    "nibble spread --n 7 --exact --trials 5",
+    "nibble spread --n 7 --exact --seed 1",
 ])
 def test_option_the_action_does_not_read_exits_3(argv, cli_files, capsys):
     assert main(argv.split()) == 3
@@ -236,6 +244,12 @@ class TestGadgetCLI:
         code, out = run(capsys, "gadget", "booster", "--host", tri)
         assert code == 1 and "NONE (exhaustive)" in out
 
+    def test_booster_host_search_takes_a_budget(self, tmp_path, capsys):
+        k7 = str(tmp_path / "k7.graph")
+        write_graph(Hypergraph.complete(7, 2), k7)
+        code, out = run(capsys, "gadget", "booster", "--host", k7, "--budget", "100000")
+        assert code == 0 and "vertices=7 edges=21" in out
+
     def test_booster_without_a_direct_construction_exit_3(self, capsys):
         assert main(["gadget", "booster", "--q", "4", "--r", "2"]) == 3
         assert "--host" in capsys.readouterr().err
@@ -264,6 +278,13 @@ class TestOmniCLI:
         code, out = run(capsys, "omni", "refinedness", cert)
         assert code == 0 and "refinedness=" in out
 
+    def test_sampled_verify_reads_trials_and_seed(self, tmp_path, capsys):
+        cert = str(tmp_path / "cert")
+        assert main(["omni", "build-1d", "--m", "6", "--out", cert]) == 0
+        capsys.readouterr()
+        code, out = run(capsys, "omni", "verify", cert, "--mode", "sample",
+                        "--trials", "5", "--seed", "3")
+        assert code == 0 and "failures=0" in out
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_sampled_verify_without_trials_exit_3(self, tmp_path, capsys, trials):
@@ -287,6 +308,28 @@ class TestLpCLI:
         write_graph(Hypergraph(4, 2, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]), g)
         code, out = run(capsys, "lp", "solve", g, "--q", "3")
         assert code == 1 and "INFEASIBLE" in out
+
+    def test_weightings_match_recorded_digests(self, tmp_path, monkeypatch, capsys):
+        # SHA-256 of the weight files that the phase 1 reducing every B^-1
+        # row after each pivot wrote: the same pivots give the same
+        # weighting, byte for byte
+        gone = {(0, 1), (2, 3), (4, 5)}
+        k8 = [e for e in Hypergraph.complete(8, 2).edges if e not in gone]
+        want = [
+            (Hypergraph.complete(10, 2), [],
+             "8ae7806d7a58067b1dbb15ba57be307b004d36ee6d121d41539c081d5e8bd66a"),
+            (Hypergraph.complete(7, 2), ["--cap", "2/7"],
+             "5242c2561f2e53e56267b3149ce5dd6160deaae2b335108372d19124d4254a60"),
+            (Hypergraph(8, 2, k8), [],
+             "fe46d1075ed9fdefe5977dc02b75796bbbe83dcdc095fd918d1030a55f389d94"),
+        ]
+        monkeypatch.chdir(tmp_path)
+        for G, options, digest in want:
+            write_graph(G, "g.graph")
+            code, out = run(capsys, "lp", "solve", "g.graph", "--out", "w.txt", *options)
+            assert code == 0 and out.startswith("weighting=w.txt"), G.n
+            with open("w.txt", "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, G.n
 
 
 class TestNibbleCLI:
@@ -325,6 +368,13 @@ class TestNibbleCLI:
     def test_spread_exact(self, capsys):
         code, out = run(capsys, "nibble", "spread", "--n", "7", "--exact")
         assert code == 0 and "sigma_hat_1=0.2" in out
+
+    def test_unreliable_sampler_exit_2(self, capsys):
+        # random greedy decomposes K_7 in 4 of these 20 trials: a valid
+        # command line whose sampler fails too often, not a usage error
+        assert main(["nibble", "spread", "--n", "7", "--trials", "20", "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "sampler failed 16/20 times" in err and "Traceback" not in err
 
 
 class TestEmbedCLI:

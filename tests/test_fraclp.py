@@ -185,6 +185,22 @@ def lp_columns(G, cap):
     return cols, b
 
 
+def seeded_phase1_instances():
+    """200 seeded (graph, cap, cols, b) phase-1 inputs on random graphs of
+    at most 7 vertices.  Capped only up to 6 vertices: on more, the dense
+    reference pivots a Fraction tableau of 100+ columns and takes seconds."""
+    rng = random.Random(1414)
+    out = []
+    while len(out) < 200:
+        G = random_graph(rng, max_n=7)
+        cap = (rng.choice((None, Fraction(1, 2), Fraction(2, G.n), Fraction(0)))
+               if G.n <= 6 else None)
+        cols, b = lp_columns(G, cap)
+        if b:
+            out.append((G, cap, cols, b))
+    return out
+
+
 class TestIntegerTableau:
     @pytest.mark.parametrize("G, cap", [pytest.param(G, cap, id=name)
                                         for name, G, cap in equivalence_instances()])
@@ -201,22 +217,36 @@ class TestIntegerTableau:
         assert got.pivots == want.pivots
 
     def test_phase1_matches_reference_on_seeded_instances(self):
-        # capped only up to 6 vertices: on more, the dense reference
-        # pivots a Fraction tableau of 100+ columns and takes seconds
-        rng = random.Random(1414)
-        done = infeasible = 0
-        while done < 200:
-            G = random_graph(rng, max_n=7)
-            cap = (rng.choice((None, Fraction(1, 2), Fraction(2, G.n), Fraction(0)))
-                   if G.n <= 6 else None)
-            cols, b = lp_columns(G, cap)
-            if not b:
-                continue
+        infeasible = 0
+        for G, cap, cols, b in seeded_phase1_instances():
             got = fraclp._phase1(cols, b)
             assert got == dense_reference_phase1(cols, b), (sorted(G.edges), cap)
-            done += 1
             infeasible += got[0] != 0
         assert infeasible >= 100
+
+    def test_reduction_bound_changes_nothing(self, monkeypatch):
+        """Reducing every B^-1 row after each change (bound 0) or none
+        (a bound no denominator reaches) gives the same objective, x, y and
+        pivots as the default bound."""
+        inputs = [(cols, b) for _, _, cols, b in seeded_phase1_instances()]
+        inputs += [lp_columns(Hypergraph.complete(n, 2), None) for n in (10, 11)]
+        want = [fraclp._phase1(cols, b) for cols, b in inputs]
+        default, never = fraclp.REDUCE_BITS, 10**6
+        for bits in (0, never):
+            monkeypatch.setattr(fraclp, "REDUCE_BITS", bits)
+            assert [fraclp._phase1(cols, b) for cols, b in inputs] == want, bits
+        # on K_10 some row updates cross the default bound and some do not:
+        # it makes more gcd calls than no row reduction, and fewer than all
+        calls = []
+        real_gcd = fraclp.gcd
+        monkeypatch.setattr(fraclp, "gcd", lambda *a: calls.append(a) or real_gcd(*a))
+        gcds = {}
+        for bits in (default, 0, never):
+            monkeypatch.setattr(fraclp, "REDUCE_BITS", bits)
+            calls.clear()
+            fraclp._phase1(*inputs[-2])
+            gcds[bits] = len(calls)
+        assert gcds[never] < gcds[default] < gcds[0]
 
     def test_instances_include_infeasible(self):
         verdicts = {solve_fractional(G, 3, weight_cap=cap).feasible
