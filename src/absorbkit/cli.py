@@ -440,7 +440,7 @@ def cmd_oracle(args) -> int:
     D = oracle_steiner(args.n)
     if args.out:
         host_path = args.out + ".host.graph"
-        write_graph(Hypergraph.complete(args.n, 2), host_path)
+        write_graph(D.target, host_path)      # K_n, which D decomposes
         write_packing(D, args.out, os.path.basename(host_path))
         print(f"packing={args.out} triples={len(D)}")
     else:

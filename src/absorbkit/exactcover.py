@@ -308,9 +308,8 @@ def count_decompositions(G: AnyGraph, q: int, cap: int = 10 ** 6,
     A cap below 1 is a ParameterError."""
     if cap < 1:
         raise ParameterError(f"cap must be at least 1, got {cap}")
-    n = 0
-    for _ in _solutions(G, q, budget, cap=cap):
-        n += 1
+    inst = CoverInstance.from_graph(G, q)
+    n = sum(1 for _ in _search(inst, _Budget(budget), cap))
     return n, n >= cap
 
 

@@ -9,7 +9,11 @@ U are kept as sparse columns ({row: nonzero} dicts), and each row is
 gcd-reduced by a heap of its nonzero entries, so a reduction step touches
 only the nonzeros of the two columns it combines.  The triangularization
 of a given (n, q, r) is cached so sweeps over many targets on the same
-vertex set stay cheap.
+vertex set stay cheap; the kernel basis and its vectors' L1 norms W are
+built on the first reducing call and kept on that cache entry.  The L1
+descent skips a kernel vector whose weight S on the support of x has
+2S <= W (no step along it can help) and scores the others exactly from
+their meet with that support alone.
 """
 from __future__ import annotations
 
@@ -56,8 +60,16 @@ def inclusion_matrix(n: int, q: int, r: int) -> InclusionMatrix:
     return InclusionMatrix(rows, cols, entries)
 
 
+class _Triangularization(tuple):
+    """(rows, cols, H, U, pivots), the cache entry of one (n, q, r).  Its
+    kernel, (basis, norms), is attached by `_kernel` on first use, so
+    emptying the cache drops it too."""
+
+    kernel = None
+
+
 @lru_cache(maxsize=32)
-def _triangularization(n: int, q: int, r: int):
+def _triangularization(n: int, q: int, r: int) -> _Triangularization:
     """Column HNF data: returns (rows, cols, H, U, pivots) with M*U = H.
 
     rows and cols are the r- and q-subset labels of M.  H and U are lists
@@ -113,7 +125,7 @@ def _triangularization(n: int, q: int, r: int):
             U[piv_col] = {j: -v for j, v in U[piv_col].items()}
         pivots.append(piv_col)
         piv_col += 1
-    return rows, cols, H, U, pivots
+    return _Triangularization((rows, cols, H, U, pivots))
 
 
 def _solve_system(n: int, q: int, r: int, b: Dict[tuple, int]) -> Optional[Dict[tuple, int]]:
@@ -142,12 +154,23 @@ def _solve_system(n: int, q: int, r: int, b: Dict[tuple, int]) -> Optional[Dict[
     return {cols[j]: v for j, v in sorted(x.items()) if v}
 
 
+def _kernel(n: int, q: int, r: int) -> tuple:
+    """(basis, norms): the sparse integer kernel vectors of the inclusion
+    matrix, the columns of U past the last pivot with their q-subsets in
+    lex order, and each vector's L1 norm.  Built on first use and kept on
+    the cached triangularization."""
+    T = _triangularization(n, q, r)
+    if T.kernel is None:
+        rows, cols, H, U, pivots = T
+        rank = sum(p is not None for p in pivots)
+        basis = [{cols[i]: v for i, v in sorted(u.items())} for u in U[rank:]]
+        T.kernel = basis, [sum(map(abs, vec.values())) for vec in basis]
+    return T.kernel
+
+
 def _kernel_basis(n: int, q: int, r: int) -> list:
-    """Sparse integer kernel vectors of the inclusion matrix: the columns
-    of U past the last pivot, each with its q-subsets in lex order."""
-    rows, cols, H, U, pivots = _triangularization(n, q, r)
-    rank = sum(p is not None for p in pivots)
-    return [{cols[i]: v for i, v in sorted(u.items())} for u in U[rank:]]
+    """The basis of `_kernel(n, q, r)`, without the norms."""
+    return _kernel(n, q, r)[0]
 
 
 def verify_integral(L: Hypergraph, phi: Dict[tuple, int]) -> bool:
@@ -189,27 +212,40 @@ def integral_decomposition(L: Hypergraph, q: int, reduce_support: bool = False
 
 def _reduce_l1(n: int, q: int, r: int, x: Dict[tuple, int]) -> Dict[tuple, int]:
     """Greedy L1 descent: move x in integer steps along each kernel vector
-    while its L1 norm drops, until no step helps."""
-    basis = _kernel_basis(n, q, r)
+    while its L1 norm drops, until no step helps.
+
+    A step t*vec (t = +-1, entries w, L1 norm W) changes the norm by the
+    sum over vec's support of |a + t*w| - |a|, a the current weight.  Off
+    the support of a that term is exactly |w|, so the change is W plus,
+    over the meet of the two supports, |a + t*w| - |a| - |w|.  Each such
+    term is at least -2|w|, so a vector whose meet carries at most W/2 of
+    its weight cannot lower the norm either way and is skipped unscored.
+    """
+    basis, norms = _kernel(n, q, r)
     cur = dict(x)
 
-    def l1_change(vec: Dict[tuple, int], t: int) -> int:
-        # change in L1 of one step, which only moves vec's support
-        return sum(abs(cur.get(c, 0) + t * w) - abs(cur.get(c, 0))
-                   for c, w in vec.items())
+    def l1_change(vec: Dict[tuple, int], W: int, meet, t: int) -> int:
+        for c in meet:
+            a, w = cur[c], vec[c]
+            W += abs(a + t * w) - abs(a) - abs(w)
+        return W
 
     improved = True
     while improved:
         improved = False
-        for vec in basis:
+        for vec, W in zip(basis, norms):
+            meet = vec.keys() & cur.keys()
+            if 2 * sum(abs(vec[c]) for c in meet) <= W:
+                continue
             for t in (1, -1):
-                while l1_change(vec, t) < 0:
+                while l1_change(vec, W, meet, t) < 0:
                     for c, w in vec.items():
                         v = cur.get(c, 0) + t * w
                         if v:
                             cur[c] = v
                         else:
                             del cur[c]
+                    meet = vec.keys() & cur.keys()
                     improved = True
     return cur
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -266,6 +267,25 @@ class TestGadgetCLI:
         code, out = run(capsys, "gadget", "absorber", g, "--q", "3")
         assert code == 0 and "verified=True" in out
 
+    def test_bowtie_absorber_matches_recorded_digests(self, tmp_path, monkeypatch, capsys):
+        # SHA-256 of the files that the absorber built on the L1 descent
+        # scoring every kernel vector on its whole support wrote: a bowtie
+        # is the smallest target whose absorber takes the reducing path
+        bowtie = [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]
+        want = {
+            "A.graph": "9f80dd64fba83342d8b5e554013e56320bbc0825ef221510e66176be3b67f273",
+            "AL.graph": "5ab980fb791bec94876b9af9d8975055853795277a07f5b79a0ea440f9aacb5a",
+            "D1.pack": "5c9743add80b5177d5ef35e2843a0cc3c5acc8f6339891b88d4135d7b9f0a8c4",
+            "D2.pack": "b30fbc3334c3e172000fd0d232c34e6d2dd706e5a2fd9f96b422d1be8de3b4f2",
+        }
+        monkeypatch.chdir(tmp_path)
+        write_graph(Hypergraph(8, 2, bowtie), "bowtie.graph")
+        code, out = run(capsys, "gadget", "absorber", "bowtie.graph", "--out", "abs")
+        assert code == 0 and "A_edges=72 D1=26 D2=24" in out and "verified=True" in out
+        for name, digest in want.items():
+            with open(os.path.join("abs", name), "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
 
 class TestOmniCLI:
     def test_build_verify_refinedness(self, tmp_path, capsys):
@@ -294,6 +314,47 @@ class TestOmniCLI:
         code, out = run(capsys, "omni", "verify", cert, "--mode", "sample",
                         "--trials", trials)
         assert code == 3 and "checked=" not in out
+
+
+def disjoint_triangles(seed, n, count):
+    """`count` pairwise edge-disjoint triangles on 0..n-1, in a seeded order."""
+    rng = random.Random(seed)
+    triples = list(itertools.combinations(range(n), 3))
+    rng.shuffle(triples)
+    used, chosen = set(), []
+    for t in triples:
+        es = set(itertools.combinations(t, 2))
+        if not es & used:
+            chosen.append(t)
+            used |= es
+            if len(chosen) == count:
+                break
+    return chosen
+
+
+class TestIntegralCLI:
+    def test_weightings_match_recorded_digests(self, tmp_path, monkeypatch, capsys):
+        # SHA-256 of the weight files that the L1 descent scoring every
+        # kernel vector on its whole support wrote, on unions of disjoint
+        # triangles in K_15: the same steps give the same weighting, byte
+        # for byte; the unreduced solve of the first target is pinned too
+        want = [
+            (1, 6, [], "12c65b9aebf9937ecaefb58b19ef745d168cacd772b4e7f5985c1ecebfce6ecc"),
+            (1, 6, ["--reduce"], "9bda4a88aa766fe7b0486f97bd5b879dbaf862acc4fb887e6352aebd9c567224"),
+            (2, 6, ["--reduce"], "e9132cd34866e8950ca9ff2d962b5c4f87892a090b5f95fc5a628a4129e17af1"),
+            (3, 6, ["--reduce"], "8e2d70b7d9d9b0b5d35da33ef117f30d144beda3917b56414e8905d20b915158"),
+            (4, 4, ["--reduce"], "7d1c9ed08f25982eb20adb1ab191a2c2182b93294c1d0e9ec2b9f39dfa46e1d2"),
+            (5, 5, ["--reduce"], "416e3dd9ae7d8aeb2607fc219672f5ebdf296dd0b7eee4d02eb4984ef77001dd"),
+        ]
+        monkeypatch.chdir(tmp_path)
+        for seed, count, options, digest in want:
+            edges = [e for t in disjoint_triangles(seed, 15, count)
+                     for e in itertools.combinations(t, 2)]
+            write_graph(Hypergraph(15, 2, edges), "g.graph")
+            code, _ = run(capsys, "integral", "solve", "g.graph", "--out", "w.txt", *options)
+            assert code == 0, (seed, options)
+            with open("w.txt", "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, (seed, options)
 
 
 class TestLpCLI:

@@ -182,11 +182,45 @@ class TestAgainstDenseReference:
         if n > q:
             assert infeasible >= 1
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_l1_descent_on_disjoint_triangles_in_k15(self, seed):
+        # six disjoint triangles in K_15: a sparse target whose support
+        # meets few of the 350 kernel vectors, so most are skipped unscored
+        rng = random.Random(seed)
+        triples = list(itertools.combinations(range(15), 3))
+        rng.shuffle(triples)
+        used = set()
+        for t in triples:
+            es = set(itertools.combinations(t, 2))
+            if not es & used:
+                used |= es
+                if len(used) == 18:
+                    break
+        x = integral._solve_system(15, 3, 2, dict.fromkeys(used, 1))
+        assert x
+        reduced = integral._reduce_l1(15, 3, 2, x)
+        want = dense_reduce_l1(integral._kernel_basis(15, 3, 2), x)
+        assert reduced == want
+        assert list(reduced) == list(want)
+        assert sum(map(abs, reduced.values())) < sum(map(abs, x.values()))
+
     def test_cache_clear_is_available(self):
         # the benchmark empties this cache before each pass
         assert callable(integral._triangularization.cache_clear)
         integral._triangularization.cache_clear()
         assert integral._triangularization.cache_info().currsize == 0
+
+    def test_cache_clear_drops_the_kernel_basis(self):
+        # the basis lives on the cache entry, so a cleared cache rebuilds it
+        basis = integral._kernel_basis(6, 3, 2)
+        T = integral._triangularization(6, 3, 2)
+        assert T.kernel is not None and T.kernel[0] is basis
+        assert integral._kernel_basis(6, 3, 2) is basis
+        integral._triangularization.cache_clear()
+        fresh = integral._triangularization(6, 3, 2)
+        assert fresh is not T and fresh.kernel is None
+        assert integral._kernel_basis(6, 3, 2) == basis
+        assert fresh.kernel[0] is not basis
 
     def test_dimension_cap(self):
         with pytest.raises(CapacityError):
