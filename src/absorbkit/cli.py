@@ -605,7 +605,7 @@ def main(argv=None) -> int:
     except (BudgetError, CapacityError, ReliabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (AbsorbKitError, FileNotFoundError) as exc:
+    except (AbsorbKitError, OSError) as exc:   # OSError: a path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
 

@@ -10,7 +10,7 @@ from absorbkit import cli
 from absorbkit.cli import main
 from absorbkit.divide import DesignParams
 from absorbkit.errors import ParameterError
-from absorbkit.hypercore import Hypergraph, read_packing, write_graph
+from absorbkit.hypercore import Hypergraph, MultiHypergraph, read_packing, write_graph
 from absorbkit.pipeline import verify_design
 
 
@@ -41,8 +41,14 @@ def run(capsys, *argv):
     ["gadget", "anti", "--edge="],        # an empty edge
     ["gadget", "fake", "--edge", ""],
     ["gadget", "anti", "--edge", "1,1"],  # a repeated vertex
+    # a negative node budget is malformed, not spent
+    ["cover", "solve", "k5.graph", "--budget", "-5"],
+    ["cover", "solve", "k5.graph", "--count", "3", "--budget", "-1"],
+    ["gadget", "booster", "--host", "k5.graph", "--budget", "-3"],
+    # a path that names a directory, not a file
+    ["cover", "solve", "."],
 ])
-def test_missing_or_malformed_arguments_exit_3(argv, capsys):
+def test_missing_or_malformed_arguments_exit_3(argv, cli_files, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
@@ -225,6 +231,9 @@ class TestCoverCLI:
         write_graph(Hypergraph.complete(16, 2), g)
         assert main(["cover", "solve", g, "--budget", "20000"]) == 2
         assert "of 20000 nodes" in capsys.readouterr().err
+        # a budget of 0 is valid and allows no node
+        assert main(["cover", "solve", g, "--budget", "0"]) == 2
+        assert "0 of 0 nodes" in capsys.readouterr().err
 
 
 class TestGadgetCLI:
@@ -662,6 +671,10 @@ def test_fuzzed_input_files_end_in_an_exit_code(tmp_path, capsys):
     and certificate files: `main` returns 0/1/2/3 and never raises."""
     from absorbkit.gadgets import anti_edge
     write_graph(Hypergraph.complete(7, 2), str(tmp_path / "k7.graph"))
+    # a doubled K_4 and a doubled triangle on one edge: "x k" lines reach the engine
+    mult = {e: 2 for e in itertools.combinations(range(4), 2)}
+    mult.update({(0, 1): 4, (0, 4): 2, (1, 4): 2})
+    write_graph(MultiHypergraph(5, 2, mult), str(tmp_path / "multi.graph"))
     write_graph(Hypergraph(2, 2, [(0, 1)]), str(tmp_path / "J.graph"))
     write_graph(Hypergraph(2, 2, [(0, 1)]), str(tmp_path / "H.graph"))
     write_graph(anti_edge((0, 1), 3, base=2).W, str(tmp_path / "W.graph"))
@@ -673,6 +686,7 @@ def test_fuzzed_input_files_end_in_an_exit_code(tmp_path, capsys):
     (tmp_path / "system.manifest").write_text("base J.graph\ngadget W.graph H.graph 0,1\n")
     cases = [  # (file to corrupt, argv reading it)
         ("k7.graph", ["cover", "solve", "{}"]),
+        ("multi.graph", ["cover", "solve", "{}"]),
         ("k7.graph", ["divide", "check", "{}"]),
         ("sts7.pack", ["verify", "{}"]),
         ("sts7.pack.host.graph", ["nibble", "girth", "--packing", str(tmp_path / "sts7.pack")]),

@@ -5,8 +5,8 @@ from collections import Counter
 import pytest
 
 from absorbkit.errors import BudgetError, ParameterError
-from absorbkit.exactcover import (CoverInstance, _Budget, _refute, _search,
-                                  count_decompositions, enumerate_decompositions,
+from absorbkit.exactcover import (CoverInstance, _Budget, _refute, _search, _solutions,
+                                  _triangle_search, count_decompositions, enumerate_decompositions,
                                   find_decomposition, find_two_disjoint_decompositions,
                                   solve_cover)
 from absorbkit.hypercore import (Decomposition, Hypergraph, MultiHypergraph,
@@ -149,24 +149,6 @@ def naive_decomposition_count(G, q):
     return count
 
 
-def dict_instance(G, q):
-    """The instance `from_graph` built before pair-id tables: each row looks
-    its r-subsets up in an {edge: item id} dict, and the columns come from
-    the rows."""
-    if isinstance(G, MultiHypergraph):
-        items = sorted(G.mult)
-        demand = [G.mult[e] for e in items]
-        simple = G.simple()
-    else:
-        items = list(G.edges)
-        demand = [1] * len(items)
-        simple = G
-    ids = {e: i for i, e in enumerate(items)}
-    cliques = enumerate_cliques(simple, q)
-    rows = [tuple(ids[e] for e in itertools.combinations(c, G.r)) for c in cliques]
-    return CoverInstance(items, demand, cliques, rows)
-
-
 def run_reference(G, q, cap, nodes=10 ** 7):
     budget = _Budget(nodes)
     solver = (reference_solve_demand if isinstance(G, MultiHypergraph)
@@ -176,9 +158,22 @@ def run_reference(G, q, cap, nodes=10 ** 7):
 
 
 def run_engine(G, q, cap, nodes=10 ** 7):
+    """The engine behind the public functions: the triangle engine for
+    graphs and q = 3, else `_search` on the instance."""
     budget = _Budget(nodes)
-    inst = CoverInstance.from_graph(G, q)
-    sols = [[inst.payloads[k] for k in sol] for sol in _search(inst, budget, cap)]
+    sols = list(_solutions(G, q, budget, cap))
+    return sols, budget.limit - budget.left
+
+
+def run_until_spent(search, budget):
+    """The solutions a search yields, then "spent" if it raised
+    BudgetError, and the nodes it spent."""
+    sols = []
+    try:
+        for sol in search:
+            sols.append(sol)
+    except BudgetError:
+        sols.append("spent")
     return sols, budget.limit - budget.left
 
 
@@ -230,6 +225,20 @@ class TestFindDecomposition:
     def test_budget_error(self):
         with pytest.raises(BudgetError):
             find_decomposition(Hypergraph.complete(9, 2), 3, budget=3)
+
+    def test_negative_budget_rejected(self):
+        """A negative node budget is a ParameterError, not a spent budget;
+        a budget of 0 allows no node."""
+        K7 = Hypergraph.complete(7, 2)
+        for search in (find_decomposition, count_decompositions,
+                       enumerate_decompositions, find_two_disjoint_decompositions):
+            with pytest.raises(ParameterError, match="at least 0"):
+                search(K7, 3, budget=-1)
+        with pytest.raises(ParameterError):
+            solve_cover([1], [("x", [1])], budget=-5)
+        with pytest.raises(BudgetError, match="0 of 0 nodes"):
+            find_decomposition(K7, 3, budget=0)
+        assert count_decompositions(Hypergraph(3, 2), 3, budget=0) == (1, False)
 
     def test_budget_error_says_what_it_spent(self):
         # K_12 has no STS, so the search runs until the budget is gone
@@ -406,46 +415,66 @@ class TestAgainstReference:
         forced = [(0, ["f"])] + [(k, ["w"]) for k in range(1, width + 1)]
         self.check_cover(["f", "w"], [], forced, frozenset(), None)
 
-    def test_pair_id_rows_match_dict_rows(self):
-        """from_graph gives the items, options, rows and columns of the
-        dict-built instance, and so the same search: on random graphs and
-        multigraphs with q = 3 (the pair-id table), q = 4 hosts and a
-        3-graph."""
-        rng = random.Random(13)
-        cases = [(Hypergraph.complete(9, 2), 4), (Hypergraph.complete(6, 3), 4)]
+    @staticmethod
+    def wide_book(rng):
+        """A multigraph on 131 vertices in which the pair 01 lies on 129
+        triangles, so the triangle engine picks its column by min: 01 is
+        joined to every other vertex, and doubled random triangles on
+        those vertices give the search choices."""
+        n = 131
+        mult = Counter({(0, 1): n - 2})
+        for x in range(2, n):
+            mult[(0, x)] += 1
+            mult[(1, x)] += 1
         for _ in range(30):
-            n = rng.randint(4, 12)
-            cases.append((random_graph(rng, n), 3))
-            G = Hypergraph(n, 2, [e for e in itertools.combinations(range(n), 2)
-                                  if rng.random() < 0.8])
-            cases.append((G, 4))
+            for e in itertools.combinations(sorted(rng.sample(range(2, n), 3)), 2):
+                mult[e] += 2
+        return MultiHypergraph(n, 2, dict(mult))
+
+    def test_triangle_engine_matches_instance_search(self):
+        """_triangle_search and _search on from_graph(G, 3): the same
+        solutions in the same order, the same nodes spent, and a
+        BudgetError at the same node, under caps, budgets and exclusions."""
+        rng = random.Random(13)
+        hosts = [Hypergraph.complete(n, 2) for n in (3, 6, 7, 9, 12, 13)]
+        for _ in range(40):
+            n = rng.randint(3, 12)
+            hosts.append(random_graph(rng, n))
             mult = Counter()
             for _ in range(rng.randint(1, 5)):
                 for e in itertools.combinations(sorted(rng.sample(range(n), 3)), 2):
-                    mult[e] += 1
-            cases.append((MultiHypergraph(n, 2, dict(mult)), 3))
-        for G, q in cases:
-            got = CoverInstance.from_graph(G, q)
-            want = dict_instance(G, q)
-            assert ((got.items, got.demand, got.payloads, got.rows, got.cols)
-                    == (want.items, want.demand, want.payloads, want.rows, want.cols))
-            b_got, b_want = _Budget(10 ** 6), _Budget(10 ** 6)
-            assert list(_search(got, b_got, 50)) == list(_search(want, b_want, 50))
-            assert b_got.left == b_want.left
+                    mult[e] += rng.randint(1, 2)
+            hosts.append(MultiHypergraph(n, 2, dict(mult)))
+        book = self.wide_book(rng)
+        assert (book.simple().neighbor_mask((0,)) & book.simple().neighbor_mask((1,))
+                ).bit_count() >= 128
+        hosts += [book, Hypergraph(1, 2), Hypergraph(2, 2, [(0, 1)])]
+        for G in hosts:
+            inst = CoverInstance.from_graph(G, 3)
+            ids = {c: k for k, c in enumerate(inst.payloads)}
+            excludes = [()]
+            if inst.payloads:
+                excludes.append(rng.sample(inst.payloads, min(4, len(inst.payloads))))
+            for cap, nodes in ((None, 10 ** 5), (1, 10 ** 5), (3, 60), (None, 7), (1, 0)):
+                for exclude in excludes:
+                    b_new, b_old = _Budget(nodes), _Budget(nodes)
+                    got = run_until_spent(_triangle_search(G, b_new, cap, exclude), b_new)
+                    old = _search(inst, b_old, cap, [ids[c] for c in exclude])
+                    want = run_until_spent(([inst.payloads[k] for k in sol] for sol in old),
+                                           b_old)
+                    assert got == want, (G, cap, nodes, exclude)
 
     def test_exclude_on_graph_instances(self):
         rng = random.Random(9)
-        for n in (7, 9):
+        for n in (7, 9, 13):
             G = Hypergraph.complete(n, 2)
             ref_inst = reference_instance(G, 3)
-            inst = CoverInstance.from_graph(G, 3)
+            cliques = enumerate_cliques(G, 3)
             for _ in range(10):
-                ks = rng.sample(range(len(inst.payloads)), 3)
+                exclude = rng.sample(cliques, 3)
                 b_ref, b_new = _Budget(10 ** 6), _Budget(10 ** 6)
-                want = list(reference_solve_simple(
-                    ref_inst, b_ref, 5, frozenset(inst.payloads[k] for k in ks)))
-                got = [[inst.payloads[k] for k in sol]
-                       for sol in _search(inst, b_new, 5, ks)]
+                want = list(reference_solve_simple(ref_inst, b_ref, 5, frozenset(exclude)))
+                got = list(_triangle_search(G, b_new, 5, exclude))
                 assert got == want and b_new.left == b_ref.left
 
     def test_disjoint_pairs_match(self):
