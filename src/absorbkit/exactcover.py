@@ -3,7 +3,7 @@
 This is the package's truth oracle: a returned decomposition is always
 re-checked by the exact multiset test in hypercore, and "none" always means
 the full search space was exhausted.  A node budget (DEFAULT_BUDGET, 10**7
-nodes; the exhaustive search of K_16 takes 1,063,622 nodes, about 17 s on
+nodes; the exhaustive search of K_16 takes 1,063,622 nodes, about 11 s on
 2 cores with Python 3.11) turns long searches into a BudgetError instead of
 a silent timeout; a negative budget is a ParameterError.
 
@@ -12,9 +12,12 @@ integer item ids, with no recursion.  An option stays live while every item
 it covers has demand left.  A covered item's live count is raised above
 every open count, so the fail-first column choice (the fewest live options,
 the first item on ties) skips it.  When every item lies on fewer than 128
-options the counts fit a byte and the choice is a bytearray copy of them
-searched with `find(v)` for v = 0, 1, ...; wider instances take `min` and
-`index`.  Options are tried in ascending option id.
+options the counts fit a byte and the choice searches bytes with `find(v)`
+for ascending v: `_triangle_search` keeps its counts in one bytearray,
+updated in place, and starts v at a lower bound on the least open count;
+`_search` copies its count list into a bytearray at every node and starts
+at 0.  Wider instances take `min` and `index` over a list.  Options are
+tried in ascending option id.
 
 `_search` takes a `CoverInstance`: static option lists per item, a
 bytearray of options killed by the partial solution, and secondary items
@@ -229,6 +232,18 @@ def _triangle_search(G: AnyGraph, budget: _Budget, cap: Optional[int],
     third vertex ascends, so floors and frame positions are third vertices.
     Covering a pair kills the live triangles through it; the undo, in
     reverse order, recomputes them from the restored masks.
+
+    When every count fits a byte the counts live in one bytearray, updated
+    in place, and the column choice scans it with `find(v)` from a lower
+    bound `lo` on the least open count instead of from 0.  The bound holds
+    because choosing triangle abx closes only pairs among ab, ax and bx:
+    a, b and x each lose at most 2 partners and every other vertex keeps
+    its mask, so an open pair's count, popcount(nbr[u] & nbr[v] &
+    allow[uv]) with allow fixed, drops by at most 2.  At a choice through
+    branch pair c, size[c] is the least open count of the frame's state,
+    which an undo restores exactly, so the next choice may start at
+    size[c] - 2.  The scan still finds the least count and, on ties, the
+    first pair: the same choices as from 0.
     """
     items, left = _graph_items(G)
     if not items:
@@ -251,6 +266,10 @@ def _triangle_search(G: AnyGraph, budget: _Budget, cap: Optional[int],
     # lies on at most n - 2 triangles
     narrow = max(size) < 128
     big = 128 if narrow else n
+    if narrow:
+        size = bytearray(size)
+        find = size.find
+    lo = 0                     # no open count lies below lo
     spend = budget.spend
     floor = [0] * len(items)   # the least third vertex a branch on pair i may use
     path: list = []            # the chosen triangle per level
@@ -264,12 +283,10 @@ def _triangle_search(G: AnyGraph, budget: _Budget, cap: Optional[int],
     while True:
         if unmet:
             if narrow:
-                find = bytearray(size).find
-                v = 0
-                c = find(0)
+                c = find(lo)
                 while c < 0:
-                    v += 1
-                    c = find(v)
+                    lo += 1
+                    c = find(lo)
             else:
                 c = size.index(min(size))
             frames.append(c)
@@ -313,6 +330,7 @@ def _triangle_search(G: AnyGraph, budget: _Budget, cap: Optional[int],
         x = poss[-1] + (live & -live).bit_length() - 1
         poss[-1] = x + 1
         spend()
+        lo = size[c] - 2 if size[c] > 2 else 0
         saved.append(floor[c])
         floor[c] = x
         path.append((x, a, b) if x < a else (a, x, b) if x < b else (a, b, x))

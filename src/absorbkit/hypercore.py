@@ -201,12 +201,6 @@ def clique_edges(C: Sequence[int], r: int) -> Iterator[tuple]:
     return itertools.combinations(tuple(sorted(C)), r)
 
 
-def is_clique_of(G: AnyGraph, C: Sequence[int]) -> bool:
-    if isinstance(G, MultiHypergraph):
-        G = G.simple()
-    return all(e in G.edges for e in clique_edges(C, G.r))
-
-
 class Packing:
     """Pairwise edge-disjoint family of q-cliques of a host hypergraph."""
 
@@ -220,16 +214,18 @@ class Packing:
                 raise ParameterError("empty packing needs an explicit q")
             q = len(cl[0])
         self.q = q
+        edges, r = host.simple().edges, host.r
         seen: set = set()
         for c in cl:
             if len(c) != q or len(set(c)) != q:
                 raise ParameterError(f"{c!r} is not a {q}-set")
-            if not is_clique_of(host, c):
+            es = list(itertools.combinations(c, r))   # c is sorted, so are its edges
+            if not edges.issuperset(es):
                 raise ParameterError(f"{c!r} is not a clique of the host")
-            for e in clique_edges(c, host.r):
-                if e in seen:
-                    raise ParameterError(f"edge {e!r} covered twice")
-                seen.add(e)
+            if not seen.isdisjoint(es):
+                e = next(e for e in es if e in seen)
+                raise ParameterError(f"edge {e!r} covered twice")
+            seen.update(es)
         self.cliques = tuple(cl)
 
     def covered_edges(self) -> frozenset:
@@ -368,7 +364,7 @@ def read_graph(path: str) -> AnyGraph:
         if len(toks) != r:
             raise ParseError(ln, f"expected {r} vertex ids, got {len(toks)}")
         try:
-            verts = tuple(int(t) for t in toks)
+            verts = tuple(map(int, toks))
         except ValueError:
             raise ParseError(ln, f"non-integer vertex id in {raw[i + 1]!r}") from None
         if list(verts) != sorted(set(verts)):
@@ -423,7 +419,7 @@ def read_packing(path: str) -> Packing:
         if len(toks) != q:
             raise ParseError(ln, f"expected {q} vertex ids, got {len(toks)}")
         try:
-            verts = tuple(int(t) for t in toks)
+            verts = tuple(map(int, toks))
         except ValueError:
             raise ParseError(ln, f"non-integer vertex id in {raw[i + 1]!r}") from None
         if list(verts) != sorted(set(verts)) or verts[0] < 0 or verts[-1] >= n:

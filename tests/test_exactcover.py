@@ -416,13 +416,13 @@ class TestAgainstReference:
         self.check_cover(["f", "w"], [], forced, frozenset(), None)
 
     @staticmethod
-    def wide_book(rng):
-        """A multigraph on 131 vertices in which the pair 01 lies on 129
-        triangles, so the triangle engine picks its column by min: 01 is
-        joined to every other vertex, and doubled random triangles on
-        those vertices give the search choices."""
-        n = 131
-        mult = Counter({(0, 1): n - 2})
+    def wide_book(rng, width):
+        """A multigraph on width + 2 vertices in which the pair 01 lies on
+        `width` triangles and every other pair on fewer: 01 is joined to
+        every other vertex, and doubled random triangles on those vertices
+        give the search choices."""
+        n = width + 2
+        mult = Counter({(0, 1): width})
         for x in range(2, n):
             mult[(0, x)] += 1
             mult[(1, x)] += 1
@@ -431,10 +431,30 @@ class TestAgainstReference:
                 mult[e] += 2
         return MultiHypergraph(n, 2, dict(mult))
 
+    @staticmethod
+    def latin_host(rng, n, keep):
+        """K_{n,n,n} less the triangles of a partial Latin square: a random
+        isotope of the cyclic square of order n with each cell kept with
+        probability `keep`.  Its decompositions are the completions of the
+        square, and the search backtracks on the way to them."""
+        rows, cols, syms = (rng.sample(range(n), n) for _ in range(3))
+        edges = set()
+        for i in range(n):
+            for j in range(n):
+                if rng.random() >= keep:
+                    s = 2 * n + syms[(rows[i] + cols[j]) % n]
+                    edges.update(((i, n + j), (i, s), (n + j, s)))
+        return Hypergraph(3 * n, 2, edges)
+
     def test_triangle_engine_matches_instance_search(self):
         """_triangle_search and _search on from_graph(G, 3): the same
         solutions in the same order, the same nodes spent, and a
-        BudgetError at the same node, under caps, budgets and exclusions."""
+        BudgetError at the same node, under caps, budgets and exclusions.
+
+        The books put the widest pair on 127 triangles, where the counts
+        fit a byte and covered pairs read 128, and on 128 and 129, where
+        they are kept in a list.  The Latin hosts backtrack, so branch
+        pairs are chosen after undos."""
         rng = random.Random(13)
         hosts = [Hypergraph.complete(n, 2) for n in (3, 6, 7, 9, 12, 13)]
         for _ in range(40):
@@ -445,17 +465,24 @@ class TestAgainstReference:
                 for e in itertools.combinations(sorted(rng.sample(range(n), 3)), 2):
                     mult[e] += rng.randint(1, 2)
             hosts.append(MultiHypergraph(n, 2, dict(mult)))
-        book = self.wide_book(rng)
-        assert (book.simple().neighbor_mask((0,)) & book.simple().neighbor_mask((1,))
-                ).bit_count() >= 128
-        hosts += [book, Hypergraph(1, 2), Hypergraph(2, 2, [(0, 1)])]
-        for G in hosts:
+        hosts += [Hypergraph(1, 2), Hypergraph(2, 2, [(0, 1)])]
+        runs = ((None, 10 ** 5), (1, 10 ** 5), (3, 60), (None, 7), (1, 0))
+        cases = [(G, runs) for G in hosts]
+        for width in (127, 128, 129):
+            book = self.wide_book(rng, width)
+            assert max(map(len, CoverInstance.from_graph(book, 3).cols)) == width
+            cases.append((book, runs))
+        latin_runs = ((None, 3000), (1, 3000), (3, 400), (None, 60), (1, 9))
+        for n in (5, 6, 7):
+            for keep in (0.25, 0.5):
+                cases.append((self.latin_host(rng, n, keep), latin_runs))
+        for G, runs in cases:
             inst = CoverInstance.from_graph(G, 3)
             ids = {c: k for k, c in enumerate(inst.payloads)}
             excludes = [()]
             if inst.payloads:
                 excludes.append(rng.sample(inst.payloads, min(4, len(inst.payloads))))
-            for cap, nodes in ((None, 10 ** 5), (1, 10 ** 5), (3, 60), (None, 7), (1, 0)):
+            for cap, nodes in runs:
                 for exclude in excludes:
                     b_new, b_old = _Budget(nodes), _Budget(nodes)
                     got = run_until_spent(_triangle_search(G, b_new, cap, exclude), b_new)

@@ -294,3 +294,17 @@ class TestFiles:
         ppath.write_text("3 7 1\n0 1 2\nhost k7.graph\n3 4 5\n")
         with pytest.raises(ParseError, match="line 4"):
             read_packing(str(ppath))
+
+    def test_packing_clique_outside_host_rejected(self, tmp_path):
+        (tmp_path / "g.graph").write_text("2 4 5\n0 1\n0 2\n0 3\n1 2\n2 3\n")
+        ppath = tmp_path / "p.pack"
+        ppath.write_text("3 4 2\n0 1 2\n1 2 3\nhost g.graph\n")
+        with pytest.raises(ParameterError, match=r"^\(1, 2, 3\) is not a clique of the host$"):
+            read_packing(str(ppath))
+
+    def test_packing_edge_covered_twice_rejected(self, tmp_path):
+        write_graph(Hypergraph.complete(7, 2), str(tmp_path / "k7.graph"))
+        ppath = tmp_path / "p.pack"
+        ppath.write_text("3 7 3\n2 4 6\n0 1 5\n0 3 5\nhost k7.graph\n")
+        with pytest.raises(ParameterError, match=r"^edge \(0, 5\) covered twice$"):
+            read_packing(str(ppath))
