@@ -20,8 +20,8 @@ from .exactcover import DEFAULT_BUDGET, count_decompositions, find_decomposition
 from .fraclp import boost_sample, inheritance_stats, solve_fractional
 from .gadgets import (anti_edge, build_absorber, fake_edge, find_booster,
                       lift_booster_q3, rooted_degeneracy, trivial_booster_1d)
-from .hypercore import (Hypergraph, Packing, read_graph, read_packing,
-                        write_graph, write_packing)
+from .hypercore import (Hypergraph, MultiHypergraph, Packing, read_graph,
+                        read_packing, write_graph, write_packing)
 from .nibble import (complete_with_reserves, configurations, generate_reserves,
                      girth, high_girth_pack, random_greedy_pack, spread_estimate)
 from .omni import (omni_1d, omni_small, read_certificate, refinedness,
@@ -116,6 +116,9 @@ def cmd_cover_solve(args) -> int:
     if args.json and args.count is None:
         raise ParameterError("--json formats the --count report only")
     G = read_graph(args.graph)
+    if args.out and isinstance(G, MultiHypergraph):
+        raise ParameterError("--out writes a packing file, which holds each edge once; "
+                             f"{args.graph} is a multigraph")
     if args.count is not None:
         cnt, overflow = count_decompositions(G, args.q, cap=args.count,
                                              budget=args.budget)
@@ -411,7 +414,7 @@ def cmd_pipeline(args) -> int:
     kwargs: dict = {}
     if args.config:
         raw = _load_config(args.config)
-        casts = {"n": int, "seed": int, "hill_climb_rounds": int, "out_dir": str}
+        casts = {"n": int, "seed": int, "out_dir": str}
         for k, v in raw.items():
             if k not in casts:
                 raise ParameterError(f"unknown config key {k!r}")
@@ -451,7 +454,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     P = read_packing(args.packing)
-    params = DesignParams(P.host.n, P.q, P.host.r, args.lam)
+    params = DesignParams(P.host.n, P.q, P.host.r)
     report = verify_design(P, params)
     _emit({"pass": report["pass"], "bad_subsets": report["bad_subsets"],
            "cliques": report["cliques"],
@@ -488,7 +491,6 @@ _OPTIONS = {
     "--s": dict(type=int, default=20),
     "--g": dict(type=int, default=4),
     "--gmax": dict(type=int, default=6),
-    "--lam": dict(type=int, default=1),
     "--count": dict(type=int),
     "--budget": dict(type=int, default=DEFAULT_BUDGET),
     "--seed": dict(type=int, default=0),
@@ -587,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     _command(sub, "pipeline", cmd_pipeline, "--n", "--seed", "--config", "--out",
              "--json").set_defaults(seed=None)
     _command(sub, "oracle", cmd_oracle, "--n", "--out", required=["--n"])
-    _command(sub, "verify", cmd_verify, "packing", "--lam", "--json")
+    _command(sub, "verify", cmd_verify, "packing", "--json")
     return ap
 
 

@@ -11,13 +11,12 @@ Both engines run Knuth's Algorithm X (TAOCP 7.2.2.1) with demands on
 integer item ids, with no recursion.  An option stays live while every item
 it covers has demand left.  A covered item's live count is raised above
 every open count, so the fail-first column choice (the fewest live options,
-the first item on ties) skips it.  When every item lies on fewer than 128
-options the counts fit a byte and the choice searches bytes with `find(v)`
-for ascending v: `_triangle_search` keeps its counts in one bytearray,
-updated in place, and starts v at a lower bound on the least open count;
-`_search` copies its count list into a bytearray at every node and starts
-at 0.  Wider instances take `min` and `index` over a list.  Options are
-tried in ascending option id.
+the first item on ties) skips it.  `_search` takes `min` and `index` over
+its count list at every node.  `_triangle_search` does the same when some
+pair lies on 128 triangles or more; below that its counts fit a byte, live
+in one bytearray updated in place, and the choice searches them with
+`find(v)` for ascending v, from a lower bound on the least open count.
+Options are tried in ascending option id.
 
 `_search` takes a `CoverInstance`: static option lists per item, a
 bytearray of options killed by the partial solution, and secondary items
@@ -28,10 +27,16 @@ common open partners of its ends.  It makes the choices `_search` makes on
 `CoverInstance.from_graph(G, 3)`: the same solutions in the same order, for
 the same nodes spent.
 
+Both engines yield solutions as lists of payloads: cliques for
+`_triangle_search`, `CoverInstance.payloads` for `_search`.  `_engine(G, q)`
+hides the choice: one search for the q-clique decompositions of G that
+takes and yields cliques.
+
 Instances whose items are all covered at most once can be pruned first:
 `_refute` runs failed-literal probing to a fixpoint and returns the options
-that lie in no solution, which `_search` then takes as `exclude`.
-Completion through reserves (`nibble.complete_with_reserves`) uses it.
+that lie in no solution, as option ids, which `_search` then takes as
+`exclude`.  Completion through reserves (`nibble.complete_with_reserves`)
+uses it.
 """
 from __future__ import annotations
 
@@ -113,20 +118,18 @@ def _search(inst: CoverInstance, budget: _Budget, cap: Optional[int],
             exclude: Iterable[int] = ()):
     """Algorithm X with demands and at-most-once secondary items.
 
-    Yields solutions as lists of option ids.  An option stays live while
-    every item it covers has demand left, so it may be used repeatedly
-    where demands exceed 1; per-item option floors make each solution
-    multiset enumerated exactly once.  `cap` bounds the number of solutions
-    produced; `exclude` lists option ids that may not be used.
+    Yields solutions as lists of option payloads.  An option stays live
+    while every item it covers has demand left, so it may be used
+    repeatedly where demands exceed 1; per-item option floors make each
+    solution multiset enumerated exactly once.  `cap` bounds the number of
+    solutions produced; `exclude` lists option ids that may not be used.
     """
-    rows, cols = inst.rows, inst.cols
+    rows, cols, payloads = inst.rows, inst.cols, inst.payloads
     npri = len(inst.demand)
     left = inst.demand + [1] * (len(cols) - npri)
     # live option counts; covering an item raises its count by `big`
     size = [len(col) for col in cols]
-    # narrow: open counts stay below 128, raised ones below 256, so all fit a byte
-    narrow = max(size, default=0) < 128
-    big = 128 if narrow else len(rows) + 1
+    big = len(rows) + 1
     dead = bytearray(len(rows))
     for k in exclude:
         if not dead[k]:
@@ -149,22 +152,13 @@ def _search(inst: CoverInstance, budget: _Budget, cap: Optional[int],
 
     while True:
         if unmet:
-            # fail-first: the least live count, the first item on ties;
-            # in bytes, the first hit of v = 0, 1, ... is that item
-            if narrow:
-                find = bytearray(size).find
-                v = 0
-                c = find(0, 0, npri)
-                while c < 0:
-                    v += 1
-                    c = find(v, 0, npri)
-            else:
-                c = size.index(min(size[:npri]))
+            # fail-first: the least live count, the first item on ties
+            c = size.index(min(size[:npri]))
             frames.append(c)
             poss.append(bisect_left(cols[c], floor[c]))
         else:
             found += 1
-            yield path[:]
+            yield [payloads[k] for k in path]
             if cap is not None and found >= cap:
                 return
             # item 0's column, past its end: the loop below backtracks
@@ -419,28 +413,25 @@ def _refute(inst: CoverInstance) -> Optional[list]:
     return refuted
 
 
-def _engine(G: AnyGraph, q: int) -> tuple:
-    """(search, payloads) for the q-clique decompositions of G: `search`
-    takes (budget, cap, exclude) and yields solutions as lists of option
-    ids, whose cliques are `payloads`; the triangle engine (payloads None)
-    takes and yields the cliques themselves."""
+def _engine(G: AnyGraph, q: int):
+    """The search for the q-clique decompositions of G: it takes (budget,
+    cap, exclude), with `exclude` a list of cliques, and yields solutions
+    as lists of cliques.  Triangles of a graph run `_triangle_search`,
+    every other (q, r) `_search` on `CoverInstance.from_graph(G, q)`."""
     if (G.r, q) == (2, 3):
-        return partial(_triangle_search, G), None
+        return partial(_triangle_search, G)
     inst = CoverInstance.from_graph(G, q)
-    return partial(_search, inst), inst.payloads
+    ids = {c: k for k, c in enumerate(inst.payloads)}
 
-
-def _solutions(G: AnyGraph, q: int, budget: _Budget, cap: Optional[int]):
-    """Decompositions of G as clique lists, in search order."""
-    search, payloads = _engine(G, q)
-    sols = search(budget, cap)
-    return sols if payloads is None else ([payloads[k] for k in sol] for sol in sols)
+    def search(budget: _Budget, cap: Optional[int], exclude: Iterable[tuple] = ()):
+        return _search(inst, budget, cap, [ids[c] for c in exclude])
+    return search
 
 
 def find_decomposition(G: AnyGraph, q: int, budget: int = DEFAULT_BUDGET
                        ) -> Optional[Decomposition]:
     """First decomposition in search order, or None after a full search."""
-    for sol in _solutions(G, q, _Budget(budget), cap=1):
+    for sol in _engine(G, q)(_Budget(budget), 1):
         return Decomposition(G, sol, q)
     return None
 
@@ -451,8 +442,7 @@ def count_decompositions(G: AnyGraph, q: int, cap: int = 10 ** 6,
     A cap below 1 is a ParameterError."""
     if cap < 1:
         raise ParameterError(f"cap must be at least 1, got {cap}")
-    search, _ = _engine(G, q)
-    n = sum(1 for _ in search(_Budget(budget), cap))
+    n = sum(1 for _ in _engine(G, q)(_Budget(budget), cap))
     return n, n >= cap
 
 
@@ -462,7 +452,7 @@ def enumerate_decompositions(G: AnyGraph, q: int, cap: Optional[int] = None,
     1: ParameterError)."""
     if cap is not None and cap < 1:
         raise ParameterError(f"cap must be at least 1, got {cap}")
-    return [sorted(sol) for sol in _solutions(G, q, _Budget(budget), cap)]
+    return [sorted(sol) for sol in _engine(G, q)(_Budget(budget), cap)]
 
 
 def find_two_disjoint_decompositions(G: AnyGraph, q: int, budget: int = DEFAULT_BUDGET
@@ -473,11 +463,9 @@ def find_two_disjoint_decompositions(G: AnyGraph, q: int, budget: int = DEFAULT_
     search on the same host runs with the candidate's cliques excluded.
     """
     shared = _Budget(budget)
-    search, payloads = _engine(G, q)
+    search = _engine(G, q)
     for sol1 in search(shared, None):
         for sol2 in search(shared, 1, sol1):
-            if payloads is not None:
-                sol1, sol2 = ([payloads[k] for k in s] for s in (sol1, sol2))
             return Decomposition(G, sol1, q), Decomposition(G, sol2, q)
     return None
 
@@ -502,7 +490,5 @@ def solve_cover(demand: Iterable, options: Sequence, secondary: Iterable = (),
         payloads.append(payload)
         rows.append(tuple(ids[it] for it in cov))
     inst = CoverInstance(list(ids), [1] * npri, payloads, rows)
-    for sol in _search(inst, _Budget(budget), cap=1):
-        return [payloads[k] for k in sol]
-    return None
+    return next(_search(inst, _Budget(budget), cap=1), None)
 

@@ -495,8 +495,7 @@ def search_absorber(L: Hypergraph, q: int) -> AbsorberCertificate:
     nodes = _Budget(DEFAULT_BUDGET, "absorber search")
     for n_fresh in range(q - L.r, SEARCH_FRESH_CAP + 1):
         inst = _absorber_instance(L, q, range(L.n, L.n + n_fresh))
-        for sol in _search(inst, nodes, cap=1):
-            picked = [inst.payloads[k] for k in sol]
+        for picked in _search(inst, nodes, cap=1):
             pos = [C for sign, C in picked if sign > 0]
             neg = [C for sign, C in picked if sign < 0]
             A_edges = {e for C in neg for e in clique_edges(C, L.r)}

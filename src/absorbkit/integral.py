@@ -168,11 +168,6 @@ def _kernel(n: int, q: int, r: int) -> tuple:
     return T.kernel
 
 
-def _kernel_basis(n: int, q: int, r: int) -> list:
-    """The basis of `_kernel(n, q, r)`, without the norms."""
-    return _kernel(n, q, r)[0]
-
-
 def verify_integral(L: Hypergraph, phi: Dict[tuple, int]) -> bool:
     """Exact check: clique weights sum to +1 on L's edges and 0 elsewhere."""
     sums: Counter = Counter()

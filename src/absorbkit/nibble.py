@@ -249,8 +249,7 @@ def complete_with_reserves(G: Hypergraph, X: Hypergraph, partial: Packing,
     refuted = _refute(inst)
     if refuted is not None:
         for sol in _search(inst, _Budget(FALLBACK_BUDGET), 1, exclude=refuted):
-            return Packing(union_host, list(partial.cliques) +
-                           [payloads[k] for k in sol], q)
+            return Packing(union_host, list(partial.cliques) + sol, q)
     stats["reason"] = "infeasible"
     return None
 

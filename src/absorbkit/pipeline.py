@@ -31,16 +31,14 @@ from .errors import BudgetError, ConstructionError, ParameterError
 from .hypercore import Decomposition, Hypergraph, Packing, write_graph, write_packing
 
 
+HILL_CLIMB_RESTARTS = 200   # the cap on restarts
+
+
 @dataclass
 class PipelineConfig:
     n: int
     seed: int = 0
     out_dir: Optional[str] = None
-    hill_climb_rounds: int = 200      # the cap on restarts
-
-    def __post_init__(self):
-        if self.hill_climb_rounds < 0:
-            raise ParameterError("hill_climb_rounds must be >= 0")
 
 
 @dataclass
@@ -197,7 +195,7 @@ def pipeline_steiner(cfg: PipelineConfig) -> PipelineResult:
         raise ParameterError(f"n = {n} fails the divisibility conditions for triples")
     rng = random.Random(cfg.seed)
     max_steps = 60 * n * n
-    rounds = cfg.hill_climb_rounds
+    rounds = HILL_CLIMB_RESTARTS
     for restarts in range(rounds + 1):
         got = _hill_climb_complete(n, rng, max_steps)
         if got is not None:

@@ -177,6 +177,23 @@ class TestCoverCLI:
         code, out = run(capsys, "verify", out_pack)
         assert code == 0 and "pass=True" in out
 
+    def test_out_on_multigraph_exit_3(self, tmp_path, monkeypatch, capsys):
+        """A packing file holds each edge once, so a multigraph target's
+        decomposition cannot be written: exit 3 before the search, and no
+        file.  Without --out the decomposition is printed."""
+        g = str(tmp_path / "tri2.graph")
+        write_graph(MultiHypergraph(3, 2, {(0, 1): 2, (0, 2): 2, (1, 2): 2}), g)
+        out_pack = str(tmp_path / "tri2.pack")
+
+        def no_search(*args, **kwargs):
+            pytest.fail("the search ran")
+        with monkeypatch.context() as m:
+            m.setattr(cli, "find_decomposition", no_search)
+            assert main(["cover", "solve", g, "--out", out_pack]) == 3
+        assert not os.path.exists(out_pack)
+        code, out = run(capsys, "cover", "solve", g)
+        assert code == 0 and out.splitlines() == ["0 1 2", "0 1 2"]
+
     def test_none_exit_1(self, tmp_path, capsys):
         g = str(tmp_path / "k6.graph")
         write_graph(Hypergraph.complete(6, 2), g)
@@ -561,6 +578,7 @@ class TestPipelineCLI:
                      "n=9\np=0.25\n",               # a key the pipeline lost
                      "n=9\nlam=1\n",                # a single-valued knob, deleted
                      "n=9\nresidual_cover_budget=5\n",
+                     "n=9\nhill_climb_rounds=3\n",  # a restart cap, now a constant
                      "n=7\nn=9\n"):                 # a repeated key
             cfg.write_text(text)
             assert main(["pipeline", "--config", str(cfg)]) == 3, text
@@ -682,7 +700,7 @@ def test_fuzzed_input_files_end_in_an_exit_code(tmp_path, capsys):
     assert main(["oracle", "--n", "7", "--out", str(tmp_path / "sts7.pack")]) == 0
     assert main(["omni", "build-1d", "--m", "4", "--q", "3",
                  "--out", str(tmp_path / "cert")]) == 0
-    (tmp_path / "run.cfg").write_text("n=7\nseed=2\nhill_climb_rounds=3\n")
+    (tmp_path / "run.cfg").write_text("n=7\nseed=2\n")
     (tmp_path / "system.manifest").write_text("base J.graph\ngadget W.graph H.graph 0,1\n")
     cases = [  # (file to corrupt, argv reading it)
         ("k7.graph", ["cover", "solve", "{}"]),

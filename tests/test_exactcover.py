@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from absorbkit.errors import BudgetError, ParameterError
-from absorbkit.exactcover import (CoverInstance, _Budget, _refute, _search, _solutions,
+from absorbkit.exactcover import (CoverInstance, _Budget, _engine, _refute, _search,
                                   _triangle_search, count_decompositions, enumerate_decompositions,
                                   find_decomposition, find_two_disjoint_decompositions,
                                   solve_cover)
@@ -161,7 +161,7 @@ def run_engine(G, q, cap, nodes=10 ** 7):
     """The engine behind the public functions: the triangle engine for
     graphs and q = 3, else `_search` on the instance."""
     budget = _Budget(nodes)
-    sols = list(_solutions(G, q, budget, cap))
+    sols = list(_engine(G, q)(budget, cap))
     return sols, budget.limit - budget.left
 
 
@@ -175,6 +175,11 @@ def run_until_spent(search, budget):
     except BudgetError:
         sols.append("spent")
     return sols, budget.limit - budget.left
+
+
+def k_times(n, k):
+    """K_n with every edge k times."""
+    return MultiHypergraph(n, 2, {e: k for e in itertools.combinations(range(n), 2)})
 
 
 def planted_triangles(rng, n, tries):
@@ -393,9 +398,8 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("width", [127, 128, 200])
     def test_wide_column_with_secondary_and_exclude(self, width):
-        """Item p0 lies on `width` options.  Below 128 every live count fits
-        a byte and the search picks its column by memchr; from 128 on it
-        keeps the counts in a list and picks by min."""
+        """Item p0 lies on `width` options, on both sides of 128, the
+        bound below which every live count would fit a byte."""
         rng = random.Random(width)
         primary = [f"p{i}" for i in range(6)]
         secondary = ["s0", "s1", "s2"]
@@ -410,8 +414,8 @@ class TestAgainstReference:
                 inst = self.check_cover(primary, secondary, options, exclude, cap)
                 assert len(inst.cols[0]) == width
             self.check_cover(primary, secondary, options, frozenset(), None)
-        # once f is covered its count reads 128 in bytes, which must not be
-        # taken for w on 128 live options
+        # once f is covered its raised count must not be taken for w's
+        # live count
         forced = [(0, ["f"])] + [(k, ["w"]) for k in range(1, width + 1)]
         self.check_cover(["f", "w"], [], forced, frozenset(), None)
 
@@ -486,9 +490,8 @@ class TestAgainstReference:
                 for exclude in excludes:
                     b_new, b_old = _Budget(nodes), _Budget(nodes)
                     got = run_until_spent(_triangle_search(G, b_new, cap, exclude), b_new)
-                    old = _search(inst, b_old, cap, [ids[c] for c in exclude])
-                    want = run_until_spent(([inst.payloads[k] for k in sol] for sol in old),
-                                           b_old)
+                    want = run_until_spent(
+                        _search(inst, b_old, cap, [ids[c] for c in exclude]), b_old)
                     assert got == want, (G, cap, nodes, exclude)
 
     def test_exclude_on_graph_instances(self):
@@ -516,6 +519,29 @@ class TestAgainstReference:
             pair = find_two_disjoint_decompositions(G, 3)
             assert (pair and tuple(D.cliques for D in pair)) == (
                 want and tuple(Decomposition(G, sol, 3).cliques for sol in want))
+
+    @pytest.mark.parametrize("G", [
+        Hypergraph.complete(8, 3), Hypergraph.complete(13, 2), k_times(7, 2),
+        k_times(5, 3), k_times(4, 2)], ids=["K8^3", "K13", "2K7", "3K5", "2K4"])
+    def test_generic_engine_disjoint_pairs_match(self, G):
+        """q = 4 runs the generic engine, which takes the first solution's
+        cliques as option ids: the pair is the reference's first solution
+        and its first solution with those cliques excluded, found for the
+        nodes the reference spends and not for one fewer.  3K5 and 2K4 have
+        no pair."""
+        inst = reference_instance(G, 4)
+        solver = (reference_solve_demand if isinstance(G, MultiHypergraph)
+                  else reference_solve_simple)
+        b = _Budget(10 ** 6)
+        want = next(((s1, s2) for s1 in solver(inst, b, None)
+                     for s2 in solver(inst, b, 1, exclude=frozenset(s1))), None)
+        spent = b.limit - b.left
+        pair = find_two_disjoint_decompositions(G, 4, budget=spent)
+        assert (pair and tuple(D.cliques for D in pair)) == (
+            want and tuple(Decomposition(G, sol, 4).cliques for sol in want))
+        assert (pair is None) == (G.n in (4, 5))
+        with pytest.raises(BudgetError):
+            find_two_disjoint_decompositions(G, 4, budget=spent - 1)
 
 
 class TestRefute:

@@ -294,15 +294,12 @@ class TestPipeline:
             calls.append(max_steps)
             return None
         monkeypatch.setattr(pipeline, "_hill_climb_complete", spent)
+        monkeypatch.setattr(pipeline, "HILL_CLIMB_RESTARTS", 2)
         with pytest.raises(BudgetError,
                            match=r"exhausted 2 of 2 restarts, 30420 steps"):
-            pipeline_steiner(PipelineConfig(n=13, hill_climb_rounds=2))
+            pipeline_steiner(PipelineConfig(n=13))
         assert calls == [60 * 13 * 13] * 3
         assert main(["pipeline", "--n", "13"]) == 2
-
-    def test_negative_rounds_rejected(self):
-        with pytest.raises(ParameterError):
-            PipelineConfig(n=7, hill_climb_rounds=-1)
 
     def test_every_admissible_n_to_99(self):
         sizes = [n for n in range(7, 100) if n % 6 in (1, 3)]
