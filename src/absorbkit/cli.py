@@ -197,8 +197,7 @@ def cmd_gadget_absorber(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         write_graph(cert.A, os.path.join(args.out, "A.graph"))
-        al = Hypergraph(cert.A.n, cert.A.r, set(cert.A.edges) | set(L.edges))
-        write_graph(al, os.path.join(args.out, "AL.graph"))
+        write_graph(cert.D1.target, os.path.join(args.out, "AL.graph"))
         write_packing(cert.D1, os.path.join(args.out, "D1.pack"), "AL.graph")
         write_packing(cert.D2, os.path.join(args.out, "D2.pack"), "A.graph")
     return EXIT_OK

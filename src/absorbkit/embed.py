@@ -17,7 +17,8 @@ from typing import Dict, List, Optional
 from .errors import ParameterError
 from .exactcover import _Budget
 from .gadgets import RootedGadget, is_edge_intersecting
-from .hypercore import (Hypergraph, MultiHypergraph, max_level_degree)
+from .hypercore import (Hypergraph, MultiHypergraph, max_level_degree,
+                        require_simple)
 
 # placements the exhaustive fallback may try in one embed_system call,
 # about a second of search; a hopeless search (a root already over the
@@ -85,6 +86,7 @@ def embed_system(sys: SupergraphSystem, G: Hypergraph,
     when the exhaustive fallback has tried DFS_BUDGET placements; identical
     inputs and seed give identical output.
     """
+    require_simple(G, "an embedding host")
     J, r = sys.J, G.r
     if not set(J.mult) <= G.edges:
         raise ParameterError("Simple(J) must be a subgraph of the host")

@@ -24,7 +24,7 @@ from math import comb, gcd, lcm
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .errors import CapacityError, ParameterError
-from .hypercore import AnyGraph, Hypergraph, clique_edges, enumerate_cliques
+from .hypercore import Hypergraph, clique_edges, enumerate_cliques, require_simple
 
 VARIABLE_CAP = 20000
 FM_CLIQUE_CAP = 12   # fm_feasible tries every subset of its columns
@@ -207,11 +207,12 @@ def _nonnegative_rational(value, name: str) -> Fraction:
     return x
 
 
-def solve_fractional(G: AnyGraph, q: int,
+def solve_fractional(G: Hypergraph, q: int,
                      weight_cap: Optional[Union[Fraction, int, str]] = None) -> SimplexOutcome:
     """Exact LP solve: a weighting when feasible, else a verified Farkas
-    certificate."""
-    host = G.simple()
+    certificate.  A multigraph is a ParameterError: the weighting would
+    cover its support, not its multiplicities."""
+    host = require_simple(G, "a fractional decomposition target")
     if q <= host.r:
         raise ParameterError(f"need q > r, got q={q}, r={host.r}")
     # phase 1 starts from the artificial basis, which needs b >= 0

@@ -4,12 +4,15 @@ Fresh vertices come from a monotone counter per construction, so every
 gadget is canonical up to its starting offset and tests are deterministic.
 Concurrent constructions must use disjoint offsets.
 
-The q=3 absorber assembly works entirely from the 6-vertex lift booster:
-a clique is absorbed by "booster minus root"; a general divisible L is
-absorbed by combining an integral decomposition with one booster unit per
-occurrence clique, where each unit toggles between covering its private
-edges alone and covering them together with the anti-edges of the clique's
-edge occurrences.  Every other (q, r) searches for an absorber as an exact
+The q=3 absorber assembly is built from one primitive, the 6-vertex
+rooted booster `_rooted_q3` (the lift booster attached at a root triangle):
+a vertex-disjoint union of triangles is absorbed by one "booster minus
+root" per triangle; a general divisible L is absorbed by combining a
+signed integral clique weighting with one booster unit per weighted
+clique, where each unit is a level-0 rooted booster on the clique plus a
+level-1 rooted booster on each of its edges, and toggles between covering
+its private edges alone and covering them together with the anti-edges of
+the clique's edges.  Every other (q, r) searches for an absorber as an exact
 cover instance on the package's one search engine (`exactcover._search`),
 with the fewest fresh vertices that admit one.  Every absorber ends in the
 same certificate step (`_certify`): exact multiset checks of both
@@ -18,7 +21,7 @@ decompositions and of V(L)'s independence in A.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence
 
@@ -28,8 +31,8 @@ from .errors import (CapacityError, ConstructionError, ParameterError,
 from .exactcover import (DEFAULT_BUDGET, CoverInstance, _Budget, _search,
                          find_two_disjoint_decompositions)
 from .hypercore import (AnyGraph, Decomposition, Hypergraph, clique_edges,
-                        decomposition_valid)
-from .integral import integral_decomposition, multi_absorber
+                        decomposition_valid, require_simple)
+from .integral import integral_decomposition
 
 ABSORBER_EDGE_CAP = 12
 SEARCH_FRESH_CAP = 5   # most fresh vertices `search_absorber` tries
@@ -235,8 +238,8 @@ def find_booster(q: int, r: int, host: AnyGraph, budget: int = DEFAULT_BUDGET) -
 
 
 # Canonical rooted q=3 lift booster, root clique (x, y, z), fresh (c, d, v).
-# off contains the root; on avoids it.  Returned cliques are not sorted
-# internally; callers sort.
+# Returns (edges, on, off) as sorted tuples: off holds the root clique
+# first; on avoids it and lists the cliques through xy, xz and yz in order.
 
 def _rooted_q3(x: int, y: int, z: int, c: int, d: int, v: int):
     edges = [(x, z), (y, z), (c, z), (d, z), (x, v), (y, v), (c, v), (d, v),
@@ -265,7 +268,7 @@ def booster_minus_root(root: Sequence[int], base: int):
 
 
 def _unit_for_clique(Q: Sequence[int], w_by_edge: Dict[tuple, int], base: int):
-    """Booster unit for one occurrence clique Q = (x, y, z).
+    """Booster unit for one clique Q of the signed weighting.
 
     w_by_edge maps each edge of Q to its anti-edge vertex.  Returns
     (private_edges, on_cliques, off_cliques, next_fresh):
@@ -273,59 +276,28 @@ def _unit_for_clique(Q: Sequence[int], w_by_edge: Dict[tuple, int], base: int):
       on  covers  private_edges + the three anti-edge gadgets of Q,
       off covers  private_edges alone.
 
-    Shape: a level-0 booster rooted at Q plus one level-1 booster per edge
-    of Q, attached at the level-0 on-clique through that edge, with the
-    level-1 mirror vertex identified with the edge's anti-edge vertex.
+    Shape: the level-0 booster rooted at Q less its root edges, plus, for
+    each root edge p1p2, a level-1 rooted booster on (p1, p2, t) whose
+    mirror vertex is the edge's anti-edge vertex w, where p1p2t is the
+    level-0 on-clique through p1p2.
     """
-    x, y, z = sorted(Q)
-    c0, d0, v0 = base, base + 1, base + 2
-    nxt = base + 3
-    # level-0 rooted booster; its on-decomposition is orthogonal: each root
-    # edge sits in its own clique, with third vertex as recorded here
-    third = {(x, y): v0, (x, z): c0, (y, z): d0}
-    private = [e for e in _rooted_q3(x, y, z, c0, d0, v0)[0]
-               if e not in {(x, y), tuple(sorted((x, z))), tuple(sorted((y, z)))}]
-    on_cliques = [tuple(sorted(t)) for t in ((c0, d0, z), (x, c0, v0), (y, d0, v0))]
-    off_cliques = [tuple(sorted((c0, d0, v0)))]
-    for (p1, p2) in ((x, y), (x, z), (y, z)):
-        t = third[(p1, p2)]
-        w = w_by_edge[tuple(sorted((p1, p2)))]
-        ce, de = nxt, nxt + 1
+    roots = set(Q)
+    # level 0: the off-cliques but the root join `on`; of the on-cliques,
+    # the one through no root edge joins `off`, and each other one roots
+    # a level-1 booster
+    private, on0, on, nxt = booster_minus_root(Q, base)
+    off = [C for C in on0 if len(roots.intersection(C)) < 2]
+    for C in on0:
+        if len(roots.intersection(C)) < 2:
+            continue
+        (p1, p2), (t,) = [v for v in C if v in roots], [v for v in C if v not in roots]
+        w = w_by_edge[p1, p2]
+        edges, on1, off1 = _rooted_q3(p1, p2, t, nxt, nxt + 1, w)
         nxt += 2
-        private += [tuple(sorted(e)) for e in
-                    ((ce, t), (de, t), (ce, w), (de, w), (ce, de), (p1, ce), (p2, de))]
-        # level-1 off minus its root covers the privates plus the anti-edge
-        on_cliques += [tuple(sorted(t_)) for t_ in ((ce, de, t), (p1, ce, w), (p2, de, w))]
-        # level-1 on minus the clique through (p1, p2) covers privates only
-        off_cliques += [tuple(sorted(t_)) for t_ in ((ce, de, w), (p1, ce, t), (p2, de, t))]
-    return private, on_cliques, off_cliques, nxt
-
-
-def _edge_components(L: Hypergraph) -> list:
-    parent: dict = {}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in L.edges:
-        for v in e:
-            parent.setdefault(v, v)
-        for v in e[1:]:
-            ra, rb = find(e[0]), find(v)
-            if ra != rb:
-                parent[ra] = rb
-    comps: dict = defaultdict(set)
-    for e in L.edges:
-        comps[find(e[0])].add(e)
-    return sorted(comps.values(), key=lambda es: sorted(es))
-
-
-def _is_triangle_component(edges: set) -> bool:
-    verts = {v for e in edges for v in e}
-    return len(edges) == 3 and len(verts) == 3
+        private += [e for e in edges if not set(e) <= {p1, p2, t, w}]
+        on += [D for D in off1 if D != C]
+        off += [D for D in on1 if set(D) != {p1, p2, w}]
+    return private, on, off, nxt
 
 
 def build_absorber(L: Hypergraph, q: int = 3) -> AbsorberCertificate:
@@ -334,6 +306,7 @@ def build_absorber(L: Hypergraph, q: int = 3) -> AbsorberCertificate:
     q=3, r=2 uses the deterministic booster assembly; everything else goes
     through `search_absorber` (e(L) <= 6 for r >= 3).
     """
+    require_simple(L, "an absorber target")
     if not is_divisible(L, q):
         raise PreconditionError("L is not divisible; no absorber exists")
     cap = ABSORBER_EDGE_CAP if L.r == 2 else min(ABSORBER_EDGE_CAP, 6)
@@ -344,76 +317,49 @@ def build_absorber(L: Hypergraph, q: int = 3) -> AbsorberCertificate:
     if L.r != 2 or q != 3:
         return search_absorber(L, q)
 
-    comps = _edge_components(L)
     nxt = L.n
     A_edges: list = []
     D1: list = []
     D2: list = []
-    if all(_is_triangle_component(c) for c in comps):
-        for cedges in comps:
-            root = sorted({v for e in cedges for v in e})
+    # L is a vertex-disjoint union of triangles iff every vertex has two
+    # neighbours and the closed neighbourhoods are m/3 distinct triples
+    nbrs: dict = defaultdict(set)
+    for a, b in L.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    triples = {tuple(sorted(N | {v})) for v, N in nbrs.items()}
+    if all(len(N) == 2 for N in nbrs.values()) and 3 * len(triples) == L.m:
+        for root in sorted(triples):
             a, d1, d2, nxt = booster_minus_root(root, nxt)
             A_edges += a
             D1 += d1
             D2 += d2
-    else:
-        phi = integral_decomposition(L, q, reduce_support=True)
-        if phi is None:
-            raise PreconditionError("no integral decomposition despite divisibility")
-        ma = multi_absorber(L, phi)
-        # occurrence pools per edge: the L copy first, then the A copies
-        occ_w: dict = {}
-        pools: dict = defaultdict(list)
+        return _certify(L, nxt, A_edges, D1, D2, q)
 
-        def new_occ(e):
-            nonlocal nxt
-            oid = (e, len(pools[e]))
-            occ_w[oid] = nxt
-            nxt += 1
-            pools[e].append(oid)
-            return oid
-
-        for e in sorted(L.edges):
-            new_occ(e)
-        for e in sorted(ma.A.mult):
-            for _ in range(ma.A.mult[e]):
-                new_occ(e)
-        for oid in occ_w:
-            (a, b), _ = oid
-            w = occ_w[oid]
-            A_edges += [tuple(sorted((a, w))), tuple(sorted((b, w)))]
-        # assign occurrences to clique occurrences, positives then negatives
-        cursor: Counter = Counter()
-
-        def take(e):
-            i = cursor[e]
-            cursor[e] += 1
-            return pools[e][i]
-
-        pos_units, neg_units = [], []
-        for Q in ma.Q1:
-            w_by_edge = {e: occ_w[take(e)] for e in clique_edges(Q, 2)}
-            pos_units.append((Q, w_by_edge))
-        cursor = Counter({e: 1 if e in L.edges else 0 for e in pools})
-        for Q in ma.Q2:
-            w_by_edge = {e: occ_w[take(e)] for e in clique_edges(Q, 2)}
-            neg_units.append((Q, w_by_edge))
-        # pairings put L and its anti-edges into D1
-        for e in sorted(L.edges):
-            (a, b) = e
-            w = occ_w[(e, 0)]
-            D1.append(tuple(sorted((a, b, w))))
-        for Q, wmap in pos_units:
-            priv, on, off, nxt = _unit_for_clique(Q, wmap, nxt)
+    phi = integral_decomposition(L, q, reduce_support=True)
+    if phi is None:
+        raise PreconditionError("no integral decomposition despite divisibility")
+    pos = [C for C, k in sorted(phi.items()) for _ in range(k)]
+    neg = [C for C, k in sorted(phi.items()) for _ in range(-k)]
+    # anti-edge vertices per edge: the L copy first, then A's copies, A
+    # being the union of the negative cliques' edges with multiplicity
+    ws: dict = defaultdict(list)
+    for a, b in [*sorted(L.edges), *sorted(e for C in neg for e in clique_edges(C, 2))]:
+        ws[a, b].append(nxt)
+        A_edges += [(a, nxt), (b, nxt)]
+        nxt += 1
+    # L and its anti-edges pair up in D1
+    D1 += [(a, b, ws[a, b][0]) for a, b in sorted(L.edges)]
+    # positive units read each edge's vertices from the L copy on and fire
+    # in D2; negative units skip the L copy and fire in D1
+    for cliques, skip, fire, rest in ((pos, (), D2, D1), (neg, L.edges, D1, D2)):
+        unread = {e: iter(ws[e][1:] if e in skip else ws[e]) for e in ws}
+        for Q in cliques:
+            w_by_edge = {e: next(unread[e]) for e in clique_edges(Q, 2)}
+            priv, on, off, nxt = _unit_for_clique(Q, w_by_edge, nxt)
             A_edges += priv
-            D2 += on      # positive units fire in D2
-            D1 += off
-        for Q, wmap in neg_units:
-            priv, on, off, nxt = _unit_for_clique(Q, wmap, nxt)
-            A_edges += priv
-            D1 += on      # negative units fire in D1
-            D2 += off
-
+            fire += on
+            rest += off
     return _certify(L, nxt, A_edges, D1, D2, q)
 
 

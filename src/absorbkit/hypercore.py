@@ -138,6 +138,13 @@ class MultiHypergraph:
 AnyGraph = Union[Hypergraph, MultiHypergraph]
 
 
+def require_simple(G: AnyGraph, role: str) -> Hypergraph:
+    """G itself; a multigraph, which `role` cannot take, is a ParameterError."""
+    if isinstance(G, MultiHypergraph):
+        raise ParameterError(f"{role} must be a simple graph, got a multigraph")
+    return G
+
+
 def max_level_degree(G: AnyGraph, j: int) -> int:
     """Max over j-subsets S of some edge of the number of edges containing
     S, with multiplicity for multigraphs."""

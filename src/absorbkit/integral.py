@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Optional
 
-from .errors import CapacityError, ParameterError, PreconditionError
-from .hypercore import (Decomposition, Hypergraph, MultiHypergraph,
-                        clique_edges)
+from .errors import CapacityError, ParameterError
+from .hypercore import Hypergraph, require_simple
 
 DIMENSION_CAP = 3000
 
@@ -191,6 +190,7 @@ def integral_decomposition(L: Hypergraph, q: int, reduce_support: bool = False
     particular solution comes from back-substitution; `reduce_support`
     applies greedy kernel-vector subtraction to shrink the L1 norm.
     """
+    require_simple(L, "an integral decomposition target")
     if q <= L.r:
         raise ParameterError(f"need q > r, got q={q}, r={L.r}")
     if L.n < q:
@@ -243,40 +243,3 @@ def _reduce_l1(n: int, q: int, r: int, x: Dict[tuple, int]) -> Dict[tuple, int]:
                     meet = vec.keys() & cur.keys()
                     improved = True
     return cur
-
-
-@dataclass
-class MultiAbsorber:
-    """Multigraph absorber induced by a signed clique weighting.
-
-    A is the multiset union of the negative cliques' edges; Q1 (positives)
-    decomposes L + A as a multigraph, Q2 (negatives) decomposes A.
-    """
-
-    A: MultiHypergraph
-    Q1: Decomposition
-    Q2: Decomposition
-
-
-def multi_absorber(L: Hypergraph, phi: Dict[tuple, int]) -> MultiAbsorber:
-    if not verify_integral(L, phi):
-        raise PreconditionError("phi is not a verified integral decomposition of L")
-    pos, neg = [], []
-    for c, w in sorted(phi.items()):
-        c = tuple(sorted(c))
-        if w > 0:
-            pos.extend([c] * w)
-        elif w < 0:
-            neg.extend([c] * (-w))
-    a_mult: Counter = Counter()
-    for c in neg:
-        for e in clique_edges(c, L.r):
-            a_mult[e] += 1
-    A = MultiHypergraph(L.n, L.r, dict(a_mult))
-    la_mult = Counter(a_mult)
-    for e in L.edges:
-        la_mult[e] += 1
-    LA = MultiHypergraph(L.n, L.r, dict(la_mult))
-    q1 = Decomposition(LA, pos)
-    q2 = Decomposition(A, neg) if neg else Decomposition(A, [], q=len(pos[0]) if pos else L.r + 1)
-    return MultiAbsorber(A=A, Q1=q1, Q2=q2)

@@ -22,7 +22,7 @@ from .errors import (CapacityError, ConstructionError, DivisibilityError,
                      ParameterError, ParseError)
 from .gadgets import build_absorber
 from .hypercore import (Hypergraph, decomposition_valid, max_level_degree,
-                        read_graph, write_graph)
+                        read_graph, require_simple, write_graph)
 
 OMNI_SMALL_EDGE_CAP = 12
 
@@ -56,6 +56,7 @@ def omni_1d(X: Hypergraph, q: int) -> OmniAbsorberCertificate:
     family is every q-window of either path; divisible L decompose into the
     consecutive q-blocks of H2 restricted to A u L.
     """
+    require_simple(X, "an omni-absorber's X")
     if X.r != 1:
         raise ParameterError("the tight-path construction needs a 1-uniform X")
     if q < 2:
@@ -102,6 +103,7 @@ def omni_small(X: Hypergraph, q: int = 3) -> OmniAbsorberCertificate:
     Wildly inefficient by design; the certificate records the measured
     maximum degree rather than claiming any bound.
     """
+    require_simple(X, "an omni-absorber's X")
     if X.r != 2:
         raise ParameterError("omni_small is implemented for r = 2")
     if X.m > OMNI_SMALL_EDGE_CAP:

@@ -293,21 +293,51 @@ class TestGadgetCLI:
         code, out = run(capsys, "gadget", "absorber", g, "--q", "3")
         assert code == 0 and "verified=True" in out
 
-    def test_bowtie_absorber_matches_recorded_digests(self, tmp_path, monkeypatch, capsys):
-        # SHA-256 of the files that the absorber built on the L1 descent
-        # scoring every kernel vector on its whole support wrote: a bowtie
-        # is the smallest target whose absorber takes the reducing path
-        bowtie = [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]
-        want = {
+    # SHA-256 of the files that the absorber assembly wrote before it was
+    # rebuilt from one rooted booster.  The bowtie is the smallest target
+    # whose absorber takes the reducing path; two disjoint triangles take
+    # the booster route; the triangle plus a disjoint C_6 has every degree 2
+    # but takes the general route
+    @pytest.mark.parametrize("n, edges, summary, want", [
+        (8, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)], "A_edges=72 D1=26 D2=24", {
             "A.graph": "9f80dd64fba83342d8b5e554013e56320bbc0825ef221510e66176be3b67f273",
             "AL.graph": "5ab980fb791bec94876b9af9d8975055853795277a07f5b79a0ea440f9aacb5a",
             "D1.pack": "5c9743add80b5177d5ef35e2843a0cc3c5acc8f6339891b88d4135d7b9f0a8c4",
             "D2.pack": "b30fbc3334c3e172000fd0d232c34e6d2dd706e5a2fd9f96b422d1be8de3b4f2",
-        }
+        }),
+        (6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)], "A_edges=18 D1=8 D2=6", {
+            "A.graph": "bf04b88decd0f75ac89941beb2c0782e2ebd3b113e59600b233f90d3c47284e0",
+            "AL.graph": "696f1f0682c03564611cc981f84bf31f345150c48c80646b4e33ebf507b10903",
+            "D1.pack": "776651442a0738c7eb8603856d436c7e4bb76a612822cdbfbf4016d42a4d7b27",
+            "D2.pack": "a688470aedbc3d24268ede21a7a343a105fa131d60e24b0ad3ffa5c35076ad8c",
+        }),
+        (6, [(i, (i + 1) % 6) for i in range(6)], "A_edges=138 D1=48 D2=46", {
+            "A.graph": "cd48d8964b67f2d8ad2fd623fbfca61140fecd5dc55bc23f2bdf5f9fdacc7a7f",
+            "AL.graph": "dfcd3975bd3f7ad252f3915ebbc0bc6494a2364d14e4b624d5a61ca218d71586",
+            "D1.pack": "36fd14009c2dd077f9ca7d8f357d9a3e5becc1e48d74c27ad797f1a3ca318f14",
+            "D2.pack": "93669f70762cc9259b5f52448bff8c3574958ecb8673ffc9abe96da9c77904b0",
+        }),
+        (6, [e for e in itertools.combinations(range(6), 2)
+             if e not in {(0, 1), (2, 3), (4, 5)}], "A_edges=144 D1=52 D2=48", {
+            "A.graph": "bf8e0511a4f8bd6b5c0d826c11b2713f3ea565634fd9800642c89b84e83ab00e",
+            "AL.graph": "c3fe654eb83409479e100fb856f28112bd5d1851156c8257c19de688122470b8",
+            "D1.pack": "fd424d85c88d09b230f1b0dc2d43b6ed5101a0c917d4e1a3d045ce6fd0940d68",
+            "D2.pack": "abf217c362c546ccc122f4eaa78ec2f44cf2b6e2415360fda2e93253402f8a31",
+        }),
+        (9, [(0, 1), (0, 2), (1, 2)] + [(3 + i, 4 + i) for i in range(5)] + [(3, 8)],
+         "A_edges=636 D1=215 D2=212", {
+            "A.graph": "fb1df4d5c4b8e28ad6c71ddad49283303982e4ea8f156e79b1850386bb357468",
+            "AL.graph": "08e0baee3471effd5b48f44c4f241e4b5b0c4789b7d5927dcde977a6df2a0cf6",
+            "D1.pack": "5b97c305e7a89e9860c7231ff0a380b2d1f0e57e10700388f9da69182c965f47",
+            "D2.pack": "59b7577533545ef346a647c0ee87cc38fa85f04e21ab53d594a6ab0a91e14a86",
+        }),
+    ], ids=["bowtie", "two-triangles", "c6", "octahedron", "triangle-c6"])
+    def test_absorber_matches_recorded_digests(self, tmp_path, monkeypatch, capsys,
+                                               n, edges, summary, want):
         monkeypatch.chdir(tmp_path)
-        write_graph(Hypergraph(8, 2, bowtie), "bowtie.graph")
-        code, out = run(capsys, "gadget", "absorber", "bowtie.graph", "--out", "abs")
-        assert code == 0 and "A_edges=72 D1=26 D2=24" in out and "verified=True" in out
+        write_graph(Hypergraph(n, 2, edges), "L.graph")
+        code, out = run(capsys, "gadget", "absorber", "L.graph", "--out", "abs")
+        assert code == 0 and summary in out and "verified=True" in out
         for name, digest in want.items():
             with open(os.path.join("abs", name), "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest, name
@@ -323,6 +353,26 @@ class TestOmniCLI:
         assert code == 0 and "checked=22 failures=0" in out
         code, out = run(capsys, "omni", "refinedness", cert)
         assert code == 0 and "refinedness=" in out
+
+    def test_build_small_matches_recorded_digests(self, tmp_path, monkeypatch, capsys):
+        # SHA-256 of the certificate that omni build-small wrote for two
+        # disjoint triangles before the absorber assembly was rebuilt from
+        # one rooted booster
+        want = {
+            "A.graph": "3342ca6ebdd0a4e659f2f6b50cb3db7a621a433486c7f6b5026ed7a91b7c086f",
+            "family.txt": "3a7a97f728c96e80ca2d13a619c52e8fbddcc250cdd9343495f12472f7fae104",
+            "manifest": "08bc9aa381d3024f536a369e37574810b0c4a87a5159c7ed507decaff13d2fd3",
+        }
+        monkeypatch.chdir(tmp_path)
+        write_graph(Hypergraph(8, 2, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
+                    "X.graph")
+        code, out = run(capsys, "omni", "build-small", "--graph", "X.graph", "--out", "cert")
+        assert code == 0 and "family=28 C=2 A_edges=36" in out
+        for name, digest in want.items():
+            with open(os.path.join("cert", name), "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+        code, out = run(capsys, "omni", "verify", "cert")
+        assert code == 0 and "checked=4 failures=0" in out
 
     def test_sampled_verify_reads_trials_and_seed(self, tmp_path, capsys):
         cert = str(tmp_path / "cert")
@@ -684,6 +734,34 @@ def mutate(text, rng):
     return "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["gadget", "absorber", "tri2.graph", "--out", "out"],
+    ["integral", "solve", "tri2.graph", "--out", "out"],
+    ["omni", "build-small", "--graph", "tri2.graph", "--out", "out"],
+    ["embed", "--system", "system.manifest", "--host", "tri2.graph", "--out", "out"],
+    ["lp", "solve", "tri2.graph", "--out", "out"],
+    ["lp", "boost", "tri2.graph"],
+    ["omni", "verify", "cert"],         # reruns the construction on cert/X.graph
+])
+def test_multigraph_input_exit_3(tmp_path, monkeypatch, capsys, argv):
+    """Absorbers, omni-absorbers, integral and fractional solves and
+    embedding hosts take simple graphs: a file with a multiplicity exits 3
+    with a message, before any construction, and nothing is written."""
+    from absorbkit.gadgets import anti_edge
+    monkeypatch.chdir(tmp_path)
+    write_graph(MultiHypergraph(3, 2, {(0, 1): 2, (0, 2): 2, (1, 2): 2}), "tri2.graph")
+    write_graph(Hypergraph(2, 2, [(0, 1)]), "J.graph")
+    write_graph(anti_edge((0, 1), 3, base=2).W, "W.graph")
+    (tmp_path / "system.manifest").write_text("base J.graph\ngadget W.graph J.graph 0,1\n")
+    assert main(["omni", "build-1d", "--m", "4", "--out", "cert"]) == 0
+    write_graph(MultiHypergraph(4, 1, {(0,): 2, (1,): 1, (2,): 1}), "cert/X.graph")
+    capsys.readouterr()
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "multigraph" in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not os.path.exists("out")
+
+
 def test_fuzzed_input_files_end_in_an_exit_code(tmp_path, capsys):
     """Seeded corruptions of valid graph, packing, pipeline-config, embed
     and certificate files: `main` returns 0/1/2/3 and never raises."""
@@ -705,6 +783,12 @@ def test_fuzzed_input_files_end_in_an_exit_code(tmp_path, capsys):
     cases = [  # (file to corrupt, argv reading it)
         ("k7.graph", ["cover", "solve", "{}"]),
         ("multi.graph", ["cover", "solve", "{}"]),
+        ("multi.graph", ["gadget", "absorber", "{}"]),
+        ("multi.graph", ["integral", "solve", "{}"]),
+        ("multi.graph", ["omni", "build-small", "--graph", "{}",
+                         "--out", str(tmp_path / "small")]),
+        ("multi.graph", ["lp", "solve", "{}"]),
+        ("multi.graph", ["lp", "boost", "{}"]),
         ("k7.graph", ["divide", "check", "{}"]),
         ("sts7.pack", ["verify", "{}"]),
         ("sts7.pack.host.graph", ["nibble", "girth", "--packing", str(tmp_path / "sts7.pack")]),

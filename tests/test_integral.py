@@ -6,10 +6,10 @@ import pytest
 
 from absorbkit import integral
 from absorbkit.divide import is_divisible
-from absorbkit.errors import CapacityError, ParameterError, PreconditionError
+from absorbkit.errors import CapacityError, ParameterError
 from absorbkit.hypercore import Hypergraph
 from absorbkit.integral import (inclusion_matrix, integral_decomposition,
-                                multi_absorber, verify_integral)
+                                verify_integral)
 
 
 def cycle6():
@@ -294,36 +294,3 @@ class TestIntegralDecomposition:
             phi = integral_decomposition(L, 3)
             assert phi is not None
             assert verify_integral(L, phi)
-
-
-class TestMultiAbsorber:
-    def test_trivial_triangle(self):
-        L = Hypergraph(5, 2, [(0, 1), (0, 2), (1, 2)])
-        ma = multi_absorber(L, {(0, 1, 2): 1})
-        assert ma.A.m == 0
-        assert list(ma.Q1) == [(0, 1, 2)]
-        assert len(ma.Q2) == 0
-
-    def test_empty(self):
-        ma = multi_absorber(Hypergraph(5, 2), {})
-        assert ma.A.m == 0 and len(ma.Q1) == 0 and len(ma.Q2) == 0
-
-    def test_c6_roundtrip(self):
-        L = cycle6()
-        phi = integral_decomposition(L, 3, reduce_support=True)
-        ma = multi_absorber(L, phi)
-        # Q1 edges = L + A as multisets; Q2 edges = A (checked in constructors,
-        # re-assert the multiset identity explicitly here)
-        from collections import Counter
-        q1_edges = Counter()
-        for c in ma.Q1:
-            for e in itertools.combinations(c, 2):
-                q1_edges[e] += 1
-        want = Counter(dict(ma.A.mult))
-        for e in L.edges:
-            want[e] += 1
-        assert q1_edges == want
-
-    def test_unverified_phi_rejected(self):
-        with pytest.raises(PreconditionError):
-            multi_absorber(cycle6(), {(0, 1, 2): 1})
