@@ -21,7 +21,7 @@ from .fraclp import boost_sample, inheritance_stats, solve_fractional
 from .gadgets import (anti_edge, build_absorber, fake_edge, find_booster,
                       lift_booster_q3, rooted_degeneracy, trivial_booster_1d)
 from .hypercore import (Hypergraph, MultiHypergraph, Packing, read_graph,
-                        read_packing, write_graph, write_packing)
+                        read_packing, require_simple, write_graph, write_packing)
 from .nibble import (complete_with_reserves, configurations, generate_reserves,
                      girth, high_girth_pack, random_greedy_pack, spread_estimate)
 from .omni import (omni_1d, omni_small, read_certificate, refinedness,
@@ -257,11 +257,11 @@ def cmd_embed(args) -> int:
                     raise ParseError(line_no, "a second 'base' line")
                 J = read_graph(os.path.join(base_dir, toks[1]))
             elif toks[0] == "gadget" and len(toks) == 4:
-                W = read_graph(os.path.join(base_dir, toks[1]))
-                H = read_graph(os.path.join(base_dir, toks[2]))
+                W = require_simple(read_graph(os.path.join(base_dir, toks[1])), "a gadget's W")
+                H = require_simple(read_graph(os.path.join(base_dir, toks[2])), "a gadget's H")
                 roots = _parse_ids(toks[3])
-                H_family.append(H.simple())
-                gadgets.append(RootedGadget(W=W.simple(), roots=roots))
+                H_family.append(H)
+                gadgets.append(RootedGadget(W=W, roots=roots))
             else:
                 raise ParseError(line_no, "expected 'base <graph>' or "
                                  f"'gadget <W> <H> <roots>', got {line.strip()!r}")
@@ -303,9 +303,9 @@ def cmd_lp_boost(args) -> int:
 
 
 def cmd_lp_inherit(args) -> int:
-    G = read_graph(args.graph)
+    G = require_simple(read_graph(args.graph), "an inheritance sampling host")
     frac = args.threshold
-    stats = inheritance_stats(G.simple(), s=args.s, M=args.members,
+    stats = inheritance_stats(G, s=args.s, M=args.members,
                               trials=args.trials, seed=args.seed,
                               threshold=lambda s: frac * (s - 1))
     _emit(stats, args.json)
@@ -328,7 +328,7 @@ def _host(args) -> Hypergraph:
     if args.graph:
         if args.r is not None:
             raise ParameterError("--r is read from the --graph file; give it only with --n")
-        return read_graph(args.graph).simple()
+        return require_simple(read_graph(args.graph), "a nibble host")
     return Hypergraph.complete(args.n, 2 if args.r is None else args.r)
 
 
@@ -350,8 +350,8 @@ def cmd_nibble_reserve(args) -> int:
 
 def cmd_nibble_complete(args) -> int:
     stats: dict = {}
-    G = read_graph(args.graph).simple()
-    X = read_graph(args.reserves).simple()
+    G = require_simple(read_graph(args.graph), "a completion target")
+    X = require_simple(read_graph(args.reserves), "a reserve graph")
     part = read_packing(args.packing) if args.packing else Packing(G, [], q=args.q)
     out = complete_with_reserves(G, X, part, args.q, seed=args.seed, stats=stats)
     if out is None:

@@ -3,29 +3,29 @@
 This is the package's truth oracle: a returned decomposition is always
 re-checked by the exact multiset test in hypercore, and "none" always means
 the full search space was exhausted.  A node budget (DEFAULT_BUDGET, 10**7
-nodes; the exhaustive search of K_16 takes 1,063,622 nodes, about 11 s on
+nodes; the exhaustive search of K_16 takes 1,063,622 nodes, about 10 s on
 2 cores with Python 3.11) turns long searches into a BudgetError instead of
 a silent timeout; a negative budget is a ParameterError.
 
-Both engines run Knuth's Algorithm X (TAOCP 7.2.2.1) with demands on
-integer item ids, with no recursion.  An option stays live while every item
-it covers has demand left.  A covered item's live count is raised above
-every open count, so the fail-first column choice (the fewest live options,
-the first item on ties) skips it.  `_search` takes `min` and `index` over
-its count list at every node.  `_triangle_search` does the same when some
-pair lies on 128 triangles or more; below that its counts fit a byte, live
-in one bytearray updated in place, and the choice searches them with
-`find(v)` for ascending v, from a lower bound on the least open count.
-Options are tried in ascending option id.
+Both engines run Knuth's Algorithm X (TAOCP 7.2.2.1) on integer item ids,
+with no recursion.  A covered item's live count is raised above every open
+count, so the fail-first column choice (the fewest live options, the first
+item on ties) skips it.  `_search` takes `min` and `index` over its count
+list at every node.  `_triangle_search` does the same when some pair lies
+on 128 triangles or more; below that its counts fit a byte, live in one
+bytearray updated in place, and the choice searches them with `find(v)`
+for ascending v, from a lower bound on the least open count.  Options are
+tried in ascending option id.
 
 `_search` takes a `CoverInstance`: static option lists per item, a
-bytearray of options killed by the partial solution, and secondary items
-covered at most once.  `_triangle_search` decomposes a graph or multigraph
-into triangles (r = 2, q = 3) without building options: a vertex's open
-partners are an int bitmask, and the live triangles through a pair are the
-common open partners of its ends.  It makes the choices `_search` makes on
-`CoverInstance.from_graph(G, 3)`: the same solutions in the same order, for
-the same nodes spent.
+bytearray of options killed by the partial solution, demands with per-item
+floors, and secondary items covered at most once.  `_triangle_search`
+decomposes a simple graph into triangles (r = 2, q = 3) without building
+options: a vertex's open partners are an int bitmask, and the live
+triangles through a pair are the common open partners of its ends.  It
+makes the choices `_search` makes on `CoverInstance.from_graph(G, 3)`: the
+same solutions in the same order, for the same nodes spent.  A multigraph
+runs `_search`, which alone keeps demands.
 
 Both engines yield solutions as lists of payloads: cliques for
 `_triangle_search`, `CoverInstance.payloads` for `_search`.  `_engine(G, q)`
@@ -46,7 +46,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetError, ParameterError
-from .hypercore import AnyGraph, Decomposition, MultiHypergraph, enumerate_cliques
+from .hypercore import AnyGraph, Decomposition, Hypergraph, MultiHypergraph, enumerate_cliques
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -70,18 +70,8 @@ class _Budget:
         self.left -= 1
 
 
-def _graph_items(G: AnyGraph) -> tuple:
-    """(items, demand) of G's decompositions: its edges once each, or a
-    multigraph's sorted edges (ties in the column choice go to the smallest
-    edge) with their multiplicities."""
-    if isinstance(G, MultiHypergraph):
-        items = sorted(G.mult)
-        return items, [G.mult[e] for e in items]
-    return list(G.edges), [1] * G.m
-
-
 class CoverInstance:
-    """Items numbered 0..len(items)-1 and options as tuples of item ids.
+    """Items numbered 0..nitems-1 and options as tuples of item ids.
 
     The first len(demand) items are primary: item i must be covered exactly
     demand[i] times.  The rest are secondary: covered at most once.  Option
@@ -89,14 +79,13 @@ class CoverInstance:
     cols[i] lists the options covering item i in ascending order.
     """
 
-    __slots__ = ("items", "demand", "payloads", "rows", "cols")
+    __slots__ = ("demand", "payloads", "rows", "cols")
 
-    def __init__(self, items: list, demand: list, payloads: list, rows: list):
-        self.items = items
+    def __init__(self, nitems: int, demand: list, payloads: list, rows: list):
         self.demand = demand
         self.payloads = payloads
         self.rows = rows
-        cols: list = [[] for _ in items]
+        cols: list = [[] for _ in range(nitems)]
         for k, row in enumerate(rows):
             for i in row:
                 cols[i].append(k)
@@ -106,12 +95,17 @@ class CoverInstance:
     def from_graph(cls, G: AnyGraph, q: int) -> "CoverInstance":
         if q <= G.r:
             raise ParameterError(f"need q > r, got q={q}, r={G.r}")
-        items, demand = _graph_items(G)
+        if isinstance(G, MultiHypergraph):
+            # sorted: ties in the column choice go to the smallest edge
+            items = sorted(G.mult)
+            demand = [G.mult[e] for e in items]
+        else:
+            items, demand = list(G.edges), [1] * G.m
         # every clique of the support has all its r-subsets among the items
         cliques = enumerate_cliques(G, q)
         ids = {e: i for i, e in enumerate(items)}
         rows = [tuple([ids[e] for e in combinations(c, G.r)]) for c in cliques]
-        return cls(items, demand, cliques, rows)
+        return cls(len(items), demand, cliques, rows)
 
 
 def _search(inst: CoverInstance, budget: _Budget, cap: Optional[int],
@@ -212,20 +206,23 @@ def _search(inst: CoverInstance, budget: _Budget, cap: Optional[int],
                             size[i] -= 1
 
 
-def _triangle_search(G: AnyGraph, budget: _Budget, cap: Optional[int],
+def _triangle_search(G: Hypergraph, budget: _Budget, cap: Optional[int],
                      exclude: Iterable[tuple] = ()):
-    """`_search` on `CoverInstance.from_graph(G, 3)` for a graph (r = 2),
-    without building the triangle options: the same solutions in the same
-    order, for the same nodes spent.
+    """`_search` on `CoverInstance.from_graph(G, 3)` for a simple graph
+    (r = 2), without building the triangle options: the same solutions in
+    the same order, for the same nodes spent.
 
     Yields solutions as lists of triangles, sorted vertex triples.  nbr[w]
-    is the bitmask of w's partners whose pair has demand left, so the live
+    is the bitmask of w's partners whose pair is open, so the live
     triangles through an open pair uv are the third vertices in
     nbr[u] & nbr[v] & allow[uv], where allow clears the third vertices of
     the `exclude` triangles.  A pair's options ascend in option id as their
-    third vertex ascends, so floors and frame positions are third vertices.
-    Covering a pair kills the live triangles through it; the undo, in
-    reverse order, recomputes them from the restored masks.
+    third vertex ascends, so frame positions are third vertices.  A chosen
+    triangle closes its three pairs and kills the live triangles through
+    them; the undo, in reverse order, reopens them and recomputes those
+    triangles from the restored masks.  No floors are kept: with demand 1,
+    `_search` raises a branch item's floor only while the item is covered
+    and reads it only while it is open, so every frame starts at 0.
 
     When every count fits a byte the counts live in one bytearray, updated
     in place, and the column choice scans it with `find(v)` from a lower
@@ -239,7 +236,7 @@ def _triangle_search(G: AnyGraph, budget: _Budget, cap: Optional[int],
     size[c] - 2.  The scan still finds the least count and, on ties, the
     first pair: the same choices as from 0.
     """
-    items, left = _graph_items(G)
+    items = list(G.edges)
     if not items:
         yield []
         return
@@ -265,14 +262,12 @@ def _triangle_search(G: AnyGraph, budget: _Budget, cap: Optional[int],
         find = size.find
     lo = 0                     # no open count lies below lo
     spend = budget.spend
-    floor = [0] * len(items)   # the least third vertex a branch on pair i may use
     path: list = []            # the chosen triangle per level
     chosen: list = []          # its three pair ids, in cover order
-    saved: list = []           # floor[c] before each chosen triangle
     frames: list = []          # the branch pair per level
     poss: list = []            # the next third vertex it may use
     found = 0
-    unmet = len(items)         # pairs with demand left
+    unmet = len(items)         # open pairs
 
     while True:
         if unmet:
@@ -284,7 +279,7 @@ def _triangle_search(G: AnyGraph, budget: _Budget, cap: Optional[int],
             else:
                 c = size.index(min(size))
             frames.append(c)
-            poss.append(floor[c])
+            poss.append(0)
         else:
             found += 1
             yield path[:]
@@ -304,47 +299,40 @@ def _triangle_search(G: AnyGraph, budget: _Budget, cap: Optional[int],
             if not frames:
                 return
             # undo the choice that led to the exhausted frame
-            floor[frames[-1]] = saved.pop()
             path.pop()
+            unmet += 3
             for j in reversed(chosen.pop()):
-                if not left[j]:
-                    unmet += 1
-                    u, v = items[j]
-                    nbr[u] |= 1 << v
-                    nbr[v] |= 1 << u
-                    live = nbr[u] & nbr[v] & allow[j]
-                    size[j] = live.bit_count()
-                    pu, pv = pid[u], pid[v]
-                    while live:
-                        x = live.bit_length() - 1
-                        size[pu[x]] += 1
-                        size[pv[x]] += 1
-                        live ^= 1 << x
-                left[j] += 1
+                u, v = items[j]
+                nbr[u] |= 1 << v
+                nbr[v] |= 1 << u
+                live = nbr[u] & nbr[v] & allow[j]
+                size[j] = live.bit_count()
+                pu, pv = pid[u], pid[v]
+                while live:
+                    x = live.bit_length() - 1
+                    size[pu[x]] += 1
+                    size[pv[x]] += 1
+                    live ^= 1 << x
         x = poss[-1] + (live & -live).bit_length() - 1
         poss[-1] = x + 1
         spend()
         lo = size[c] - 2 if size[c] > 2 else 0
-        saved.append(floor[c])
-        floor[c] = x
         path.append((x, a, b) if x < a else (a, x, b) if x < b else (a, b, x))
         row = (c, pid[a][x], pid[b][x])
         chosen.append(row)
+        unmet -= 3
         for j in row:
-            left[j] -= 1
-            if not left[j]:
-                unmet -= 1
-                u, v = items[j]
-                nbr[u] ^= 1 << v
-                nbr[v] ^= 1 << u
-                live = nbr[u] & nbr[v] & allow[j]
-                size[j] = big
-                pu, pv = pid[u], pid[v]
-                while live:
-                    x = live.bit_length() - 1
-                    size[pu[x]] -= 1
-                    size[pv[x]] -= 1
-                    live ^= 1 << x
+            u, v = items[j]
+            nbr[u] ^= 1 << v
+            nbr[v] ^= 1 << u
+            live = nbr[u] & nbr[v] & allow[j]
+            size[j] = big
+            pu, pv = pid[u], pid[v]
+            while live:
+                x = live.bit_length() - 1
+                size[pu[x]] -= 1
+                size[pv[x]] -= 1
+                live ^= 1 << x
 
 
 def _refute(inst: CoverInstance) -> Optional[list]:
@@ -416,9 +404,9 @@ def _refute(inst: CoverInstance) -> Optional[list]:
 def _engine(G: AnyGraph, q: int):
     """The search for the q-clique decompositions of G: it takes (budget,
     cap, exclude), with `exclude` a list of cliques, and yields solutions
-    as lists of cliques.  Triangles of a graph run `_triangle_search`,
-    every other (q, r) `_search` on `CoverInstance.from_graph(G, q)`."""
-    if (G.r, q) == (2, 3):
+    as lists of cliques.  A simple graph's triangles run `_triangle_search`,
+    all else `_search` on `CoverInstance.from_graph(G, q)`."""
+    if isinstance(G, Hypergraph) and (G.r, q) == (2, 3):
         return partial(_triangle_search, G)
     inst = CoverInstance.from_graph(G, q)
     ids = {c: k for k, c in enumerate(inst.payloads)}
@@ -489,6 +477,6 @@ def solve_cover(demand: Iterable, options: Sequence, secondary: Iterable = (),
             raise ParameterError(f"option {payload!r} covers an item twice")
         payloads.append(payload)
         rows.append(tuple(ids[it] for it in cov))
-    inst = CoverInstance(list(ids), [1] * npri, payloads, rows)
+    inst = CoverInstance(len(ids), [1] * npri, payloads, rows)
     return next(_search(inst, _Budget(budget), cap=1), None)
 

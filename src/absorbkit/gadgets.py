@@ -30,7 +30,7 @@ from .errors import (CapacityError, ConstructionError, ParameterError,
                      PreconditionError)
 from .exactcover import (DEFAULT_BUDGET, CoverInstance, _Budget, _search,
                          find_two_disjoint_decompositions)
-from .hypercore import (AnyGraph, Decomposition, Hypergraph, clique_edges,
+from .hypercore import (Decomposition, Hypergraph, clique_edges,
                         decomposition_valid, require_simple)
 from .integral import integral_decomposition
 
@@ -225,16 +225,18 @@ def lift_booster_q3() -> Booster:
     return booster_lift(trivial_booster_1d(2))
 
 
-def find_booster(q: int, r: int, host: AnyGraph, budget: int = DEFAULT_BUDGET) -> Optional[Booster]:
+def find_booster(q: int, r: int, host: Hypergraph, budget: int = DEFAULT_BUDGET) -> Optional[Booster]:
     """Search replacement for the algebraic booster construction: two
-    clique-disjoint decompositions of the host, or None (exhaustive)."""
+    clique-disjoint decompositions of the simple host, or None
+    (exhaustive)."""
+    require_simple(host, "a booster host")
     if q <= r:
         raise ParameterError(f"need q > r, got q={q}, r={r}")
     pair = find_two_disjoint_decompositions(host, q, budget=budget)
     if pair is None:
         return None
     d_on, d_off = pair
-    return Booster(B=host.simple(), B_on=d_on, B_off=d_off)
+    return Booster(B=host, B_on=d_on, B_off=d_off)
 
 
 # Canonical rooted q=3 lift booster, root clique (x, y, z), fresh (c, d, v).
@@ -422,7 +424,7 @@ def _absorber_instance(L: Hypergraph, q: int, fresh: Sequence[int]) -> CoverInst
     for e in others:
         payloads.append((0, e))
         rows.append((ids[e, +1], ids[e, -1]))
-    return CoverInstance(items, [1] * len(items), payloads, rows)
+    return CoverInstance(len(items), [1] * len(items), payloads, rows)
 
 
 def search_absorber(L: Hypergraph, q: int) -> AbsorberCertificate:

@@ -405,7 +405,9 @@ def write_packing(P: Union[Packing, Decomposition], path: str, host_path: str) -
 
 def read_packing(path: str) -> Packing:
     """Read a packing file; the host graph is loaded from its trailing path
-    (relative paths resolve against the packing file's directory)."""
+    (relative paths resolve against the packing file's directory).  A
+    packing file holds each edge once, so a multigraph host is a
+    ParameterError."""
     with open(path) as fh:
         raw = fh.read().splitlines()
     if not raw:
@@ -440,4 +442,4 @@ def read_packing(path: str) -> Packing:
     host_path = raw[m + 1][5:].strip()
     if not os.path.isabs(host_path):
         host_path = os.path.join(os.path.dirname(os.path.abspath(path)), host_path)
-    return Packing(read_graph(host_path).simple(), cliques, q)
+    return Packing(require_simple(read_graph(host_path), "a packing host"), cliques, q)

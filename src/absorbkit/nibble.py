@@ -220,7 +220,7 @@ def complete_with_reserves(G: Hypergraph, X: Hypergraph, partial: Packing,
         for Q in reserve_candidates(e, G, X.edges, q):
             payloads.append(Q)
             rows.append(tuple(ids[f] for f in clique_edges(Q, G.r)))
-    inst = CoverInstance(items, [1] * len(leftover), payloads, rows)
+    inst = CoverInstance(len(items), [1] * len(leftover), payloads, rows)
     npri = len(leftover)
     cols = inst.cols
     stats["max_reserve_edge_usage"] = max(map(len, cols[npri:]), default=0)

@@ -206,6 +206,15 @@ class TestCoverCLI:
         code, out = run(capsys, "cover", "solve", g, "--q", "3", "--count", "100")
         assert code == 0 and "count=30" in out
 
+    @pytest.mark.parametrize("n, count", [(7, 465), (6, 12)])
+    def test_count_twofold(self, tmp_path, capsys, n, count):
+        """The triangle decompositions of 2K_n, each edge twice, counted as
+        multisets of triangles."""
+        g = str(tmp_path / f"2k{n}.graph")
+        write_graph(MultiHypergraph(n, 2, {e: 2 for e in itertools.combinations(range(n), 2)}), g)
+        code, out = run(capsys, "cover", "solve", g, "--count", "1000")
+        assert code == 0 and out.splitlines() == [f"count={count}", "overflow=False"]
+
     def test_count_cap_below_one_exit_3(self, tmp_path, capsys):
         g = str(tmp_path / "k7.graph")
         write_graph(Hypergraph.complete(7, 2), g)
@@ -742,19 +751,44 @@ def mutate(text, rng):
     ["lp", "solve", "tri2.graph", "--out", "out"],
     ["lp", "boost", "tri2.graph"],
     ["omni", "verify", "cert"],         # reruns the construction on cert/X.graph
+    ["nibble", "run", "--graph", "tri2.graph", "--out", "out"],
+    ["nibble", "highgirth", "--graph", "tri2.graph", "--json-stats", "out"],
+    ["nibble", "complete", "--graph", "e2.graph", "--reserves", "x.graph",
+     "--json-stats", "out"],
+    ["nibble", "complete", "--graph", "x.graph", "--reserves", "e2.graph",
+     "--json-stats", "out"],
+    ["lp", "inherit", "tri2.graph", "--s", "3"],
+    ["embed", "--system", "W2.manifest", "--host", "k7.graph", "--out", "out"],
+    ["embed", "--system", "H2.manifest", "--host", "k7.graph", "--out", "out"],
+    ["verify", "sts7.pack"],            # its host file is 2K_7
+    ["nibble", "girth", "--packing", "sts7.pack", "--json-stats", "out"],
+    ["gadget", "booster", "--host", "2k7.graph", "--out", "out"],
 ])
 def test_multigraph_input_exit_3(tmp_path, monkeypatch, capsys, argv):
-    """Absorbers, omni-absorbers, integral and fractional solves and
-    embedding hosts take simple graphs: a file with a multiplicity exits 3
-    with a message, before any construction, and nothing is written."""
+    """Absorbers, omni-absorbers, integral and fractional solves, nibble
+    hosts and reserves, inheritance sampling, embedding hosts and gadgets,
+    booster hosts and packing hosts take simple graphs: a file with a
+    multiplicity exits 3 with a message, before any construction, and
+    nothing is written."""
     from absorbkit.gadgets import anti_edge
     monkeypatch.chdir(tmp_path)
     write_graph(MultiHypergraph(3, 2, {(0, 1): 2, (0, 2): 2, (1, 2): 2}), "tri2.graph")
+    write_graph(MultiHypergraph(3, 2, {(0, 1): 2}), "e2.graph")
+    write_graph(Hypergraph(3, 2, [(0, 2), (1, 2)]), "x.graph")
+    write_graph(Hypergraph.complete(7, 2), "k7.graph")
+    k7x2 = MultiHypergraph(7, 2, {e: 2 for e in itertools.combinations(range(7), 2)})
+    write_graph(k7x2, "2k7.graph")
     write_graph(Hypergraph(2, 2, [(0, 1)]), "J.graph")
-    write_graph(anti_edge((0, 1), 3, base=2).W, "W.graph")
+    W = anti_edge((0, 1), 3, base=2).W
+    write_graph(W, "W.graph")
+    write_graph(MultiHypergraph(W.n, 2, {e: 2 for e in W.edges}), "W2.graph")
     (tmp_path / "system.manifest").write_text("base J.graph\ngadget W.graph J.graph 0,1\n")
+    (tmp_path / "W2.manifest").write_text("base J.graph\ngadget W2.graph J.graph 0,1\n")
+    (tmp_path / "H2.manifest").write_text("base J.graph\ngadget W.graph e2.graph 0,1\n")
     assert main(["omni", "build-1d", "--m", "4", "--out", "cert"]) == 0
     write_graph(MultiHypergraph(4, 1, {(0,): 2, (1,): 1, (2,): 1}), "cert/X.graph")
+    assert main(["oracle", "--n", "7", "--out", "sts7.pack"]) == 0
+    write_graph(k7x2, "sts7.pack.host.graph")
     capsys.readouterr()
     assert main(argv) == 3
     captured = capsys.readouterr()

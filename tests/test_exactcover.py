@@ -134,7 +134,7 @@ def naive_decomposition_count(G, q):
     the options is tried, and the pairwise-disjoint ones covering every
     item are counted."""
     inst = CoverInstance.from_graph(G, q)
-    full = (1 << len(inst.items)) - 1
+    full = (1 << len(inst.cols)) - 1
     masks = [sum(1 << i for i in row) for row in inst.rows]
     count = 0
     for pick in range(1 << len(masks)):
@@ -373,7 +373,7 @@ class TestAgainstReference:
         want = list(reference_solve_simple(ref_inst, b_ref, cap, exclude))
         items = primary + secondary
         ids = {it: i for i, it in enumerate(items)}
-        inst = CoverInstance(items, [1] * len(primary), [k for k, _ in options],
+        inst = CoverInstance(len(items), [1] * len(primary), [k for k, _ in options],
                              [tuple(ids[it] for it in cov) for _, cov in options])
         b_new = _Budget(10 ** 6)
         got = list(_search(inst, b_new, cap, exclude))
@@ -420,22 +420,6 @@ class TestAgainstReference:
         self.check_cover(["f", "w"], [], forced, frozenset(), None)
 
     @staticmethod
-    def wide_book(rng, width):
-        """A multigraph on width + 2 vertices in which the pair 01 lies on
-        `width` triangles and every other pair on fewer: 01 is joined to
-        every other vertex, and doubled random triangles on those vertices
-        give the search choices."""
-        n = width + 2
-        mult = Counter({(0, 1): width})
-        for x in range(2, n):
-            mult[(0, x)] += 1
-            mult[(1, x)] += 1
-        for _ in range(30):
-            for e in itertools.combinations(sorted(rng.sample(range(2, n), 3)), 2):
-                mult[e] += 2
-        return MultiHypergraph(n, 2, dict(mult))
-
-    @staticmethod
     def latin_host(rng, n, keep):
         """K_{n,n,n} less the triangles of a partial Latin square: a random
         isotope of the cyclic square of order n with each cell kept with
@@ -455,33 +439,32 @@ class TestAgainstReference:
         solutions in the same order, the same nodes spent, and a
         BudgetError at the same node, under caps, budgets and exclusions.
 
-        The books put the widest pair on 127 triangles, where the counts
-        fit a byte and covered pairs read 128, and on 128 and 129, where
-        they are kept in a list.  The Latin hosts backtrack, so branch
-        pairs are chosen after undos."""
+        K_129 puts every pair on 127 triangles, where the counts fit a byte
+        and covered pairs read 128; K_132 less a perfect matching (128) and
+        K_133 (131) keep them in a list.  The Latin hosts backtrack, so
+        branch pairs are chosen after undos."""
         rng = random.Random(13)
-        hosts = [Hypergraph.complete(n, 2) for n in (3, 6, 7, 9, 12, 13)]
-        for _ in range(40):
-            n = rng.randint(3, 12)
-            hosts.append(random_graph(rng, n))
-            mult = Counter()
-            for _ in range(rng.randint(1, 5)):
-                for e in itertools.combinations(sorted(rng.sample(range(n), 3)), 2):
-                    mult[e] += rng.randint(1, 2)
-            hosts.append(MultiHypergraph(n, 2, dict(mult)))
-        hosts += [Hypergraph(1, 2), Hypergraph(2, 2, [(0, 1)])]
         runs = ((None, 10 ** 5), (1, 10 ** 5), (3, 60), (None, 7), (1, 0))
-        cases = [(G, runs) for G in hosts]
-        for width in (127, 128, 129):
-            book = self.wide_book(rng, width)
-            assert max(map(len, CoverInstance.from_graph(book, 3).cols)) == width
-            cases.append((book, runs))
+        cases = [(Hypergraph.complete(n, 2), runs, None) for n in (3, 6, 7, 9, 12, 13)]
+        # a random host may find nothing and spend the whole budget, so
+        # theirs are smaller
+        random_runs = ((None, 10 ** 4), (1, 10 ** 4), (3, 60), (None, 7), (1, 0))
+        cases += [(random_graph(rng, rng.randint(3, 12)), random_runs, None) for _ in range(40)]
+        cases += [(G, runs, None) for G in (Hypergraph(1, 2), Hypergraph(2, 2, [(0, 1)]))]
+        # (widest pair, host); a first solution takes thousands of nodes
+        # here, so the search stops early
+        wide = ((127, Hypergraph.complete(129, 2)),
+                (128, Hypergraph(132, 2, [(a, b) for a, b in itertools.combinations(range(132), 2)
+                                          if b != a + 1 or a % 2])),
+                (131, Hypergraph.complete(133, 2)))
+        cases += [(G, ((None, 300), (1, 0)), width) for width, G in wide]
         latin_runs = ((None, 3000), (1, 3000), (3, 400), (None, 60), (1, 9))
         for n in (5, 6, 7):
             for keep in (0.25, 0.5):
-                cases.append((self.latin_host(rng, n, keep), latin_runs))
-        for G, runs in cases:
+                cases.append((self.latin_host(rng, n, keep), latin_runs, None))
+        for G, runs, width in cases:
             inst = CoverInstance.from_graph(G, 3)
+            assert width is None or max(map(len, inst.cols)) == width
             ids = {c: k for k, c in enumerate(inst.payloads)}
             excludes = [()]
             if inst.payloads:
@@ -578,7 +561,7 @@ class TestRefute:
             rows = [tuple(sorted(rng.sample(items[:npri], rng.randint(1, min(3, npri))) +
                                  rng.sample(items[npri:], rng.randint(0, min(2, nsec)))))
                     for _ in range(rng.randint(1, 14))]
-            inst = CoverInstance(items, [1] * npri, list(range(len(rows))), rows)
+            inst = CoverInstance(len(items), [1] * npri, list(range(len(rows))), rows)
             sols = self.brute_force_solutions(
                 npri, [sum(1 << i for i in row) for row in rows])
             refuted = _refute(inst)
