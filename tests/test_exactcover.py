@@ -441,23 +441,22 @@ class TestAgainstReference:
 
         K_129 puts every pair on 127 triangles, where the counts fit a byte
         and covered pairs read 128; K_132 less a perfect matching (128) and
-        K_133 (131) keep them in a list.  The Latin hosts backtrack, so
-        branch pairs are chosen after undos."""
+        K_133 (131) keep them in a list; each is searched to its first
+        solution.  The Latin hosts backtrack, so branch pairs are chosen
+        after undos."""
         rng = random.Random(13)
         runs = ((None, 10 ** 5), (1, 10 ** 5), (3, 60), (None, 7), (1, 0))
-        cases = [(Hypergraph.complete(n, 2), runs, None) for n in (3, 6, 7, 9, 12, 13)]
-        # a random host may find nothing and spend the whole budget, so
-        # theirs are smaller
-        random_runs = ((None, 10 ** 4), (1, 10 ** 4), (3, 60), (None, 7), (1, 0))
-        cases += [(random_graph(rng, rng.randint(3, 12)), random_runs, None) for _ in range(40)]
-        cases += [(G, runs, None) for G in (Hypergraph(1, 2), Hypergraph(2, 2, [(0, 1)]))]
-        # (widest pair, host); a first solution takes thousands of nodes
-        # here, so the search stops early
+        hosts = [Hypergraph.complete(n, 2) for n in (3, 6, 7, 9, 12, 13)]
+        hosts += [random_graph(rng, rng.randint(3, 12)) for _ in range(40)]
+        hosts += [Hypergraph(1, 2), Hypergraph(2, 2, [(0, 1)])]
+        cases = [(G, runs, None) for G in hosts]
+        # (widest pair, host); a first solution takes 2,755-5,880 nodes
+        # here, so only cap 1 runs to one, and cap None stops early
         wide = ((127, Hypergraph.complete(129, 2)),
                 (128, Hypergraph(132, 2, [(a, b) for a, b in itertools.combinations(range(132), 2)
                                           if b != a + 1 or a % 2])),
                 (131, Hypergraph.complete(133, 2)))
-        cases += [(G, ((None, 300), (1, 0)), width) for width, G in wide]
+        cases += [(G, ((1, 10 ** 4), (None, 300), (1, 0)), width) for width, G in wide]
         latin_runs = ((None, 3000), (1, 3000), (3, 400), (None, 60), (1, 9))
         for n in (5, 6, 7):
             for keep in (0.25, 0.5):
@@ -476,6 +475,8 @@ class TestAgainstReference:
                     want = run_until_spent(
                         _search(inst, b_old, cap, [ids[c] for c in exclude]), b_old)
                     assert got == want, (G, cap, nodes, exclude)
+                    # the wide hosts' cap-1 run reaches a solution
+                    assert not (width and nodes == 10 ** 4) or got[0] != ["spent"]
 
     def test_exclude_on_graph_instances(self):
         rng = random.Random(9)
