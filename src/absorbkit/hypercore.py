@@ -215,14 +215,23 @@ class Packing:
 
     def __init__(self, host: Hypergraph, cliques: Iterable[Sequence[int]], q: int | None = None):
         self.host = host
-        cl = sorted(tuple(sorted(c)) for c in cliques)
+        cl = sorted(map(tuple, map(sorted, cliques)))
         if q is None:
             if not cl:
                 raise ParameterError("empty packing needs an explicit q")
             q = len(cl[0])
         self.q = q
         edges, r = host.simple().edges, host.r
-        seen: set = set()
+        # the whole family at once: q-sets whose r-subsets are host edges,
+        # none of them twice; the loop below only names the first fault
+        seen = set(itertools.chain.from_iterable(
+            map(itertools.combinations, cl, itertools.repeat(r))))
+        if not cl or (all(map(q.__eq__, map(len, cl)))
+                      and all(map(q.__eq__, map(len, map(set, cl))))
+                      and len(seen) == len(cl) * comb(q, r) and edges.issuperset(seen)):
+            self.cliques = tuple(cl)
+            return
+        seen = set()
         for c in cl:
             if len(c) != q or len(set(c)) != q:
                 raise ParameterError(f"{c!r} is not a {q}-set")
@@ -316,40 +325,85 @@ class Decomposition:
 # Graph file: header "r n m", then m lines of r ascending ids; a multigraph
 # line appends "x k" for multiplicity k > 1.
 # Packing file: header "q n m", then m lines of q ids, then "host <path>".
+#
+# Readers take the id block in bulk (_id_rows): every line split, all ids
+# parsed by one map(int), and the ranges and orders checked on slices of
+# that one list.  The line loops run only on a block the bulk pass rejects,
+# to name its first bad line, or on a graph block with "x k" lines.
 # ---------------------------------------------------------------------------
 
+def _id_line(k: int) -> str:
+    """The %-format of one line of k ids."""
+    return " ".join(["%d"] * k) + "\n"
+
+
 def write_graph(G: AnyGraph, path: str) -> None:
-    lines = []
+    line = _id_line(G.r)
     if isinstance(G, MultiHypergraph):
-        m = len(G.mult)
-        lines.append(f"{G.r} {G.n} {m}")
-        for e in sorted(G.mult):
-            k = G.mult[e]
-            suffix = f" x {k}" if k > 1 else ""
-            lines.append(" ".join(map(str, e)) + suffix)
+        multi = line[:-1] + " x %d\n"
+        head = f"{G.r} {G.n} {len(G.mult)}\n"
+        body = [line % e if k == 1 else multi % (*e, k) for e, k in sorted(G.mult.items())]
     else:
-        lines.append(f"{G.r} {G.n} {G.m}")
-        for e in sorted(G.edges):
-            lines.append(" ".join(map(str, e)))
+        head = f"{G.r} {G.n} {G.m}\n"
+        body = map(line.__mod__, sorted(G.edges))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(head + "".join(body))
 
 
-def read_graph(path: str) -> AnyGraph:
-    """Read a graph file; returns a MultiHypergraph iff a multiplicity > 1 occurs."""
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+def _header(raw: list, names: str) -> tuple:
+    """The header "<k> n m" of a graph (names "r n m") or packing (names
+    "q n m") file, with k >= 1, n >= 0 and m >= 0."""
     if not raw:
         raise ParseError(1, "empty file")
     head = raw[0].split()
     if len(head) != 3:
-        raise ParseError(1, f"expected header 'r n m', got {raw[0]!r}")
+        raise ParseError(1, f"expected header '{names}', got {raw[0]!r}")
     try:
-        r, n, m = (int(t) for t in head)
+        k, n, m = map(int, head)
     except ValueError:
         raise ParseError(1, f"non-integer header field in {raw[0]!r}") from None
-    if r < 1 or n < 0 or m < 0:
-        raise ParseError(1, f"bad header values r={r} n={n} m={m}")
+    if k < 1 or n < 0 or m < 0:
+        raise ParseError(1, f"bad header values {names[0]}={k} n={n} m={m}")
+    return k, n, m
+
+
+def _id_rows(raw: list, k: int, n: int, m: int):
+    """Lines 2..m+1 as tuples of k ids, or None unless every one of them
+    holds k integers, strictly increasing, in 0..n-1.  The lines are split
+    twice, once to count their tokens and once to parse them, so no list
+    of all the tokens is held."""
+    block = raw[1:m + 1]
+    if len(block) < m or not {k}.issuperset(map(len, map(str.split, block))):
+        return None
+    try:
+        ids = list(map(int, itertools.chain.from_iterable(map(str.split, block))))
+    except ValueError:
+        return None
+    if m and not (min(ids[::k]) >= 0 and max(ids[k - 1::k]) < n
+                  and all(all(map(int.__lt__, ids[j::k], ids[j + 1::k]))
+                          for j in range(k - 1))):
+        return None
+    return list(zip(*[iter(ids)] * k))
+
+
+def read_graph(path: str) -> AnyGraph:
+    """Read a graph file; returns a MultiHypergraph iff a multiplicity > 1
+    occurs.  A block of plain edge lines, followed by blank lines only, is
+    read in bulk; the line loop reads "x k" lines and names the first bad
+    line of any other block."""
+    with open(path) as fh:
+        raw = fh.read().splitlines()
+    r, n, m = _header(raw, "r n m")
+    edges = _id_rows(raw, r, n, m)
+    if edges is not None and not any(map(str.strip, raw[m + 1:])):
+        G = Hypergraph._of_edges(n, r, iter(edges))
+        if G.m == m:   # no edge repeats
+            return G
+    return _read_graph_lines(raw, r, n, m)
+
+
+def _read_graph_lines(raw: list, r: int, n: int, m: int) -> AnyGraph:
+    """read_graph line by line, on a block the bulk pass does not take."""
     mult: dict = {}
     any_multi = False
     for i in range(m):
@@ -395,30 +449,40 @@ def read_graph(path: str) -> AnyGraph:
 
 def write_packing(P: Union[Packing, Decomposition], path: str, host_path: str) -> None:
     host = P.host if isinstance(P, Packing) else P.target
-    lines = [f"{P.q} {host.n} {len(P.cliques)}"]
-    for c in P.cliques:
-        lines.append(" ".join(map(str, c)))
-    lines.append(f"host {host_path}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{P.q} {host.n} {len(P.cliques)}\n"
+                 + "".join(map(_id_line(P.q).__mod__, P.cliques))
+                 + f"host {host_path}\n")
 
 
 def read_packing(path: str) -> Packing:
     """Read a packing file; the host graph is loaded from its trailing path
-    (relative paths resolve against the packing file's directory).  A
-    packing file holds each edge once, so a multigraph host is a
-    ParameterError."""
+    (relative paths resolve against the packing file's directory) and must
+    have the header's n.  A packing file holds each edge once, so a
+    multigraph host is a ParameterError.  The clique block is read in bulk;
+    the line loop only names its first bad line."""
     with open(path) as fh:
         raw = fh.read().splitlines()
-    if not raw:
-        raise ParseError(1, "empty file")
-    head = raw[0].split()
-    if len(head) != 3:
-        raise ParseError(1, f"expected header 'q n m', got {raw[0]!r}")
-    try:
-        q, n, m = (int(t) for t in head)
-    except ValueError:
-        raise ParseError(1, f"non-integer header field in {raw[0]!r}") from None
+    q, n, m = _header(raw, "q n m")
+    cliques = _id_rows(raw, q, n, m)
+    if cliques is None:
+        cliques = _read_clique_lines(raw, q, n, m)
+    if m + 1 >= len(raw) or not raw[m + 1].startswith("host "):
+        raise ParseError(m + 2, "missing trailing 'host <path>' line")
+    for i in range(m + 2, len(raw)):
+        if raw[i].strip():
+            raise ParseError(i + 1, "unexpected line after the 'host <path>' line")
+    host_path = raw[m + 1][5:].strip()
+    if not os.path.isabs(host_path):
+        host_path = os.path.join(os.path.dirname(os.path.abspath(path)), host_path)
+    host = require_simple(read_graph(host_path), "a packing host")
+    if host.n != n:
+        raise ParseError(1, f"header n={n} differs from the host's n={host.n}")
+    return Packing(host, cliques, q)
+
+
+def _read_clique_lines(raw: list, q: int, n: int, m: int) -> list:
+    """The clique block line by line: raises on the first bad line."""
     cliques = []
     for i in range(m):
         ln = i + 2
@@ -434,12 +498,4 @@ def read_packing(path: str) -> Packing:
         if list(verts) != sorted(set(verts)) or verts[0] < 0 or verts[-1] >= n:
             raise ParseError(ln, f"bad clique {verts!r}")
         cliques.append(verts)
-    if m + 1 >= len(raw) or not raw[m + 1].startswith("host "):
-        raise ParseError(m + 2, "missing trailing 'host <path>' line")
-    for i in range(m + 2, len(raw)):
-        if raw[i].strip():
-            raise ParseError(i + 1, "unexpected line after the 'host <path>' line")
-    host_path = raw[m + 1][5:].strip()
-    if not os.path.isabs(host_path):
-        host_path = os.path.join(os.path.dirname(os.path.abspath(path)), host_path)
-    return Packing(require_simple(read_graph(host_path), "a packing host"), cliques, q)
+    return cliques

@@ -796,6 +796,27 @@ def test_multigraph_input_exit_3(tmp_path, monkeypatch, capsys, argv):
     assert captured.out == "" and not os.path.exists("out")
 
 
+# packing headers out of range, or whose n is not the host's
+BAD_PACKING_HEADERS = {
+    "q0.pack": "0 5 1\n\nhost g5.graph\n",
+    "negative-m.pack": "3 5 -2\nhost g5.graph\n",
+    "negative-n.pack": "3 -1 0\nhost g5.graph\n",
+    "other-n.pack": "3 4 0\nhost g5.graph\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PACKING_HEADERS))
+@pytest.mark.parametrize("action", [["verify"], ["nibble", "girth", "--packing"]])
+def test_bad_packing_header_exit_3(tmp_path, capsys, name, action):
+    write_graph(Hypergraph.complete(5, 2), str(tmp_path / "g5.graph"))
+    (tmp_path / name).write_text(BAD_PACKING_HEADERS[name])
+    assert main(action + [str(tmp_path / name)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line 1: ") and "Traceback" not in captured.err
+    assert ("bad header values" in captured.err) != (name == "other-n.pack")
+    assert captured.out == ""
+
+
 def test_fuzzed_input_files_end_in_an_exit_code(tmp_path, capsys):
     """Seeded corruptions of valid graph, packing, pipeline-config, embed
     and certificate files: `main` returns 0/1/2/3 and never raises."""
@@ -831,6 +852,12 @@ def test_fuzzed_input_files_end_in_an_exit_code(tmp_path, capsys):
         ("cert/manifest", ["omni", "verify", str(tmp_path / "cert")]),
         ("cert/family.txt", ["omni", "verify", str(tmp_path / "cert")]),
     ]
+    write_graph(Hypergraph.complete(5, 2), str(tmp_path / "g5.graph"))
+    for name, text in BAD_PACKING_HEADERS.items():
+        (tmp_path / name).write_text(text)
+        for argv in (["verify"], ["nibble", "girth", "--packing"]):
+            assert main(argv + [str(tmp_path / name)]) == 3, name
+            assert "Traceback" not in capsys.readouterr().err
     rng = random.Random(1212)
     for name, argv in cases:
         path = tmp_path / name

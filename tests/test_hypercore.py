@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -5,6 +6,7 @@ from math import comb
 
 import pytest
 
+from absorbkit import hypercore
 from absorbkit.errors import ParameterError, ParseError
 from absorbkit.hypercore import (Decomposition, Hypergraph, MultiHypergraph,
                                  Packing, clique_edges, decomposition_valid,
@@ -308,3 +310,271 @@ class TestFiles:
         ppath.write_text("3 7 3\n2 4 6\n0 1 5\n0 3 5\nhost k7.graph\n")
         with pytest.raises(ParameterError, match=r"^edge \(0, 5\) covered twice$"):
             read_packing(str(ppath))
+
+
+# Differential tests of the bulk readers: every file is read twice, once as
+# it is and once with the bulk pass switched off, so that the line loops
+# read the whole block; both must give the same graph, the same edge order
+# (exact cover's item order) and the same packing, or the same error.
+
+def id_lines(rows, rng, loose):
+    """One text line per id row: canonical ("0 1"), or loose, with tabs,
+    runs of spaces, leading and trailing blanks and +1 / 01 ids."""
+    if not loose:
+        return [" ".join(map(str, row)) for row in rows]
+    out = []
+    for row in rows:
+        toks = [rng.choice((str(v), str(v), f"+{v}", f"0{v}")) for v in row]
+        seps = [rng.choice((" ", "  ", "\t", " \t ")) for _ in toks]
+        out.append(rng.choice(("", " ", "\t")) + "".join(
+            sep + tok for sep, tok in zip(seps, toks))[len(seps[0]):]
+            + rng.choice(("", " ", "\t")))
+    return out
+
+
+def graph_corpus(rng):
+    """Graph file texts: complete and random simple graphs for r = 1, 2, 3
+    in canonical and loose layouts, with trailing blank lines, explicit
+    "x 1" lines, multigraph lines, and seeded corruptions of each."""
+    texts = []
+    bases = [(n, 2, list(itertools.combinations(range(n), 2))) for n in (0, 1, 2, 3, 7, 12)]
+    bases += [(6, 3, list(itertools.combinations(range(6), 3))),
+              (5, 1, [(v,) for v in range(5)])]
+    for _ in range(40):
+        n, r = rng.randint(1, 12), rng.randint(1, 3)
+        pool = list(itertools.combinations(range(n), r))
+        edges = rng.sample(pool, rng.randint(0, len(pool)))
+        bases.append((n, r, edges))
+    for n, r, edges in bases:
+        for variant in range(4):
+            rows = list(edges)
+            if variant:
+                rng.shuffle(rows)
+            lines = id_lines(rows, rng, loose=variant >= 2)
+            if variant == 3:   # multiplicities, some of them an explicit 1
+                lines = [ln + rng.choice(("", "", " x 1", " x 2", "\tx 3")) for ln in lines]
+            tail = rng.choice(("", "\n", "\n\n", " \n\t\n"))
+            texts.append("\n".join([f"{r} {n} {len(rows)}"] + lines) + "\n" + tail)
+    for text in list(texts):
+        if rng.random() < 0.5:
+            texts.append(corrupt(text, rng))
+    return texts
+
+
+def corrupt(text, rng):
+    """One seeded corruption: drop, duplicate, blank or truncate a line,
+    swap two ids, or replace one token."""
+    lines = text.splitlines() or [""]
+    i = rng.randrange(len(lines))
+    how = rng.randrange(6)
+    if how == 0:
+        del lines[i]
+    elif how == 1:
+        lines.insert(i, lines[i])
+    elif how == 2:
+        lines[i] = rng.choice(("", " ", "\t"))
+    elif how == 3:
+        lines[i] = lines[i][:rng.randrange(len(lines[i]) + 1)]
+    else:
+        toks = lines[i].split() or [""]
+        j = rng.randrange(len(toks))
+        if how == 4 and len(toks) > 1:
+            toks[j], toks[j - 1] = toks[j - 1], toks[j]
+        else:
+            toks[j] = rng.choice(["x", "-1", "0", "7", "12", "99", "1.5", "", "+2", "x 2"])
+        lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+# one text per ParseError kind of a graph file, and the "x k" forms
+GRAPH_CASES = [
+    "",                                # empty file
+    "2 3\n",                          # a header of two fields
+    "2 3 x\n",                        # a non-integer header field
+    "0 3 0\n", "2 -1 0\n", "2 3 -1\n",   # bad header values
+    "2 3 2\n0 1\n",                  # a missing edge line at the end
+    "2 3 2\n0 1\n\n1 2\n",         # a blank edge line
+    "2 3 1\n0 1 x y\n",              # a bad multiplicity
+    "2 3 1\n0 1 x 0\n",              # a multiplicity below 1
+    "2 3 1\n0 1 2\n",                # three ids on an r = 2 line
+    "2 3 1\n0 a\n",                  # a non-integer id
+    "2 3 1\n1 0\n", "2 3 1\n1 1\n",     # not strictly increasing
+    "2 3 1\n0 3\n", "2 3 1\n-1 0\n",    # a vertex outside 0..n-1
+    "2 3 2\n0 1\n0 1\n",            # a repeated edge
+    "2 3 2\n0 1\n0 1 x 2\n",        # a repeated edge, one with a multiplicity
+    "2 3 1\n0 1\n1 2\n",            # a line after the declared edges
+    "2 3 1\n0 1\n\n\n",            # trailing blank lines
+    "2 3 1\n0 1 x 1\n",              # an explicit multiplicity 1
+    "2 3 2\n0 1 x 2\n1 2\n",        # a multigraph
+]
+
+
+def read_both(monkeypatch, reader, path):
+    """[(bulk result), (line-loop result)], each ("ok", value, loops) or
+    (error type, message, loops); loops counts the line-loop calls."""
+    out = []
+    for bulk in (True, False):
+        loops = []
+        with monkeypatch.context() as mp:
+            for name in ("_read_graph_lines", "_read_clique_lines"):
+                fn = getattr(hypercore, name)
+                mp.setattr(hypercore, name,
+                           lambda *a, fn=fn: loops.append(1) or fn(*a))
+            if not bulk:
+                mp.setattr(hypercore, "_id_rows", lambda *a: None)
+            try:
+                out.append(("ok", reader(path), len(loops)))
+            except (ParseError, ParameterError) as exc:
+                out.append((type(exc), str(exc), len(loops)))
+    return out
+
+
+def same_graph(a, b):
+    assert type(a) is type(b) and a == b
+    if isinstance(a, MultiHypergraph):
+        assert list(a.mult.items()) == list(b.mult.items())
+    else:
+        assert list(a.edges) == list(b.edges)
+
+
+class TestBulkReaders:
+    def test_graph_files(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "g.graph")
+        texts = graph_corpus(random.Random(2701)) + GRAPH_CASES
+        kinds = Counter()
+        for text in texts:
+            with open(path, "w") as fh:
+                fh.write(text)
+            (kind, got, loops), (kind2, want, _) = read_both(monkeypatch, read_graph, path)
+            assert kind == kind2, text
+            if kind != "ok":
+                assert got == want, text
+                kinds[want.split(":")[1].split()[0]] += 1
+                continue
+            same_graph(got, want)
+            plain = all(len(ln.split()) == got.r for ln in text.splitlines()[1:got.m + 1])
+            assert loops == (0 if plain else 1), text   # plain blocks never loop
+            kinds["ok-bulk" if plain else "ok-loop"] += 1
+        # every kind of outcome occurs
+        assert {"ok-bulk", "ok-loop", "empty", "expected", "non-integer", "bad",
+                "missing", "multiplicity", "edge", "vertex", "duplicate",
+                "unexpected"} <= set(kinds), kinds
+
+    def test_packing_files(self, tmp_path, monkeypatch):
+        rng = random.Random(2702)
+        write_graph(Hypergraph.complete(9, 2), str(tmp_path / "k9.graph"))
+        write_graph(Hypergraph(9, 2, [e for e in itertools.combinations(range(9), 2)
+                                      if e != (0, 1)]), str(tmp_path / "sparse.graph"))
+        write_graph(MultiHypergraph(9, 2, {(0, 1): 2}), str(tmp_path / "multi.graph"))
+        write_graph(Hypergraph.complete(8, 2), str(tmp_path / "k8.graph"))
+        write_graph(Hypergraph.complete(8, 3), str(tmp_path / "k83.graph"))
+        texts = [
+            "", "3 9\nhost k9.graph\n", "3 9 y\nhost k9.graph\n",
+            "0 9 1\n\nhost k9.graph\n", "3 9 -2\nhost k9.graph\n",
+            "3 -1 0\nhost k9.graph\n", "3 8 0\nhost k9.graph\n",
+            "3 9 0\nhost k9.graph\n", "3 9 2\n0 1 2\nhost k9.graph\n",
+            "3 9 1\n0 1 2\n", "3 9 1\n0 1\nhost k9.graph\n",
+            "3 9 1\n0 1 z\nhost k9.graph\n", "3 9 1\n0 2 1\nhost k9.graph\n",
+            "3 9 1\n0 1 9\nhost k9.graph\n", "3 9 1\n0 1 2\nhost k9.graph\n0 1\n",
+            "3 9 2\n0 1 2\n0 1 3\nhost k9.graph\n",
+            "3 9 1\n0 1 2\nhost sparse.graph\n", "3 9 1\n0 1 2\nhost multi.graph\n",
+            "3 9 2\n0 1 2\n\nhost k9.graph\n", "3 9 1\n0 1 2\nhost absent.graph\n",
+            "4 8 2\n0 1 2 3\n4 5 6 7\nhost k83.graph\n",
+            "4 8 2\n0 1 2 3\n0 1 2 4\nhost k83.graph\n",
+        ]
+        for _ in range(60):
+            n = rng.choice((8, 9))
+            pool = [c for c in itertools.combinations(range(n), 3)]
+            rng.shuffle(pool)
+            cliques, used = [], set()
+            for c in pool[:rng.randint(0, 30)]:
+                es = set(itertools.combinations(c, 2))
+                if used.isdisjoint(es):
+                    cliques.append(c)
+                    used |= es
+            text = "\n".join([f"3 {n} {len(cliques)}"]
+                              + id_lines(cliques, rng, loose=rng.random() < 0.5)
+                              + [f"host k{n}.graph"]) + "\n"
+            texts.append(text)
+            texts.append(corrupt(text, rng))
+        path = str(tmp_path / "p.pack")
+        outcomes = Counter()
+        for text in texts:
+            with open(path, "w") as fh:
+                fh.write(text)
+            try:
+                (kind, got, _), (kind2, want, _) = read_both(monkeypatch, read_packing, path)
+            except FileNotFoundError:
+                outcomes["absent"] += 1
+                continue
+            assert kind == kind2, text
+            if kind != "ok":
+                assert got == want, text
+                outcomes[kind.__name__] += 1
+                continue
+            assert (got.q, got.cliques) == (want.q, want.cliques), text
+            same_graph(got.host, want.host)
+            outcomes["ok"] += 1
+        assert outcomes["ok"] > 20 and outcomes["ParseError"] > 20, outcomes
+        assert outcomes["ParameterError"] > 3, outcomes
+
+    def test_packing_checks_match_the_loop(self):
+        """Packing's whole-family check accepts exactly the families its
+        loop accepts, and a rejected family gets the loop's message."""
+        def loop_error(host, cliques, q):
+            seen = set()
+            for c in sorted(tuple(sorted(c)) for c in cliques):
+                if len(c) != q or len(set(c)) != q:
+                    return f"{c!r} is not a {q}-set"
+                es = list(itertools.combinations(c, host.r))
+                if not host.edges.issuperset(es):
+                    return f"{c!r} is not a clique of the host"
+                if not seen.isdisjoint(es):
+                    return f"edge {next(e for e in es if e in seen)!r} covered twice"
+                seen.update(es)
+            return None
+
+        rng = random.Random(2703)
+        errors = Counter()
+        for _ in range(400):
+            n, r = rng.randint(6, 9), rng.randint(1, 3)
+            q = r + rng.randint(1, 2)
+            host = Hypergraph(n, r, [e for e in itertools.combinations(range(n), r)
+                                     if rng.random() < 0.9])
+            cliques = [tuple(rng.sample(range(n), q + (rng.random() < 0.03)))
+                       for _ in range(rng.randint(0, 4))]
+            want = loop_error(host, cliques, q)
+            try:
+                P = Packing(host, cliques, q)
+                got = None
+            except ParameterError as exc:
+                got = str(exc)
+            assert got == want, (host.edges, cliques, q)
+            if got is None:
+                assert P.cliques == tuple(sorted(tuple(sorted(c)) for c in cliques))
+            errors[got and got.split("-")[-1].split()[-1]] += 1
+        assert errors[None] and errors["host"] and errors["twice"] and errors["set"], errors
+
+
+# SHA-256 digests of the writers' output, recorded before they were rewritten
+WRITER_DIGESTS = {
+    "k99.graph": "a7a2c65199104caf6857bee897f6da168ebfd7eccc20699d7c08cabe972bd5a6",
+    "o99.pack": "1b04dabdc4aa114c48408e9e951299897d98b769c49aa05e0f0890ae09708108",
+    "m9.graph": "7ee96a0dc1b0466089103c32c2f64a567ebed89c9f22ccde70f5d88c6449fa52",
+    "k83.graph": "f042a0ce89660e6eebd2268966d0a1dab11ec653af286f9c93f1d1f85811aaec",
+    "r1.graph": "1db47e5e941d097264177d87ba69ad26a15bd39f3a2f4c7491b9db5fc54f2561",
+}
+
+
+def test_writers_match_recorded_digests(tmp_path):
+    from absorbkit.pipeline import oracle_steiner
+    write_graph(Hypergraph.complete(99, 2), str(tmp_path / "k99.graph"))
+    write_packing(oracle_steiner(99), str(tmp_path / "o99.pack"), "k99.graph")
+    write_graph(MultiHypergraph(9, 2, {e: 1 + sum(e) % 3
+                                       for e in itertools.combinations(range(9), 2)}),
+                str(tmp_path / "m9.graph"))
+    write_graph(Hypergraph.complete(8, 3), str(tmp_path / "k83.graph"))
+    write_graph(Hypergraph(12, 1, [(v,) for v in range(0, 12, 2)]), str(tmp_path / "r1.graph"))
+    for name, digest in WRITER_DIGESTS.items():
+        with open(tmp_path / name, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name

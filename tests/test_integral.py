@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 from functools import lru_cache
@@ -142,6 +143,83 @@ def seeded_targets(n, q, r, seed, count):
             b = {e: 1 for e in rng.sample(pool, rng.randint(1, len(pool)))}
         out.append(b)
     return out
+
+
+def heap_triangularization(n, q, r):
+    """The sparse-column triangularization that reduces every row by its
+    Euclid heap, probing each non-pivot column for a nonzero: ((rows,
+    cols, H, U, pivots), the number of rows reduced without a unit
+    entry).  The solver, which clears unit rows without the heap, must
+    reproduce it column for column."""
+    rows, cols = integral._subsets(n, q, r)
+    ridx = {e: i for i, e in enumerate(rows)}
+    H = [{ridx[e]: 1 for e in itertools.combinations(c, r)} for c in cols]
+    U = [{j: 1} for j in range(len(cols))]
+
+    def col_addmul(dst, src, f):
+        for A in (H, U):
+            d = A[dst]
+            for i, v in A[src].items():
+                w = d.get(i, 0) + f * v
+                if w:
+                    d[i] = w
+                else:
+                    del d[i]
+
+    piv_col = 0
+    pivots = []
+    no_unit = 0
+    for i in range(len(rows)):
+        heap = [(abs(v), k) for k in range(piv_col, len(cols))
+                if (v := H[k].get(i))]
+        heapq.heapify(heap)
+        no_unit += bool(heap) and heap[0][0] > 1
+        while len(heap) > 1:
+            entry = heapq.heappop(heap)
+            small, big = entry[1], heap[0][1]
+            col_addmul(big, small, -(H[big][i] // H[small][i]))
+            v = H[big].get(i)
+            if v:
+                heapq.heapreplace(heap, (abs(v), big))
+            else:
+                heapq.heappop(heap)
+            heapq.heappush(heap, entry)
+        if not heap:
+            pivots.append(None)
+            continue
+        k = heap[0][1]
+        H[piv_col], H[k] = H[k], H[piv_col]
+        U[piv_col], U[k] = U[k], U[piv_col]
+        if H[piv_col][i] < 0:
+            H[piv_col] = {j: -v for j, v in H[piv_col].items()}
+            U[piv_col] = {j: -v for j, v in U[piv_col].items()}
+        pivots.append(piv_col)
+        piv_col += 1
+    return (rows, cols, H, U, pivots), no_unit
+
+
+HEAP_PARAMS = ([(n, 3, 2) for n in range(3, 17)] + [(n, 4, 2) for n in (7, 8, 9)]
+               + [(8, 4, 3), (7, 5, 2), (10, 3, 1)])
+
+
+class TestAgainstHeapReference:
+    @pytest.mark.parametrize("params", HEAP_PARAMS)
+    def test_same_columns_pivots_and_kernel(self, params):
+        (rows, cols, Hh, Uh, ph), _ = heap_triangularization(*params)
+        T = integral._triangularization(*params)
+        assert T[:2] == (rows, cols) and T[4] == ph
+        # equal columns, down to the order of their entries
+        for got, want in ((T[2], Hh), (T[3], Uh)):
+            assert [list(col.items()) for col in got] == [list(col.items()) for col in want]
+        rank = sum(p is not None for p in ph)
+        basis = [{cols[i]: v for i, v in sorted(u.items())} for u in Uh[rank:]]
+        assert integral._kernel(*params) == (basis, [sum(map(abs, b.values())) for b in basis])
+
+    def test_grid_has_rows_without_a_unit_entry(self):
+        # the heap branch is reached: 14 of the 105 rows at (15, 3, 2)
+        counts = {p: heap_triangularization(*p)[1] for p in HEAP_PARAMS}
+        assert counts[(15, 3, 2)] == 14
+        assert sum(counts.values()) > len(HEAP_PARAMS)
 
 
 class TestAgainstDenseReference:
