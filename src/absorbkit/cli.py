@@ -21,7 +21,8 @@ from .fraclp import boost_sample, inheritance_stats, solve_fractional
 from .gadgets import (anti_edge, build_absorber, fake_edge, find_booster,
                       lift_booster_q3, rooted_degeneracy, trivial_booster_1d)
 from .hypercore import (Hypergraph, MultiHypergraph, Packing, read_graph,
-                        read_packing, require_simple, write_graph, write_packing)
+                        read_key_values, read_packing, require_simple, write_graph,
+                        write_packing)
 from .nibble import (complete_with_reserves, configurations, generate_reserves,
                      girth, high_girth_pack, random_greedy_pack, spread_estimate)
 from .omni import (omni_1d, omni_small, read_certificate, refinedness,
@@ -304,10 +305,8 @@ def cmd_lp_boost(args) -> int:
 
 def cmd_lp_inherit(args) -> int:
     G = require_simple(read_graph(args.graph), "an inheritance sampling host")
-    frac = args.threshold
-    stats = inheritance_stats(G, s=args.s, M=args.members,
-                              trials=args.trials, seed=args.seed,
-                              threshold=lambda s: frac * (s - 1))
+    stats = inheritance_stats(G, s=args.s, M=args.members, trials=args.trials,
+                              seed=args.seed, threshold=args.threshold)
     _emit(stats, args.json)
     return EXIT_OK
 
@@ -382,37 +381,21 @@ def cmd_nibble_spread(args) -> int:
     host = Hypergraph.complete(args.n, 2)
     if args.exact:
         sols = enumerate_decompositions(host, args.q)
-        res = spread_estimate(None, [1], trials=0, exact_decompositions=sols)
+        res = spread_estimate(None, trials=0, exact_decompositions=sols)
     else:
         def sampler(seed):
             P, left = random_greedy_pack(host, args.q, seed=seed)
             return list(P.cliques) if left.m == 0 else None
-        res = spread_estimate(sampler, [1], trials=args.trials, seed=args.seed)
-    return _report(args, {f"sigma_hat_{s}": r["sigma_hat"] for s, r in res.items()})
+        res = spread_estimate(sampler, trials=args.trials, seed=args.seed)
+    return _report(args, {"sigma_hat_1": res["sigma_hat"]})
 
 
 # ------------------------------------------------------------- pipeline ----
 
-def _load_config(path: str) -> dict:
-    out: dict = {}
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(line_no, f"expected key=value, got {line!r}")
-            k, v = (t.strip() for t in line.split("=", 1))
-            if k in out:
-                raise ParseError(line_no, f"repeated key {k!r}")
-            out[k] = v
-    return out
-
-
 def cmd_pipeline(args) -> int:
     kwargs: dict = {}
     if args.config:
-        raw = _load_config(args.config)
+        raw = read_key_values(args.config)
         casts = {"n": int, "seed": int, "out_dir": str}
         for k, v in raw.items():
             if k not in casts:

@@ -1,9 +1,10 @@
 """Divisibility predicates for clique decompositions.
 
 A graph can only decompose into q-cliques if every i-set degree is divisible
-by binom(q-i, r-i); these are the classical necessary conditions.  Only
-i-sets of positive degree are enumerated (degree 0 is divisible by
-everything), which avoids the binom(n, i) blowup.
+by binom(q-i, r-i); these are the classical necessary conditions.  The
+degrees come from `hypercore.level_degrees`, which enumerates only i-sets
+of positive degree (degree 0 is divisible by everything) and so avoids the
+binom(n, i) blowup.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from math import comb
 from typing import Iterator
 
 from .errors import CapacityError, ParameterError
-from .hypercore import AnyGraph, Hypergraph, MultiHypergraph
+from .hypercore import AnyGraph, Hypergraph, level_degrees
 
 EXHAUSTIVE_EDGE_CAP = 24
 
@@ -32,16 +33,9 @@ class DesignParams:
             raise ParameterError(f"need n > q > r >= 1 and lambda >= 1, got {self}")
 
 
-def params_admissible(p: DesignParams) -> bool:
-    """binom(q-i, r-i) | lam * binom(n-i, r-i) for all 0 <= i <= r-1."""
-    return all(
-        (p.lam * comb(p.n - i, p.r - i)) % comb(p.q - i, p.r - i) == 0
-        for i in range(p.r)
-    )
-
-
 def admissibility_report(p: DesignParams) -> list:
-    """Per-i verdicts; feeds the CLI's --params mode."""
+    """Per-i verdicts of binom(q-i, r-i) | lam * binom(n-i, r-i), 0 <= i <= r-1;
+    feeds the CLI's --params mode."""
     rows = []
     for i in range(p.r):
         divisor = comb(p.q - i, p.r - i)
@@ -50,32 +44,18 @@ def admissibility_report(p: DesignParams) -> list:
     return rows
 
 
-def _degree_counters(G: AnyGraph) -> list:
-    """counts[i]: positive-degree i-sets -> degree (with multiplicity)."""
-    r = G.r
-    counts = [Counter() for _ in range(r)]
-    if isinstance(G, MultiHypergraph):
-        items = list(G.mult.items())
-    else:
-        items = [(e, 1) for e in G.edges]
-    for e, k in items:
-        for i in range(r):
-            for sub in itertools.combinations(e, i):
-                counts[i][sub] += k
-    return counts
+def params_admissible(p: DesignParams) -> bool:
+    """Every row of the admissibility report holds."""
+    return all(row["ok"] for row in admissibility_report(p))
 
 
 def is_divisible(G: AnyGraph, q: int) -> bool:
     """True iff binom(q-i, r-i) divides every positive i-set degree, i < r."""
     if q <= G.r:
         raise ParameterError(f"need q > r, got q={q}, r={G.r}")
-    r = G.r
-    divisors = [comb(q - i, r - i) for i in range(r)]
-    for i, cnt in enumerate(_degree_counters(G)):
-        d = divisors[i]
-        if d == 1:
-            continue
-        if any(v % d for v in cnt.values()):
+    for i in range(G.r):
+        d = comb(q - i, G.r - i)
+        if any(v % d for v in level_degrees(G, i).values()):
             return False
     return True
 
@@ -116,12 +96,10 @@ def divisible_subgraphs(
 
     r = X.r
     divisors = [comb(q - i, r - i) for i in range(r)]
-    # for each i-set with a nontrivial divisor: index of its last incident edge
+    # for each i-set: index of its last incident edge
     last_edge: dict = {}
     for idx, e in enumerate(edges):
         for i in range(r):
-            if divisors[i] == 1:
-                continue
             for sub in itertools.combinations(e, i):
                 last_edge[(i, sub)] = idx
     checks_at: list = [[] for _ in range(m)]
@@ -133,8 +111,6 @@ def divisible_subgraphs(
 
     def bump(e: tuple, delta: int):
         for i in range(r):
-            if divisors[i] == 1:
-                continue
             for sub in itertools.combinations(e, i):
                 deg[(i, sub)] += delta
 

@@ -21,10 +21,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from .errors import CapacityError, ParameterError
-from .hypercore import Hypergraph, clique_edges, enumerate_cliques, require_simple
+from .hypercore import (Hypergraph, clique_edges, cover_counts, enumerate_cliques,
+                        require_simple)
 
 VARIABLE_CAP = 20000
 FM_CLIQUE_CAP = 12   # fm_feasible tries every subset of its columns
@@ -325,10 +326,8 @@ def boost_sample(psi: FractionalWeighting, multiplier: Optional[Fraction] = None
             p = Fraction(1)
         if rng.random() < float(p):
             chosen.append(c)
-    counts: Counter = Counter({e: 0 for e in host.edges})
-    for c in chosen:
-        for e in clique_edges(c, r):
-            counts[e] += 1
+    counts: Counter = Counter(dict.fromkeys(host.edges, 0))
+    counts.update(cover_counts(map(sorted, chosen), r))
     if counts:
         mean = sum(counts.values()) / len(counts)
         c_hat = mean / denom if denom else 0.0
@@ -341,9 +340,9 @@ def boost_sample(psi: FractionalWeighting, multiplier: Optional[Fraction] = None
 
 def inheritance_stats(G: Hypergraph, s: int, M: Sequence[int],
                       trials: int, seed: int = 0,
-                      threshold: Optional[Callable[[int], float]] = None) -> dict:
+                      threshold: float = 0.0) -> dict:
     """Sample s-sets containing M; report how often the induced subgraph
-    keeps minimum degree above the caller's threshold."""
+    keeps minimum degree at least threshold * (s - 1)."""
     if G.r != 2:
         raise ParameterError("inheritance sampling is implemented for graphs")
     if len(set(M)) != len(M) or not all(0 <= v < G.n for v in M):
@@ -354,8 +353,7 @@ def inheritance_stats(G: Hypergraph, s: int, M: Sequence[int],
         raise ParameterError(f"need max(|M|, 1) <= s <= n, got |M|={m}, s={s}, n={G.n}")
     if trials <= 0:
         return {"trials": 0, "hits": 0, "fraction": None, "min_seen": None}
-    if threshold is None:
-        threshold = lambda size: 0.0
+    bound = threshold * (s - 1)
     adj: Dict[int, set] = {v: set() for v in range(G.n)}
     for a, bb in G.edges:
         adj[a].add(bb)
@@ -369,7 +367,7 @@ def inheritance_stats(G: Hypergraph, s: int, M: Sequence[int],
         mindeg = min(len(adj[v] & S) for v in S)
         if min_seen is None or mindeg < min_seen:
             min_seen = mindeg
-        if mindeg >= threshold(s):
+        if mindeg >= bound:
             hits += 1
     return {"trials": trials, "hits": hits, "fraction": hits / trials,
-            "min_seen": min_seen, "threshold": threshold(s)}
+            "min_seen": min_seen, "threshold": bound}

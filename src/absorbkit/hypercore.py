@@ -145,20 +145,22 @@ def require_simple(G: AnyGraph, role: str) -> Hypergraph:
     return G
 
 
+def level_degrees(G: AnyGraph, j: int) -> Counter:
+    """j-subset S of some edge -> number of edges containing S, with
+    multiplicity for multigraphs."""
+    if not (0 <= j <= G.r - 1):
+        raise ParameterError(f"j={j} outside 0..r-1")
+    if isinstance(G, Hypergraph):
+        return cover_counts(G.edges, j)
+    # a multigraph's edge e of multiplicity k counts k times
+    return cover_counts(itertools.chain.from_iterable(
+        map(itertools.repeat, G.mult, G.mult.values())), j)
+
+
 def max_level_degree(G: AnyGraph, j: int) -> int:
     """Max over j-subsets S of some edge of the number of edges containing
     S, with multiplicity for multigraphs."""
-    if not (0 <= j <= G.r - 1):
-        raise ParameterError(f"j={j} outside 0..r-1")
-    counts: Counter = Counter()
-    if isinstance(G, MultiHypergraph):
-        items = G.mult.items()
-    else:
-        items = ((e, 1) for e in G.edges)
-    for e, k in items:
-        for sub in itertools.combinations(e, j):
-            counts[sub] += k
-    return max(counts.values(), default=0)
+    return max(level_degrees(G, j).values(), default=0)
 
 
 def enumerate_cliques(G: AnyGraph, q: int) -> list:
@@ -208,6 +210,16 @@ def clique_edges(C: Sequence[int], r: int) -> Iterator[tuple]:
     return itertools.combinations(tuple(sorted(C)), r)
 
 
+def _subsets(cliques: Iterable[tuple], r: int) -> Iterator[tuple]:
+    """The r-subsets of each of `cliques` (sorted tuples), chained."""
+    return itertools.chain.from_iterable(map(itertools.combinations, cliques, itertools.repeat(r)))
+
+
+def cover_counts(cliques: Iterable[tuple], r: int) -> Counter:
+    """r-set -> number of `cliques` (sorted tuples) containing it."""
+    return Counter(_subsets(cliques, r))
+
+
 class Packing:
     """Pairwise edge-disjoint family of q-cliques of a host hypergraph."""
 
@@ -220,12 +232,13 @@ class Packing:
             if not cl:
                 raise ParameterError("empty packing needs an explicit q")
             q = len(cl[0])
-        self.q = q
         edges, r = host.simple().edges, host.r
+        if q <= r:
+            raise ParameterError(f"need q > r, got q={q}, r={r}")
+        self.q = q
         # the whole family at once: q-sets whose r-subsets are host edges,
         # none of them twice; the loop below only names the first fault
-        seen = set(itertools.chain.from_iterable(
-            map(itertools.combinations, cl, itertools.repeat(r))))
+        seen = set(_subsets(cl, r))
         if not cl or (all(map(q.__eq__, map(len, cl)))
                       and all(map(q.__eq__, map(len, map(set, cl))))
                       and len(seen) == len(cl) * comb(q, r) and edges.issuperset(seen)):
@@ -276,13 +289,11 @@ def _partitions(target: AnyGraph, cl: list, q: int) -> bool:
     if not (all(map(q.__eq__, map(len, cl)))
             and all(map(q.__eq__, map(len, map(set, cl))))):
         return False
-    subsets = itertools.chain.from_iterable(
-        map(itertools.combinations, cl, itertools.repeat(target.r)))
     if isinstance(target, MultiHypergraph):
         # neither side holds a zero count, so plain dict equality is exact
         # (Counter's own == compares key by key in Python)
-        return dict.__eq__(Counter(subsets), target.mult)
-    seen = set(subsets)
+        return dict.__eq__(cover_counts(cl, target.r), target.mult)
+    seen = set(_subsets(cl, target.r))
     return len(seen) == len(cl) * comb(q, target.r) == len(target.edges) and seen == target.edges
 
 
@@ -325,6 +336,8 @@ class Decomposition:
 # Graph file: header "r n m", then m lines of r ascending ids; a multigraph
 # line appends "x k" for multiplicity k > 1.
 # Packing file: header "q n m", then m lines of q ids, then "host <path>".
+# Key=value file (pipeline config, omni certificate manifest): one
+# "key=value" line per key, blank lines and "#" comment lines skipped.
 #
 # Readers take the id block in bulk (_id_rows): every line split, all ids
 # parsed by one map(int), and the ranges and orders checked on slices of
@@ -499,3 +512,22 @@ def _read_clique_lines(raw: list, q: int, n: int, m: int) -> list:
             raise ParseError(ln, f"bad clique {verts!r}")
         cliques.append(verts)
     return cliques
+
+
+def read_key_values(path: str) -> dict:
+    """A key=value file as {key: value}, both stripped of surrounding
+    spaces.  A line without '=', or a key given twice, is a ParseError;
+    the caller checks the keys and casts the values."""
+    out: dict = {}
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ParseError(line_no, f"expected key=value, got {line!r}")
+            k, v = (t.strip() for t in line.split("=", 1))
+            if k in out:
+                raise ParseError(line_no, f"repeated key {k!r}")
+            out[k] = v
+    return out

@@ -19,14 +19,17 @@ configuration DFS (`_config_dfs`, union-size pruning plus vertex and pair
 indexes) serves configuration counting, girth and the high-girth veto, and
 agrees with naive enumeration on small inputs.  Girth and the veto decide
 triangle systems up to g = 4 exactly on a pair -> third-point map (a
-repeated pair, else Pasch) and run the DFS only beyond.
+repeated pair, else Pasch) and run the DFS only beyond.  The spread
+estimate is single-clique containment: the largest share of the sampled or
+enumerated decompositions that contain one clique.  Reserve degrees come
+from `hypercore.max_level_degree`.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import comb, inf
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -397,15 +400,18 @@ def _triangle_girth(cliques: Sequence[tuple], g_max: int) -> Optional[int]:
 
 
 def girth(P: Sequence[Sequence[int]], q: int, r: int, g_max: int = 6):
-    """Smallest g in [2, g_max] with a ((q-r)g + r, g)-configuration, else inf.
+    """Smallest g in [2, g_max] with a ((q-r)g + r, g)-configuration, else
+    inf; g_max is at least 2.
 
     Triangles (q = 3, r = 2) take an exact fast path for g <= 4 with a
     pair -> third-point map (`_triangle_girth`); only g >= 5, and every
     other (q, r), runs the configuration DFS, on one clique index for all g.
     """
+    if g_max < 2:
+        raise ParameterError(f"need g_max >= 2, got {g_max}")
     cliques = P.cliques if isinstance(P, Packing) else P
     lo = 2
-    if (q, r) == (3, 2) and g_max >= 2 and all(len(set(c)) == 3 for c in cliques):
+    if (q, r) == (3, 2) and all(len(set(c)) == 3 for c in cliques):
         got = _triangle_girth(cliques, g_max)
         if got is not None:
             return got
@@ -437,7 +443,7 @@ def high_girth_pack(G: Hypergraph, q: int, g: int, *,
                     seed: int = 0) -> Tuple[Packing, Hypergraph]:
     """Random greedy with a veto: `_greedy`'s draws and sweep, taking a
     free clique only if it creates no ((q-r)g' + r, g')-configuration with
-    g' <= g; the output's girth is re-checked.
+    g' <= g, for 2 <= g <= 6; the output's girth is re-checked.
 
     Accepted cliques are edge-disjoint, so for triangles (q = 3, r = 2) a
     candidate can close no configuration with g' <= 3 and only Pasch with
@@ -445,6 +451,8 @@ def high_girth_pack(G: Hypergraph, q: int, g: int, *,
     per-vertex triangle lists, and the `_creates_config` DFS runs for
     g' = 5..g only.  Other (q, r) run the DFS for every g' in 2..g.
     """
+    if g < 2:
+        raise ParameterError(f"need g >= 2, got {g}")
     if g > 6:
         raise CapacityError("g <= 6 for the exhaustive configuration check")
     tri = (q, G.r) == (3, 2)
@@ -475,41 +483,34 @@ def high_girth_pack(G: Hypergraph, q: int, g: int, *,
 # spread estimation
 # ---------------------------------------------------------------------------
 
-SUBSETS_PER_SAMPLE = 20   # random s-subsets drawn per sample when s > 1
-
-def spread_estimate(sampler: Callable[[int], Sequence[tuple]], sizes: Sequence[int],
-                    trials: int, seed: int = 0,
+def spread_estimate(sampler: Optional[Callable[[int], Sequence[tuple]]], trials: int,
+                    seed: int = 0,
                     exact_decompositions: Optional[Sequence[Sequence[tuple]]] = None
-                    ) -> Dict[int, dict]:
-    """Estimate the spread exponent: for each requested packing size s,
-    sigma-hat = max over observed s-packings S of Prob[S in H]^(1/s).
+                    ) -> dict:
+    """Estimate the single-clique spread: sigma-hat = max over cliques S of
+    Prob[S in H], for H drawn by `sampler` from seeds of
+    `random.Random(seed)`, or uniform over `exact_decompositions`.
 
-    With `exact_decompositions` the probabilities are exact over the given
-    uniform family; Monte Carlo results report a 95% interval.
+    One Counter pass over the family counts the members containing each
+    clique.  ``packing`` is (S,) for a most-contained S: the first met in
+    exact mode, the smallest in Monte Carlo mode, which needs trials >= 1
+    and reports a 95% interval.  Exact mode ignores trials.
     """
-    rng = random.Random(seed)
-    out: Dict[int, dict] = {}
     if exact_decompositions is not None:
         family = [frozenset(tuple(sorted(c)) for c in d) for d in exact_decompositions]
-        T = len(family)
-        for s in sizes:
-            best, best_S = -1.0, None
-            seen: set = set()
-            for d in family:
-                for S in itertools.combinations(sorted(d), s):
-                    if S in seen:
-                        continue
-                    seen.add(S)
-                    prob = sum(1 for f in family if set(S) <= f) / T
-                    if prob > best:
-                        best, best_S = prob, S
-            out[s] = {"sigma_hat": best ** (1 / s) if best > 0 else 0.0,
-                      "prob": best, "packing": best_S, "mode": "exact"}
-        return out
+        counts = Counter(itertools.chain.from_iterable(map(sorted, family)))
+        best_S = max(counts, key=counts.__getitem__, default=None)
+        if best_S is None:
+            return {"sigma_hat": 0.0, "prob": -1.0, "packing": None, "mode": "exact"}
+        best = counts[best_S] / len(family)
+        return {"sigma_hat": best, "prob": best, "packing": (best_S,), "mode": "exact"}
 
+    if trials < 1:
+        raise ParameterError(f"need trials >= 1 for a Monte Carlo spread, got {trials}")
+    rng = random.Random(seed)
     samples: List[frozenset] = []
     failures = 0
-    for t in range(trials):
+    for _ in range(trials):
         try:
             d = sampler(rng.randrange(2 ** 31))
         except Exception:  # noqa: BLE001 - sampler failures are data
@@ -521,29 +522,11 @@ def spread_estimate(sampler: Callable[[int], Sequence[tuple]], sizes: Sequence[i
     if failures > trials / 2:
         raise ReliabilityError(f"sampler failed {failures}/{trials} times")
     T = len(samples)
-    for s in sizes:
-        cand: set = set()
-        for d in samples:
-            ds = sorted(d)
-            if len(ds) < s:
-                continue
-            if s == 1:
-                cand.update((c,) for c in ds)
-            else:
-                for _ in range(SUBSETS_PER_SAMPLE):
-                    cand.add(tuple(sorted(rng.sample(ds, s))))
-        best, best_S = -1.0, None
-        for S in sorted(cand):
-            prob = sum(1 for f in samples if set(S) <= f) / T
-            if prob > best:
-                best, best_S = prob, S
-        if best <= 0:
-            out[s] = {"sigma_hat": 0.0, "prob": 0.0, "packing": None,
-                      "mode": "monte-carlo", "samples": T}
-            continue
-        se = math.sqrt(best * (1 - best) / T)
-        lo, hi = max(best - 1.96 * se, 0.0), min(best + 1.96 * se, 1.0)
-        out[s] = {"sigma_hat": best ** (1 / s), "prob": best, "packing": best_S,
-                  "ci95": (lo ** (1 / s), hi ** (1 / s)),
-                  "mode": "monte-carlo", "samples": T}
-    return out
+    counts = Counter(itertools.chain.from_iterable(samples))
+    top = max(counts.values())
+    best_S = min(c for c, k in counts.items() if k == top)
+    best = top / T
+    se = math.sqrt(best * (1 - best) / T)
+    return {"sigma_hat": best, "prob": best, "packing": (best_S,),
+            "ci95": (max(best - 1.96 * se, 0.0), min(best + 1.96 * se, 1.0)),
+            "mode": "monte-carlo", "samples": T}

@@ -19,10 +19,11 @@ from typing import Callable, Dict, List, Optional
 
 from . import divide
 from .errors import (CapacityError, ConstructionError, DivisibilityError,
-                     ParameterError, ParseError)
+                     ParameterError)
 from .gadgets import build_absorber
-from .hypercore import (Hypergraph, decomposition_valid, max_level_degree,
-                        read_graph, require_simple, write_graph)
+from .hypercore import (Hypergraph, cover_counts, decomposition_valid,
+                        max_level_degree, read_graph, read_key_values,
+                        require_simple, write_graph)
 
 OMNI_SMALL_EDGE_CAP = 12
 
@@ -201,15 +202,8 @@ def verify_omni(cert: OmniAbsorberCertificate, mode: str = "exhaustive",
 
 def refinedness(cert: OmniAbsorberCertificate) -> int:
     """Exact max, over edges of X u A, of membership count in the family."""
-    from collections import Counter
-    from .hypercore import clique_edges
-    counts: Counter = Counter()
-    r = cert.X.r
-    for c in cert.family:
-        for e in clique_edges(c, r):
-            counts[e] += 1
-    relevant = set(cert.X.edges) | set(cert.A.edges)
-    return max((counts[e] for e in relevant), default=0)
+    counts = cover_counts(cert.family, cert.X.r)
+    return max((counts[e] for e in cert.X.edges | cert.A.edges), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +229,14 @@ def read_certificate(certdir: str) -> OmniAbsorberCertificate:
     """Rebuild a certificate from disk; the decomposition procedure is
     reconstructed by re-running the construction on X.
 
-    The manifest holds one key=value line each for kind, q and C, plus
-    meta.* lines; any other non-blank line, or a repeated key, is a
-    ParseError.  The stored C, A and family must match the reconstruction.
+    The manifest is a key=value file (`hypercore.read_key_values`) with
+    kind, q and C, plus meta.* keys; any other key is a ParameterError.
+    The stored C, A and family must match the reconstruction.
     """
-    manifest: Dict[str, str] = {}
-    with open(os.path.join(certdir, "manifest")) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            k, eq, v = line.partition("=")
-            if not eq:
-                raise ParseError(line_no, f"manifest: expected key=value, got {line!r}")
-            if k not in ("kind", "q", "C") and not k.startswith("meta."):
-                raise ParseError(line_no, f"manifest: unknown key {k!r}")
-            if k in manifest:
-                raise ParseError(line_no, f"manifest: repeated key {k!r}")
-            manifest[k] = v
+    manifest = read_key_values(os.path.join(certdir, "manifest"))
+    for k in manifest:
+        if k not in ("kind", "q", "C") and not k.startswith("meta."):
+            raise ParameterError(f"manifest: unknown key {k!r}")
     try:
         q, kind, C = int(manifest["q"]), manifest["kind"], int(manifest["C"])
         with open(os.path.join(certdir, "family.txt")) as fh:

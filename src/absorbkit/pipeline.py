@@ -22,13 +22,14 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .divide import DesignParams, params_admissible
 from .errors import BudgetError, ConstructionError, ParameterError
-from .hypercore import Decomposition, Hypergraph, Packing, write_graph, write_packing
+from .hypercore import (Decomposition, Hypergraph, Packing, cover_counts, write_graph,
+                        write_packing)
 
 
 HILL_CLIMB_RESTARTS = 200   # the cap on restarts
@@ -291,7 +292,7 @@ def verify_design(D, params: DesignParams) -> dict:
     # the members of a Decomposition or Packing are sorted tuples already
     cliques = D.cliques if isinstance(D, (Decomposition, Packing)) else list(map(sorted, D))
     r = params.r
-    counts = Counter(chain.from_iterable(map(combinations, cliques, repeat(r))))
+    counts = cover_counts(cliques, r)
     # Counter's [] reads a missing r-subset as 0 without storing it
     histogram = Counter(map(counts.__getitem__, combinations(range(params.n), r)))
     bad = sum(k for c, k in histogram.items() if c != params.lam)

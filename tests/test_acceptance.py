@@ -328,19 +328,19 @@ def test_criterion_09_spread_exact_case():
         cnt = sum(1 for d in sols if tuple(triple) in d)
         if cnt != 6:
             exact_ok = False
-    res = spread_estimate(None, [1], trials=0, exact_decompositions=sols)
-    exact_ok = exact_ok and abs(res[1]["prob"] - 0.2) < 1e-12
+    res = spread_estimate(None, trials=0, exact_decompositions=sols)
+    exact_ok = exact_ok and abs(res["prob"] - 0.2) < 1e-12
 
     def sampler(seed):
         return sols[random.Random(seed).randrange(30)]
 
     trials = 2000
-    mc = spread_estimate(sampler, [1], trials=trials, seed=909)
+    mc = spread_estimate(sampler, trials=trials, seed=909)
     sigma3 = 3 * (0.2 * 0.8 / trials) ** 0.5
-    mc_ok = abs(mc[1]["prob"] - 0.2) <= sigma3
+    mc_ok = abs(mc["prob"] - 0.2) <= sigma3
     ok = exact_ok and mc_ok
     assert report(9, ok, f"exact containment=1/5 for all 35 triples: {exact_ok}; "
-                         f"MC prob={mc[1]['prob']:.4f} within 3 sigma "
+                         f"MC prob={mc['prob']:.4f} within 3 sigma "
                          f"({sigma3:.4f}) of 0.2: {mc_ok}")
 
 

@@ -796,13 +796,17 @@ def test_multigraph_input_exit_3(tmp_path, monkeypatch, capsys, argv):
     assert captured.out == "" and not os.path.exists("out")
 
 
-# packing headers out of range, or whose n is not the host's
+# packing headers out of range, whose n is not the host's, or whose q is
+# not above the host's r
 BAD_PACKING_HEADERS = {
     "q0.pack": "0 5 1\n\nhost g5.graph\n",
     "negative-m.pack": "3 5 -2\nhost g5.graph\n",
     "negative-n.pack": "3 -1 0\nhost g5.graph\n",
     "other-n.pack": "3 4 0\nhost g5.graph\n",
+    "q1.pack": "1 5 2\n0\n1\nhost g5.graph\n",
+    "q-equals-r.pack": "2 5 1\n0 1\nhost g5.graph\n",
 }
+Q_AT_MOST_R = {"q1.pack", "q-equals-r.pack"}   # a header in range, refused by Packing
 
 
 @pytest.mark.parametrize("name", sorted(BAD_PACKING_HEADERS))
@@ -812,8 +816,25 @@ def test_bad_packing_header_exit_3(tmp_path, capsys, name, action):
     (tmp_path / name).write_text(BAD_PACKING_HEADERS[name])
     assert main(action + [str(tmp_path / name)]) == 3
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: line 1: ") and "Traceback" not in captured.err
-    assert ("bad header values" in captured.err) != (name == "other-n.pack")
+    if name in Q_AT_MOST_R:
+        assert captured.err.startswith("error: need q > r, got ")
+    else:
+        assert captured.err.startswith("error: line 1: ")
+        assert ("bad header values" in captured.err) != (name == "other-n.pack")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "nibble spread --n 7 --trials 0",    # an estimate from no sample
+    "nibble spread --n 7 --trials -3",
+    "nibble highgirth --n 9 --g 1",      # every triangle is a (3, 1)-configuration
+    "nibble girth --packing sts7.pack --gmax 1",
+])
+def test_empty_parameter_values_exit_3(argv, cli_files, capsys):
+    assert main(argv.split()) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: need ") and "Traceback" not in captured.err
     assert captured.out == ""
 
 

@@ -296,7 +296,7 @@ class TestInheritance:
     def test_complete_graph_always(self):
         stats = inheritance_stats(Hypergraph.complete(30, 2), s=10, M=(0, 1),
                                   trials=50, seed=2,
-                                  threshold=lambda s: s - 1)
+                                  threshold=1)
         assert stats["fraction"] == 1.0
 
     def test_zero_trials(self):
@@ -318,7 +318,7 @@ class TestInheritance:
                  if e not in missing]
         G = Hypergraph(n, 2, edges)
         stats = inheritance_stats(G, s=60, M=(), trials=60, seed=11,
-                                  threshold=lambda s: 0.8 * (s - 1))
+                                  threshold=0.8)
         assert stats["fraction"] >= 0.9
 
     def test_bad_args(self):

@@ -100,6 +100,37 @@ class TestDegrees:
         with pytest.raises(ParameterError):
             max_level_degree(Hypergraph.complete(6, 2), 2)
 
+    def test_level_degrees_and_cover_counts_match_brute_force(self):
+        rng = random.Random(28)
+        for r in (1, 2, 3):
+            for trial in range(8):
+                n = rng.randint(r, 8)
+                edges = [e for e in itertools.combinations(range(n), r) if rng.random() < 0.6]
+                if trial % 2:
+                    G = MultiHypergraph(n, r, {e: rng.randint(1, 3) for e in edges})
+                    items = G.mult.items()
+                else:
+                    G = Hypergraph(n, r, edges)
+                    items = [(e, 1) for e in G.edges]
+                for j in range(r):
+                    want = {S: sum(k for e, k in items if set(S) <= set(e))
+                            for S in itertools.combinations(range(n), j)}
+                    want = {S: d for S, d in want.items() if d}
+                    assert hypercore.level_degrees(G, j) == want, (G, j)
+                cliques = [tuple(sorted(rng.sample(range(9), q)))
+                           for q in (r + 1, r + 2) for _ in range(rng.randint(0, 6))]
+                want = Counter()
+                for c in cliques:
+                    for e in clique_edges(c, r):
+                        want[e] += 1
+                assert hypercore.cover_counts(cliques, r) == want, (cliques, r)
+
+    def test_packing_needs_q_above_r(self):
+        with pytest.raises(ParameterError):
+            Packing(Hypergraph.complete(5, 2), [(0, 1)])
+        with pytest.raises(ParameterError):
+            Packing(Hypergraph.complete(5, 2), [], q=1)
+
 
 class TestPackingDecomposition:
     def test_valid_packing(self):

@@ -560,19 +560,27 @@ class TestHighGirth:
 class TestSpread:
     def test_deterministic_sampler_sigma_one(self):
         fixed = [(0, 1, 2), (3, 4, 5)]
-        res = spread_estimate(lambda s: fixed, [1], trials=50, seed=1)
-        assert res[1]["sigma_hat"] == 1.0
+        res = spread_estimate(lambda s: fixed, trials=50, seed=1)
+        assert res["sigma_hat"] == 1.0
 
     def test_exact_sts7(self):
         from absorbkit.exactcover import enumerate_decompositions
         sols = enumerate_decompositions(Hypergraph.complete(7, 2), 3)
-        res = spread_estimate(None, [1], trials=0, exact_decompositions=sols)
-        assert abs(res[1]["prob"] - 1 / 5) < 1e-12
+        res = spread_estimate(None, trials=0, exact_decompositions=sols)
+        assert abs(res["prob"] - 1 / 5) < 1e-12
+
+    def test_packing_tie_rule(self):
+        # exact mode keeps the first most-contained clique met, Monte Carlo
+        # the smallest
+        res = spread_estimate(None, trials=0, exact_decompositions=[[(3, 4, 5)], [(0, 1, 2)]])
+        assert (res["packing"], res["prob"]) == (((3, 4, 5),), 0.5)
+        res = spread_estimate(lambda s: [(3, 4, 5), (0, 1, 2)], trials=5, seed=0)
+        assert (res["packing"], res["prob"]) == (((0, 1, 2),), 1.0)
 
     def test_unreliable_sampler_rejected(self):
         from absorbkit.errors import ReliabilityError
         with pytest.raises(ReliabilityError):
-            spread_estimate(lambda s: None, [1], trials=20, seed=2)
+            spread_estimate(lambda s: None, trials=20, seed=2)
 
     def test_monte_carlo_consistency(self):
         from absorbkit.exactcover import enumerate_decompositions
@@ -581,6 +589,6 @@ class TestSpread:
         def sampler(seed):
             return sols[random.Random(seed).randrange(len(sols))]
 
-        a = spread_estimate(sampler, [1], trials=400, seed=3)
-        b = spread_estimate(sampler, [1], trials=800, seed=4)
-        assert abs(a[1]["sigma_hat"] - b[1]["sigma_hat"]) < 0.12
+        a = spread_estimate(sampler, trials=400, seed=3)
+        b = spread_estimate(sampler, trials=800, seed=4)
+        assert abs(a["sigma_hat"] - b["sigma_hat"]) < 0.12
