@@ -381,6 +381,9 @@ def cmd_nibble_spread(args) -> int:
     host = Hypergraph.complete(args.n, 2)
     if args.exact:
         sols = enumerate_decompositions(host, args.q)
+        if not sols:
+            print(f"NONE (no decomposition of K_{args.n})")
+            return EXIT_NEGATIVE
         res = spread_estimate(None, trials=0, exact_decompositions=sols)
     else:
         def sampler(seed):

@@ -5,9 +5,11 @@ is decided by a fraction-free revised phase-1 simplex (Dantzig pricing with
 a Bland anti-cycling switch).  Every coefficient of the constraint matrix is
 0 or 1, so each column is kept as the tuple of its rows' ids, and the
 simplex keeps only B^-1 and the right-hand side: each of their rows holds
-integer numerators over its own positive integer denominator, and is
-reduced by its gcd only once that denominator outgrows a machine word (the
-pivot row on every pivot).  Verdicts are exact: feasibility comes with the
+integer numerators over its own positive integer denominator.  A row whose
+multiplier the pivot divides changes in place, on the pivot row's nonzero
+columns, and keeps its denominator; any other row is rescaled, and reduced
+by its gcd only once its denominator outgrows a machine word (the pivot row
+on every pivot).  Verdicts are exact: feasibility comes with the
 weighting itself, and infeasibility comes with a Farkas certificate that is
 re-verified before being returned.  An exhaustive vertex enumeration
 (`fm_feasible`: every linearly independent column subset, solved exactly)
@@ -74,6 +76,31 @@ class BoostFamily:
     clamped: int
 
 
+def _eliminate(row: List[int], d: int, f: int, prow: List[int], p: int,
+               support: List[tuple], reduce_bits: int) -> tuple:
+    """row / d minus f / d times the pivot row prow / p, as (numerators,
+    denominator).  When p divides f, row changes in place, only on the
+    pivot row's nonzero columns `support` ((column, numerator) pairs), and
+    d stays.  Otherwise f and p are first divided by their gcd, the row is
+    rescaled by what is left of p, and it is reduced by its gcd once its
+    denominator has more than reduce_bits bits."""
+    k, rem = divmod(f, p)
+    if not rem:
+        for j, v in support:
+            row[j] -= k * v
+        return row, d
+    g = gcd(f, p)
+    if g > 1:
+        f, p = f // g, p // g
+    new = [a * p - f * c for a, c in zip(row, prow)]
+    d *= p
+    if d.bit_length() > reduce_bits:
+        g = gcd(d, *new)
+        if g > 1:
+            new, d = [v // g for v in new], d // g
+    return new, d
+
+
 def _phase1(cols: List[tuple], b: List[Fraction]) -> tuple:
     """Minimize the artificial sum for {Ax = b, x >= 0}; returns
     (objective, x, y, pivots).  One artificial per row; b must be >= 0.
@@ -88,11 +115,15 @@ def _phase1(cols: List[tuple], b: List[Fraction]) -> tuple:
     columns of its rows.
 
     Each kept row, the objective row included, is a list of integer
-    numerators over one positive integer denominator.  The objective row
-    and the pivot row are reduced by their gcd on every pivot (p scales
-    every other row); any other row only once its denominator has more
-    than REDUCE_BITS bits: on word-sized integers the gcd costs about half
-    as much as the update and saves little.  Every entry keeps its exact
+    numerators over one positive integer denominator.  The pivot row is
+    reduced by its gcd on every pivot, and its denominator becomes the
+    pivot p.  A row whose multiplier f is a multiple of p subtracts f/p
+    times the pivot row's numerators in place, on the pivot row's nonzero
+    columns, and keeps its denominator.  Any other row is rescaled by
+    p / gcd(f, p), then reduced by its gcd: the objective row always, a
+    B^-1 row only once its denominator has more than REDUCE_BITS bits: on
+    word-sized integers the gcd costs about half as much as the update and
+    saves little.  Every entry keeps its exact
     rational value, and every comparison cross-multiplies or shares one
     positive denominator, so the pivots are those of a full Fraction
     tableau; only x and y become (normalised) Fractions.
@@ -167,23 +198,14 @@ def _phase1(cols: List[tuple], b: List[Fraction]) -> tuple:
             prow = [v // g for v in prow]
             p //= g
         T[leave], den[leave] = prow, p
+        support = [(j, v) for j, v in enumerate(prow) if v]
         for i in range(m):
             f = a_col[i]
             if f and i != leave:
-                new = [a * p - f * c for a, c in zip(T[i], prow)]
-                d = den[i] * p
-                if d.bit_length() > REDUCE_BITS:
-                    g = gcd(d, *new)
-                    if g > 1:
-                        new, d = [v // g for v in new], d // g
-                T[i], den[i] = new, d
-        f = red[enter]
+                T[i], den[i] = _eliminate(T[i], den[i], f, prow, p, support,
+                                          REDUCE_BITS)
         before, before_den = obj[m], oden
-        obj = [a * p - f * c for a, c in zip(obj, prow)]
-        oden *= p
-        g = gcd(oden, *obj)
-        if g > 1:
-            obj, oden = [v // g for v in obj], oden // g
+        obj, oden = _eliminate(obj, oden, red[enter], prow, p, support, 0)
         stalled = stalled + 1 if obj[m] * before_den == before * oden else 0
         basis[leave] = enter
         pivots += 1
@@ -342,7 +364,9 @@ def inheritance_stats(G: Hypergraph, s: int, M: Sequence[int],
                       trials: int, seed: int = 0,
                       threshold: float = 0.0) -> dict:
     """Sample s-sets containing M; report how often the induced subgraph
-    keeps minimum degree at least threshold * (s - 1)."""
+    keeps minimum degree at least threshold * (s - 1).  Needs trials >= 1."""
+    if trials < 1:
+        raise ParameterError(f"need trials >= 1 for an inheritance rate, got {trials}")
     if G.r != 2:
         raise ParameterError("inheritance sampling is implemented for graphs")
     if len(set(M)) != len(M) or not all(0 <= v < G.n for v in M):
@@ -351,8 +375,6 @@ def inheritance_stats(G: Hypergraph, s: int, M: Sequence[int],
     m = len(M)
     if not max(m, 1) <= s <= G.n:
         raise ParameterError(f"need max(|M|, 1) <= s <= n, got |M|={m}, s={s}, n={G.n}")
-    if trials <= 0:
-        return {"trials": 0, "hits": 0, "fraction": None, "min_seen": None}
     bound = threshold * (s - 1)
     adj: Dict[int, set] = {v: set() for v in range(G.n)}
     for a, bb in G.edges:

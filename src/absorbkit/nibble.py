@@ -494,14 +494,15 @@ def spread_estimate(sampler: Optional[Callable[[int], Sequence[tuple]]], trials:
     One Counter pass over the family counts the members containing each
     clique.  ``packing`` is (S,) for a most-contained S: the first met in
     exact mode, the smallest in Monte Carlo mode, which needs trials >= 1
-    and reports a 95% interval.  Exact mode ignores trials.
+    and reports a 95% interval.  Exact mode ignores trials, and needs a
+    nonempty member in the family.
     """
     if exact_decompositions is not None:
         family = [frozenset(tuple(sorted(c)) for c in d) for d in exact_decompositions]
         counts = Counter(itertools.chain.from_iterable(map(sorted, family)))
-        best_S = max(counts, key=counts.__getitem__, default=None)
-        if best_S is None:
-            return {"sigma_hat": 0.0, "prob": -1.0, "packing": None, "mode": "exact"}
+        if not counts:
+            raise ParameterError("need a nonempty decomposition for an exact spread")
+        best_S = max(counts, key=counts.__getitem__)
         best = counts[best_S] / len(family)
         return {"sigma_hat": best, "prob": best, "packing": (best_S,), "mode": "exact"}
 

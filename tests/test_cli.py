@@ -515,6 +515,11 @@ class TestNibbleCLI:
         code, out = run(capsys, "nibble", "spread", "--n", "7", "--exact")
         assert code == 0 and "sigma_hat_1=0.2" in out
 
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_spread_exact_without_decomposition_exit_1(self, capsys, n):
+        code, out = run(capsys, "nibble", "spread", "--n", str(n), "--exact")
+        assert code == 1 and out == f"NONE (no decomposition of K_{n})\n"
+
     def test_unreliable_sampler_exit_2(self, capsys):
         # random greedy decomposes K_7 in 4 of these 20 trials: a valid
         # command line whose sampler fails too often, not a usage error
@@ -828,6 +833,8 @@ def test_bad_packing_header_exit_3(tmp_path, capsys, name, action):
 @pytest.mark.parametrize("argv", [
     "nibble spread --n 7 --trials 0",    # an estimate from no sample
     "nibble spread --n 7 --trials -3",
+    "lp inherit k5.graph --s 3 --trials 0",   # a rate from no sample
+    "lp inherit k5.graph --s 3 --trials -5",
     "nibble highgirth --n 9 --g 1",      # every triangle is a (3, 1)-configuration
     "nibble girth --packing sts7.pack --gmax 1",
 ])

@@ -229,14 +229,15 @@ class TestIntegerTableau:
         (a bound no denominator reaches) gives the same objective, x, y and
         pivots as the default bound."""
         inputs = [(cols, b) for _, _, cols, b in seeded_phase1_instances()]
-        inputs += [lp_columns(Hypergraph.complete(n, 2), None) for n in (10, 11)]
+        inputs += [lp_columns(Hypergraph.complete(n, 2), None) for n in (10, 11, 12)]
         want = [fraclp._phase1(cols, b) for cols, b in inputs]
         default, never = fraclp.REDUCE_BITS, 10**6
         for bits in (0, never):
             monkeypatch.setattr(fraclp, "REDUCE_BITS", bits)
             assert [fraclp._phase1(cols, b) for cols, b in inputs] == want, bits
-        # on K_10 some row updates cross the default bound and some do not:
-        # it makes more gcd calls than no row reduction, and fewer than all
+        # on K_11 some rescaled rows cross the default bound and some do
+        # not: it makes more gcd calls than no row reduction, and fewer than
+        # all (no K_10 row denominator outgrows the default bound)
         calls = []
         real_gcd = fraclp.gcd
         monkeypatch.setattr(fraclp, "gcd", lambda *a: calls.append(a) or real_gcd(*a))
@@ -244,7 +245,7 @@ class TestIntegerTableau:
         for bits in (default, 0, never):
             monkeypatch.setattr(fraclp, "REDUCE_BITS", bits)
             calls.clear()
-            fraclp._phase1(*inputs[-2])
+            fraclp._phase1(*inputs[-2])   # K_11
             gcds[bits] = len(calls)
         assert gcds[never] < gcds[default] < gcds[0]
 
@@ -300,9 +301,10 @@ class TestInheritance:
         assert stats["fraction"] == 1.0
 
     def test_zero_trials(self):
-        stats = inheritance_stats(Hypergraph.complete(10, 2), s=4, M=(),
-                                  trials=0)
-        assert stats["trials"] == 0 and stats["fraction"] is None
+        # a rate over no sample is a parameter error, as in spread_estimate
+        for trials in (0, -5):
+            with pytest.raises(ParameterError, match="need trials >= 1"):
+                inheritance_stats(Hypergraph.complete(10, 2), s=4, M=(), trials=trials)
 
     def test_min_degree_inheritance_rate(self):
         # host with delta >= 0.9(n-1): sampled 60-sets keep delta >= 0.8(s-1)

@@ -569,6 +569,15 @@ class TestSpread:
         res = spread_estimate(None, trials=0, exact_decompositions=sols)
         assert abs(res["prob"] - 1 / 5) < 1e-12
 
+    def test_exact_without_decomposition_rejected(self):
+        # K_8 has no triangle decomposition: no spread to report
+        from absorbkit.exactcover import enumerate_decompositions
+        sols = enumerate_decompositions(Hypergraph.complete(8, 2), 3)
+        assert sols == []
+        for family in (sols, [[]]):
+            with pytest.raises(ParameterError, match="need a nonempty decomposition"):
+                spread_estimate(None, trials=0, exact_decompositions=family)
+
     def test_packing_tie_rule(self):
         # exact mode keeps the first most-contained clique met, Monte Carlo
         # the smallest
